@@ -37,7 +37,75 @@ let make_tests () =
   Test.make_grouped ~name:"tokenize-256K" ~fmt:"%s %s"
     (List.concat_map mk [ Formats.csv; Formats.json; Formats.linux_log ])
 
+(* Streaming through the slice API at [chunk]-byte feeds against one
+   Engine.run_string over the same input — the same kernel both ways, so
+   the ratio is the price of chunking (carry copies, per-chunk heads).
+   Interleaved best-of-[rounds]; returns stream/batch throughput. *)
+let stream_vs_batch ~target_bytes ~chunk ~rounds (g : Grammar.t) =
+  let engine =
+    match Engine.compile (Grammar.dfa g) with Ok e -> e | Error _ -> assert false
+  in
+  let gen = Option.get (Gen_data.by_name g.Grammar.name) in
+  let input = gen ~seed:Bench_common.seed_data ~target_bytes () in
+  let n = String.length input in
+  let live = ref 0 in
+  let tok =
+    Stream_tokenizer.create_slices engine ~emit:(fun _ pos len rule ->
+        live := !live lxor (pos + len + rule))
+  in
+  let stream () =
+    Stream_tokenizer.reset tok;
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min chunk (n - !pos) in
+      Stream_tokenizer.feed tok input !pos len;
+      pos := !pos + len
+    done;
+    ignore (Stream_tokenizer.finish tok)
+  in
+  let batch () =
+    ignore (Engine.run_string engine input ~emit:Bench_common.emit_spans)
+  in
+  let t_batch = ref infinity and t_stream = ref infinity in
+  for _ = 1 to rounds do
+    t_batch := Float.min !t_batch (snd (Bench_common.time_once batch));
+    t_stream := Float.min !t_stream (snd (Bench_common.time_once stream))
+  done;
+  let ratio = !t_batch /. !t_stream in
+  Printf.printf
+    "  %-10s batch %7.1f MB/s  stream@%dK %7.1f MB/s  ratio %.3fx\n"
+    g.Grammar.name
+    (Bench_common.throughput n !t_batch)
+    (chunk / 1024)
+    (Bench_common.throughput n !t_stream)
+    ratio;
+  Bench_common.record_result ~experiment:"micro" ~name:"stream_vs_batch_ratio"
+    ~labels:[ ("grammar", g.Grammar.name); ("chunk", string_of_int chunk) ]
+    ratio;
+  ratio
+
+(* ROADMAP gate: streaming at 64 KiB chunks keeps ≥0.95x of the batch
+   engine on every format. *)
+let stream_gate () =
+  Bench_common.pp_header
+    "Streaming (slice API, 64 KiB chunks) vs batch engine, 4 MB inputs, \
+     best of 7 (gate >= 0.95x)";
+  let worst =
+    List.fold_left
+      (fun acc g ->
+        Float.min acc
+          (stream_vs_batch ~target_bytes:4_194_304 ~chunk:65536 ~rounds:7 g))
+      infinity
+      [ Formats.json; Formats.csv; Formats.xml; Formats.yaml ]
+  in
+  if worst < 0.95 then begin
+    Printf.eprintf "micro: streaming at %.3fx of batch is below the 0.95x gate\n"
+      worst;
+    exit 1
+  end
+
 let run () =
+  stream_gate ();
   Bench_common.pp_header
     "Bechamel micro-benchmarks: 256 KB tokenization (ns/run, OLS fit)";
   let ols =
@@ -162,7 +230,28 @@ let rec smoke () =
       worst;
     exit 1
   end;
-  disabled_tracer_check ()
+  disabled_tracer_check ();
+  stream_check ()
+
+(* The one-kernel contract, cheaply: streaming through the slice API at
+   64 KiB chunks must stay near batch speed. The hard floor is 0.85x,
+   best of 5, which leaves room for this gate's timing noise; `bench
+   micro` reports and gates the 0.95x target on four formats. *)
+and stream_check () =
+  Bench_common.pp_header
+    "Smoke: slice-API streaming (64 KiB chunks) vs batch engine (1 MB inputs)";
+  List.iter
+    (fun g ->
+      let r =
+        stream_vs_batch ~target_bytes:1_048_576 ~chunk:65536 ~rounds:5 g
+      in
+      if r < 0.85 then begin
+        Printf.eprintf
+          "smoke: streaming at %.3fx of batch on %s is below the 0.85x floor\n"
+          r g.Grammar.name;
+        exit 1
+      end)
+    [ Formats.json; Formats.csv ]
 
 (* The probe contract: with tracing disabled, the traced entry points cost
    one bool load per call over the plain ones. Verified the same way as

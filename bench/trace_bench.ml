@@ -4,7 +4,7 @@
       pushed through Stream_tokenizer.feed in small chunks with tracing
       off vs on (every chunk emits a st.feed + engine.run span pair into
       the ring). Hard gate: <= 15% slower with the tracer recording.
-   2. DFA state heat on the same run — the instrumented heat runner's
+   2. DFA state heat on the same run — the instrumented run's replayed
       per-state visit/skip counters, printed as the top-10 table (this is
       the `trace record --heat` path without the CLI).
    3. A traced loopback serve run — the whole daemon stack recorded, then
@@ -93,17 +93,25 @@ let heat_top10 engine input =
 (* Mirrors the serve bench's hot path — coalesced FEED bursts in,
    zero-copy reply views out — so the span tree profiles the data plane
    as production drives it. *)
+let p_client_walk = Streamtok.Trace.probe ~cat:"decode" "client.walk"
+
 let traced_loopback input =
   Streamtok.Trace.reset ();
   Streamtok.Trace.set_enabled true;
   let lb = LB.create () in
   let c = LB.connect lb in
   let count = ref 0 in
+  (* the client's walk over each reply's token records is the client
+     decode layer of the run: a span of its own, so the report accounts
+     for it rather than leaving it unattributed *)
   let on_view v =
     if v.W.Decoder.vtag = W.tag_tokens then
-      match W.iter_tokens_view v (fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> ()) with
-      | Ok n -> count := !count + n
-      | Error msg -> failwith ("trace bench: " ^ msg)
+      Streamtok.Trace.with_span p_client_walk (fun () ->
+          match
+            W.iter_tokens_view v (fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> ())
+          with
+          | Ok n -> count := !count + n
+          | Error msg -> failwith ("trace bench: " ^ msg))
     else if v.W.Decoder.vtag = W.tag_error then
       failwith "trace bench: server error reply"
   in
@@ -168,7 +176,7 @@ let run ?(size_mb = 4) () =
     exit 1
   end;
 
-  (* 2. state heat via the instrumented heat runner *)
+  (* 2. state heat via the instrumented run's heat replay *)
   let table = heat_top10 engine input in
   print_string (Streamtok.Trace.Heat.to_text ~top_n:10 table);
   (match Streamtok.Trace.Heat.top ~n:1 table with

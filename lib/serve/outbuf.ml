@@ -69,6 +69,15 @@ let add_u32 t v =
   unsafe_poke_u32 t.buf t.len v;
   t.len <- t.len + 4
 
+let add_token t ~rule s pos len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Outbuf.add_token";
+  ensure_room t (8 + len);
+  unsafe_poke_u32 t.buf t.len rule;
+  unsafe_poke_u32 t.buf (t.len + 4) len;
+  Bytes.unsafe_blit_string s pos t.buf (t.len + 8) len;
+  t.len <- t.len + 8 + len
+
 let add_header t ~tag plen =
   ensure_room t (5 + plen);
   unsafe_poke_u32 t.buf t.len plen;

@@ -36,6 +36,10 @@ val add_buffer : t -> Buffer.t -> unit
 (** Big-endian, as everywhere in the wire protocol. *)
 val add_u32 : t -> int -> unit
 
+(** [add_token t ~rule s pos len] appends one TOKENS record — u32 rule,
+    u32 length, then [String.sub s pos len] — with one room check. *)
+val add_token : t -> rule:int -> string -> int -> int -> unit
+
 (** [add_frame dst ~tag src] appends one frame whose payload is [src]'s
     live bytes. [src] is not consumed (pair with {!clear}). *)
 val add_frame : t -> tag:int -> t -> unit

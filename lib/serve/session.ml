@@ -7,13 +7,12 @@ type deps = {
 }
 
 type opened_state = {
-  engine : Engine.t;
   grammar_name : string;
   rule_names : string list;
   ids : bool;  (* token-id serving mode: IDS frames, no lexeme bytes *)
   enc : Outbuf.t;  (* encoded TOKENS/IDS records; shared with the emit closure *)
   ntoks : int ref;
-  mutable tok : Stream_tokenizer.t;
+  tok : Stream_tokenizer.t;
   mutable outcome : Engine.outcome option;
       (* set as soon as the current stream fails; FLUSH reports and clears *)
 }
@@ -25,20 +24,19 @@ type t = { deps : deps; mutable state : state }
 let create deps = { deps; state = Awaiting_open }
 let opened t = match t.state with Opened_ _ -> true | Awaiting_open -> false
 
-(* Tokens are encoded straight into the wire format as they are emitted —
-   u32 rule, u32 len, lexeme bytes (or just u32 rule in id mode) — into a
-   scratch Outbuf reused across frames. Flushing a batch is then a single
-   header poke + one blit. *)
+(* Tokens are encoded straight from the tokenizer's slices into the wire
+   format as they are emitted — u32 rule, u32 len, lexeme bytes (or just
+   u32 rule in id mode) — into a scratch Outbuf reused across frames. No
+   lexeme is materialized; flushing a batch is then a single header poke +
+   one blit. *)
 let new_tokenizer ~ids engine enc ntoks =
   if ids then
-    Stream_tokenizer.create engine ~emit:(fun _lexeme rule ->
+    Stream_tokenizer.create_slices engine ~emit:(fun _ _ _ rule ->
         Outbuf.add_u32 enc rule;
         incr ntoks)
   else
-    Stream_tokenizer.create engine ~emit:(fun lexeme rule ->
-        Outbuf.add_u32 enc rule;
-        Outbuf.add_u32 enc (String.length lexeme);
-        Outbuf.add_string enc lexeme;
+    Stream_tokenizer.create_slices engine ~emit:(fun buf pos len rule ->
+        Outbuf.add_token enc ~rule buf pos len;
         incr ntoks)
 
 let batch t =
@@ -90,7 +88,6 @@ let handle_open t spec =
               let ntoks = ref 0 in
               let os =
                 {
-                  engine;
                   grammar_name = g.Grammar.name;
                   rule_names = List.map fst g.Grammar.rules;
                   ids = false;
@@ -146,7 +143,6 @@ let handle_open_bpe t ~ids vocab_text =
                   let ntoks = ref 0 in
                   let os =
                     {
-                      engine;
                       grammar_name = "bpe";
                       rule_names =
                         List.init (St_bpe.Vocab.size vocab)
@@ -236,7 +232,7 @@ let handle_flush t =
             Wire.Pending { ok = false; offset; pending }
       in
       (* Reset for the next stream on the same engine. *)
-      os.tok <- new_tokenizer ~ids:os.ids os.engine os.enc os.ntoks;
+      Stream_tokenizer.reset os.tok;
       os.outcome <- None;
       [ pending_reply ]
 

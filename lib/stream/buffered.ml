@@ -13,8 +13,8 @@ let iter t f =
 let run_streamtok engine ~capacity source ~emit =
   let t = create ~capacity source in
   let st = St_streamtok.Stream_tokenizer.create engine ~emit in
+  (* The tokenizer keeps no reference to a chunk past [feed] (it copies
+     what it carries), so the read buffer is fed in place. *)
   iter t (fun buf pos len ->
-      St_streamtok.Stream_tokenizer.feed st
-        (Bytes.sub_string buf pos len)
-        0 len);
+      St_streamtok.Stream_tokenizer.feed st (Bytes.unsafe_to_string buf) pos len);
   St_streamtok.Stream_tokenizer.finish st

@@ -17,16 +17,10 @@ let k e = e.k
 let dfa e = e.dfa
 let te_states e = match e.mode with Table_k1 _ -> 0 | Te te -> Te_dfa.num_states te
 
-(* Run-time lookahead buffering, mirroring Stream_tokenizer: the K ≤ 1
-   paths carry a single pending byte; the TE path keeps a power-of-two
-   ring of capacity ≥ K + 1. *)
-let lookahead_buffer_bytes e =
-  match e.mode with
-  | Table_k1 _ -> 1
-  | Te _ ->
-      let k = max e.k 1 in
-      let rec cap c = if c >= k + 1 then c else cap (2 * c) in
-      cap 2
+(* Lookahead bytes the streaming kernel carries across a chunk boundary:
+   the max(K, 1) bytes the lookahead has read and the tokenization DFA has
+   not. *)
+let lookahead_buffer_bytes e = max e.k 1
 
 let k1_table_bytes e =
   match e.mode with Table_k1 tbl -> Bytes.length tbl | Te _ -> 0
@@ -148,99 +142,240 @@ let outcome_to_string = function
       Printf.sprintf "failed at %d (%d pending bytes)" offset
         (String.length pending)
 
-let fail s startP =
-  Failed
-    { offset = startP; pending = String.sub s startP (String.length s - startP) }
+(* ---- The kernel: one Fig. 5 loop and one Fig. 6 loop ----
 
-(* Fig. 5 specialized runner: per symbol, one classmap load, one DFA step
-   and one table probe — the two-load form. The class of the lookahead byte
-   is carried into the next iteration, where the same byte is the one
-   consumed, so each byte is translated exactly once.
+   A cursor is one stream's state. Tokens go out as slices
+   [emit buf pos len rule]: [buf] is the caller's chunk whenever the token
+   lies inside it, and the carry buffer only for a token that straddles a
+   chunk boundary. A slice is valid only during the callback.
 
-   There is no per-symbol failure check: once the DFA enters a reject state
-   it can never be final again, so no token is ever emitted past that point
-   and the trailing [startP < n] test reports the failure with the same
-   offset the eager check would (§5 of the paper proves no emission can be
-   pending when the DFA dies).
+   The tokenization DFA (A) lags the lookahead (B) by [delay = max K 1]
+   bytes: A consumes byte [j] once byte [j + delay] has been fed, or at end
+   of stream. Between chunks the carry holds the stream bytes
+   [tok, fed): the open token's prefix, whose tail is the ≤ delay bytes B
+   has read and A has not. Nothing else is buffered, so in the steady state
+   a chunk costs one short copy at its end; both cursors otherwise run over
+   the chunk itself, exactly as over one string.
+
+   Failure is detected lazily, once per chunk: a reject state can never
+   become final again, so no token can be emitted past the byte that killed
+   the DFA. The pending bytes of the failure (the token start up to and
+   including that byte) are then recovered by replaying the carry. *)
+
+type state = Running | Failed_stream of outcome | Stopped of outcome
+
+type cursor = {
+  eng : t;
+  emit : string -> int -> int -> int -> unit;
+  mutable q : int;  (* A: tokenization DFA state *)
+  mutable st : int;  (* B: token-extension powerstate (TE mode) *)
+  mutable tok : int;  (* stream offset of the open token's first byte *)
+  mutable fed : int;
+  mutable carry : Bytes.t;  (* stream bytes [cbase, cbase + clen) *)
+  mutable cbase : int;
+  mutable clen : int;
+  mutable skipped : int;  (* bytes consumed by skip loops *)
+  mutable swar_skipped : int;  (* ... of which by SWAR-classified loops *)
+  mutable state : state;
+}
+
+let carry_cap = 64
+
+let la_start e = match e.mode with Table_k1 _ -> 0 | Te te -> Te_dfa.start te
+
+let cursor e ~emit =
+  {
+    eng = e;
+    emit;
+    q = e.dfa.Dfa.start;
+    st = la_start e;
+    tok = 0;
+    fed = 0;
+    carry = Bytes.create carry_cap;
+    cbase = 0;
+    clen = 0;
+    skipped = 0;
+    swar_skipped = 0;
+    state = Running;
+  }
+
+let reset c =
+  c.q <- c.eng.dfa.Dfa.start;
+  c.st <- la_start c.eng;
+  c.tok <- 0;
+  c.fed <- 0;
+  (* a long token may have grown the carry; don't hold it for the next
+     stream *)
+  if Bytes.length c.carry > 65536 then c.carry <- Bytes.create carry_cap;
+  c.cbase <- 0;
+  c.clen <- 0;
+  c.skipped <- 0;
+  c.swar_skipped <- 0;
+  c.state <- Running
+
+let carry_add c s pos len =
+  let need = c.clen + len in
+  if need > Bytes.length c.carry then begin
+    let nb = Bytes.create (max need (2 * Bytes.length c.carry)) in
+    Bytes.blit c.carry 0 nb 0 c.clen;
+    c.carry <- nb
+  end;
+  Bytes.blit_string s pos c.carry c.clen len;
+  c.clen <- need
+
+(* The open token began [pos - startP] bytes before this chunk and ends at
+   [s.[i - 1]]: append the chunk part to the carry and emit from there. *)
+let emit_straddle c s pos startP i rule =
+  let off = c.clen - (pos - startP) in
+  carry_add c s pos (i - pos);
+  c.emit (Bytes.unsafe_to_string c.carry) off (c.clen - off) rule
+
+(* A token ending at stream offset [stop] whose bytes are all carried. *)
+let emit_carried c stop rule =
+  c.emit (Bytes.unsafe_to_string c.carry) (c.tok - c.cbase) (stop - c.tok) rule;
+  c.tok <- stop;
+  c.q <- c.eng.dfa.Dfa.start
+
+let cls_of d b = Char.code (String.unsafe_get d.Dfa.classmap (Char.code b))
+
+(* One DFA step on a byte, off the hot loops. *)
+let step_byte d q b = d.Dfa.trans.((q * d.Dfa.num_classes) + cls_of d b)
+
+(* A reached a reject state: replay the carried token from its start to
+   find the byte that killed it. *)
+let fail_reject c =
+  let d = c.eng.dfa in
+  let from = c.tok - c.cbase in
+  let rec go q j =
+    let q = step_byte d q (Bytes.get c.carry j) in
+    if c.eng.reject.(q) then j + 1 else go q (j + 1)
+  in
+  let stop = go d.Dfa.start from in
+  Failed { offset = c.tok; pending = Bytes.sub_string c.carry from (stop - from) }
+
+(* Chunk epilogue: keep the carry invariant ([tok, fed) carried), then the
+   once-per-chunk failure check. [startP] is the open token's start as an
+   index into [s]; below [pos] it began in an earlier chunk. *)
+let end_chunk c s pos finish startP =
+  if startP >= pos then begin
+    c.cbase <- c.fed + (startP - pos);
+    c.clen <- 0;
+    carry_add c s startP (finish - startP)
+  end
+  else begin
+    let drop = c.clen - (pos - startP) in
+    if drop > 0 then begin
+      Bytes.blit c.carry drop c.carry 0 (c.clen - drop);
+      c.clen <- c.clen - drop;
+      c.cbase <- c.cbase + drop
+    end;
+    carry_add c s pos (finish - pos)
+  end;
+  c.tok <- c.cbase;
+  c.fed <- c.fed + (finish - pos);
+  if Array.unsafe_get c.eng.reject c.q then
+    c.state <- Failed_stream (fail_reject c)
+
+(* K ≤ 1: the carried last byte meets its lookahead class — the next
+   chunk's first byte, or the EOF column. *)
+let k1_step_carried c tbl la =
+  let d = c.eng.dfa in
+  c.q <- step_byte d c.q (Bytes.get c.carry (c.fed - 1 - c.cbase));
+  if Bytes.unsafe_get tbl ((c.q * (d.Dfa.num_classes + 1)) + la) <> '\000'
+  then
+    emit_carried c c.fed d.Dfa.accept.(c.q)
+
+(* Fig. 5: per symbol, one classmap load, one DFA step and one table probe
+   — the two-load form. The class of the lookahead byte is carried into
+   the next iteration, where the same byte is the one consumed, so each
+   byte is translated exactly once. The chunk's last byte waits in the
+   carry for its lookahead (the next chunk's first byte, or EOF).
 
    Self-loop run acceleration: when two consecutive steps land back in the
-   same state ([!q = prev = prev2]) and that state is flagged accelerable,
+   same state ([q = prev = prev2]) and that state is flagged accelerable,
    the run is finished with [Dfa.skip_run] — no table steps, no maximality
    probes. Skipping the intermediate probes is sound because a self-loop
    step can never fire the Fig. 5 bit: T[q][c] = 1 needs δ(q,c) non-final
    while q is final, and δ(q,c) = q during a run. The probe at the stop
-   byte (or EOF) runs as usual once the skip lands. Detecting runs by
-   comparing states costs register compares per byte on run-poor input,
-   where a per-byte bitmap probe would not stay within the no-regression
-   budget; demanding a run of two (plus an inline stop-bit pre-test of the
-   next byte) keeps streams made of 1–2 byte tokens from ever touching the
-   bitmaps or calling [skip_run]. *)
-let run_string_k1 ?(from = 0) e tbl s ~emit =
-  let d = e.dfa in
+   byte runs as usual once the skip lands. Demanding an observed run of two
+   (plus an inline stop-bit pre-test of the next byte) keeps streams made
+   of 1–2 byte tokens from ever touching the bitmaps or calling
+   [skip_run]. *)
+let k1_chunk c tbl s pos len =
+  let d = c.eng.dfa in
   let trans = d.Dfa.trans and accept = d.Dfa.accept in
   let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
   let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
   let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
   let kw = nc + 1 in
   let start = d.Dfa.start in
-  let n = String.length s in
-  let q = ref start in
-  let startP = ref from in
-  let pos = ref from in
+  let finish = pos + len in
   let cls =
-    ref
-      (if from < n then
-         Char.code
-           (String.unsafe_get cmap (Char.code (String.unsafe_get s from)))
-       else nc)
+    ref (Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s pos))))
   in
+  if c.fed > 0 then k1_step_carried c tbl !cls;
+  let q = ref c.q in
+  let startP = ref (pos - (c.fed - c.tok)) in
+  let i = ref pos in
+  let last = finish - 1 in
   let prev2 = ref (-1) in
-  while !pos < n do
+  while !i < last do
     let prev = !q in
     q := Array.unsafe_get trans ((!q * nc) + !cls);
-    incr pos;
-    (* skip-entry trigger: two consecutive self-loop steps. Requiring an
-       observed run of 2 (not 1) keeps streams full of 2-byte tokens off
-       the bitmap probes entirely — their cost is one register compare *)
+    incr i;
     if
       !q = prev && prev = !prev2
       && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos < n
-      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-         = 0
-    then pos := Dfa.skip_run astops akind aswar !q s !pos n;
+      && !i < last
+      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !i)) = 0
+    then begin
+      let j = Dfa.skip_run astops akind aswar !q s !i last in
+      c.skipped <- c.skipped + (j - !i);
+      if Bytes.unsafe_get akind !q <> '\000' then
+        c.swar_skipped <- c.swar_skipped + (j - !i);
+      i := j
+    end;
     prev2 := prev;
     let next_cls =
-      if !pos < n then
-        Char.code
-          (String.unsafe_get cmap (Char.code (String.unsafe_get s !pos)))
-      else nc
+      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s !i)))
     in
     if Bytes.unsafe_get tbl ((!q * kw) + next_cls) <> '\000' then begin
-      emit ~pos:!startP ~len:(!pos - !startP) ~rule:accept.(!q);
-      startP := !pos;
+      let rule = Array.unsafe_get accept !q in
+      if !startP >= pos then c.emit s !startP (!i - !startP) rule
+      else emit_straddle c s pos !startP !i rule;
+      startP := !i;
       q := start
     end;
     cls := next_cls
   done;
-  if !startP < n then fail s !startP else Finished
+  c.q <- !q;
+  end_chunk c s pos finish !startP
 
-(* Fig. 6 runner: the token-extension DFA runs K symbols ahead. Per symbol:
-   two classmap loads (lookahead and consumed byte), δ_B, δ_A, and the
+(* TE mode: A consumes the carried byte at stream offset [a]; B has already
+   read the K symbols after it. *)
+let te_step_carried c te a =
+  let d = c.eng.dfa in
+  c.q <- step_byte d c.q (Bytes.get c.carry (a - c.cbase));
+  if Te_dfa.emit_bit te c.st c.q then emit_carried c (a + 1) d.Dfa.accept.(c.q)
+
+(* Fig. 6: the token-extension DFA runs K symbols ahead. Per symbol: two
+   classmap loads (lookahead and consumed byte), δ_B, δ_A, and the
    maximality probe; the maximality table T[q][S] is materialized as a
    packed bit matrix so the per-symbol check is branch + single word read.
-   Failure detection is lazy, as in the K ≤ 1 runner.
+
+   The chunk's first K bytes are read by B while A, K behind, finishes the
+   carried bytes (the head); after that both cursors run over the chunk,
+   A at [j] and B at [j + K], and the last K bytes go to the carry.
 
    Acceleration must preserve the K-symbol lead: a skipped byte advances
    BOTH cursors, so an iteration can only be skipped when the consumed byte
    self-loops A's state [q] AND the byte K ahead self-loops B's powerstate
    [st] — [Dfa.skip_run2] scans both bitmaps in lockstep, B reading [+k]
    bytes ahead. The emit bit is a function of the (st, q) pair, which is
-   constant across the run and known 0 at entry, so no probe can be missed;
-   the skip is also bounded to [n - k] so the EOF padding always reenters
-   the normal path. *)
-let run_string_te ?(from = 0) e te s ~emit =
-  let d = e.dfa in
+   constant across the run and known 0 at entry, so no probe can be
+   missed. *)
+let te_chunk c te s pos len =
+  let d = c.eng.dfa in
   let trans = d.Dfa.trans and accept = d.Dfa.accept in
   let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
   let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
@@ -250,39 +385,38 @@ let run_string_te ?(from = 0) e te s ~emit =
   let k = Te_dfa.k te in
   let words = Te_dfa.Raw.words te in
   let tw = Te_dfa.Raw.width te in
-  let eofc = tw - 1 in
-  let n = String.length s in
-  let q = ref start in
-  let st = ref (Te_dfa.start te) in
-  let startP = ref from in
+  let finish = pos + len in
+  for i = pos to min finish (pos + k) - 1 do
+    c.st <- Te_dfa.step_class te c.st (cls_of d (String.unsafe_get s i));
+    let a = c.fed + (i - pos) - k in
+    if a >= 0 then te_step_carried c te a
+  done;
+  let q = ref c.q and st = ref c.st in
+  let startP = ref (pos - (c.fed - c.tok)) in
   (* Cached raw views of the lazy TeDFA; refreshed whenever a step
      materializes a new powerstate (which may reallocate the arrays). *)
   let te_trans = ref (Te_dfa.Raw.trans te) in
   let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
-  let te_step cls =
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + cls) in
+  let j = ref pos in
+  let last = finish - k in
+  let prev2_q = ref (-1) and prev2_st = ref (-1) in
+  while !j < last do
+    let prev_st = !st and prev_q = !q in
+    let bcls =
+      Char.code
+        (String.unsafe_get cmap (Char.code (String.unsafe_get s (!j + k))))
+    in
+    let tgt = Array.unsafe_get !te_trans ((!st * tw) + bcls) in
     if tgt >= 0 then st := tgt
     else begin
-      st := Te_dfa.step_class te !st cls;
+      st := Te_dfa.step_class te !st bcls;
       te_trans := Te_dfa.Raw.trans te;
       emit_rows := Te_dfa.Raw.emit_rows te
-    end
-  in
-  let class_at i =
-    if i < n then
-      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s i)))
-    else eofc
-  in
-  (* prologue: B consumes the first K symbols (or pads at EOF) *)
-  for i = from to from + k - 1 do
-    te_step (class_at i)
-  done;
-  let pos = ref from in
-  let prev2_q = ref (-1) and prev2_st = ref (-1) in
-  while !pos < n do
-    let prev_st = !st and prev_q = !q in
-    te_step (class_at (!pos + k));
-    q := Array.unsafe_get trans ((!q * nc) + class_at !pos);
+    end;
+    let acls =
+      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s !j)))
+    in
+    q := Array.unsafe_get trans ((!q * nc) + acls);
     if
       Int64.logand
         (Int64.shift_right_logical
@@ -291,36 +425,112 @@ let run_string_te ?(from = 0) e te s ~emit =
         1L
       <> 0L
     then begin
-      emit ~pos:!startP ~len:(!pos + 1 - !startP) ~rule:accept.(!q);
-      startP := !pos + 1;
+      let rule = Array.unsafe_get accept !q in
+      if !startP >= pos then c.emit s !startP (!j + 1 - !startP) rule
+      else emit_straddle c s pos !startP (!j + 1) rule;
+      startP := !j + 1;
       q := start;
-      incr pos
+      incr j
     end
     else if
       !q = prev_q && prev_q = !prev2_q && !st = prev_st
       && prev_st = !prev2_st
       && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos + 1 < n - k
-      && Dfa.stop_bit astops (!q * 8)
-           (Char.code (String.unsafe_get s (!pos + 1)))
+      && !j + 1 < last
+      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s (!j + 1)))
          = 0
     then begin
+      (* rows materialize on first use: fetch the stops before the kinds *)
       let bstops = Te_dfa.accel_stops te !st in
-      pos :=
-        Dfa.skip_run2 astops akind aswar atbl !q bstops
-          (Te_dfa.accel_kinds te) (Te_dfa.accel_masks te)
-          (Te_dfa.accel_tbl te) !st ~off:k s (!pos + 1) (n - k)
+      let bkinds = Te_dfa.accel_kinds te in
+      let j' =
+        Dfa.skip_run2 astops akind aswar atbl !q bstops bkinds
+          (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) !st ~off:k s (!j + 1)
+          last
+      in
+      let m = j' - (!j + 1) in
+      c.skipped <- c.skipped + m;
+      if
+        Bytes.unsafe_get akind !q <> '\000'
+        || Bytes.unsafe_get bkinds !st <> '\000'
+      then c.swar_skipped <- c.swar_skipped + m;
+      j := j'
     end
-    else incr pos;
+    else incr j;
     prev2_q := prev_q;
     prev2_st := prev_st
   done;
-  if !startP < n then fail s !startP else Finished
+  c.q <- !q;
+  c.st <- !st;
+  end_chunk c s pos finish !startP
 
-let run_string ?from e s ~emit =
-  match e.mode with
-  | Table_k1 tbl -> run_string_k1 ?from e tbl s ~emit
-  | Te te -> run_string_te ?from e te s ~emit
+let kernel_feed c s pos len =
+  match c.state with
+  | Running when len > 0 -> (
+      match c.eng.mode with
+      | Table_k1 tbl -> k1_chunk c tbl s pos len
+      | Te te -> te_chunk c te s pos len)
+  | _ -> c.fed <- c.fed + len
+
+(* End of stream: A consumes the carried lookahead bytes against EOF (the
+   Fig. 5 EOF column; K EOF pseudo-symbols for B). *)
+let rec kernel_finish c =
+  match c.state with
+  | Failed_stream o | Stopped o -> o
+  | Running ->
+      (match c.eng.mode with
+      | Table_k1 tbl ->
+          if c.fed > 0 then k1_step_carried c tbl c.eng.dfa.Dfa.num_classes
+      | Te te ->
+          let k = Te_dfa.k te in
+          for r = 1 to k do
+            c.st <- Te_dfa.step_class te c.st (Te_dfa.eof_class te);
+            let a = c.fed - k + r - 1 in
+            if a >= 0 then te_step_carried c te a
+          done);
+      c.state <-
+        (if c.tok = c.fed then Stopped Finished
+         else if c.eng.reject.(c.q) then Failed_stream (fail_reject c)
+         else
+           let from = c.tok - c.cbase in
+           let pending = Bytes.sub_string c.carry from (c.clen - from) in
+           Stopped (Failed { offset = c.tok; pending }));
+      kernel_finish c
+
+(* One whole string as a single chunk plus end of stream. Tokens tile the
+   input, so each one's position in [s] is the running sum of the lengths
+   before it — which also covers the few tokens emitted from the carry.
+   [tally], when given, counts tokens per rule in the same adapter. *)
+let run_cursor ?tally ~from e s ~emit =
+  let at = ref from in
+  let c =
+    cursor e
+      ~emit:
+        (match tally with
+        | None ->
+            fun _ _ len rule ->
+              let pos = !at in
+              at := pos + len;
+              emit ~pos ~len ~rule
+        | Some rc ->
+            fun _ _ len rule ->
+              Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
+              let pos = !at in
+              at := pos + len;
+              emit ~pos ~len ~rule)
+  in
+  let n = String.length s in
+  kernel_feed c s from (max 0 (n - from));
+  let outcome =
+    match kernel_finish c with
+    | Finished -> Finished
+    | Failed { offset; _ } ->
+        let offset = from + offset in
+        Failed { offset; pending = String.sub s offset (n - offset) }
+  in
+  (c, outcome)
+
+let run_string ?(from = 0) e s ~emit = snd (run_cursor ~from e s ~emit)
 
 let tokens e s =
   let acc = ref [] in
@@ -328,302 +538,106 @@ let tokens e s =
   let outcome = run_string e s ~emit in
   (List.rev !acc, outcome)
 
-(* Instrumented specializations of the two hot loops (the instrumented
-   runner variant): identical control flow to run_string_k1/run_string_te
-   with one unchecked per-rule tally increment at the emit site. Kept as
-   separate copies so the plain runners carry zero extra branches and the
-   instrumented ones stay inside the ≤2% overhead budget that
-   `bench/main.exe smoke` gates; everything else Run_stats reports is
-   recorded once per call, outside the loop. *)
+(* State heat, replayed off the hot path: the reference stepper walks A
+   (and, in TE mode, B) over [s] with the kernel's own skip-entry rules and
+   skip bounds for a single chunk [from, n) — K ≤ 1: no skip reaches the
+   last byte, which waits for its lookahead; TE: the skip stops K short of
+   the end — so the per-state visit and skip counts are the kernel's.
+   Token ends come from the real run; only maximality is not recomputed. *)
+type heat = {
+  h_s : string;
+  sv : int array;
+  ss : int array;
+  mutable hq : int;
+  mutable hst : int;
+  mutable hi : int;
+  mutable hprev2 : int;
+  mutable hprev2_st : int;
+}
 
-let run_string_k1_obs ~from e tbl rc sk swk s ~emit =
+(* B's symbol at [i]: the byte's class, or EOF past the end. *)
+let te_class te d s i =
+  if i < String.length s then cls_of d (String.unsafe_get s i)
+  else Te_dfa.eof_class te
+
+let heat_create e s ~from sv ss =
   let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let kw = nc + 1 in
-  let start = d.Dfa.start in
-  let n = String.length s in
-  let q = ref start in
-  let startP = ref from in
-  let pos = ref from in
-  let cls =
-    ref
-      (if from < n then
-         Char.code
-           (String.unsafe_get cmap (Char.code (String.unsafe_get s from)))
-       else nc)
+  let h =
+    {
+      h_s = s;
+      sv;
+      ss;
+      hq = d.Dfa.start;
+      hst = la_start e;
+      hi = from;
+      hprev2 = -1;
+      hprev2_st = -1;
+    }
   in
-  let prev2 = ref (-1) in
-  while !pos < n do
-    let prev = !q in
-    q := Array.unsafe_get trans ((!q * nc) + !cls);
-    incr pos;
-    if
-      !q = prev && prev = !prev2
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos < n
-      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-         = 0
-    then begin
-      let j = Dfa.skip_run astops akind aswar !q s !pos n in
-      sk := !sk + (j - !pos);
-      if Bytes.unsafe_get akind !q <> '\000' then swk := !swk + (j - !pos);
-      pos := j
-    end;
-    prev2 := prev;
-    let next_cls =
-      if !pos < n then
-        Char.code
-          (String.unsafe_get cmap (Char.code (String.unsafe_get s !pos)))
-      else nc
-    in
-    if Bytes.unsafe_get tbl ((!q * kw) + next_cls) <> '\000' then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos - !startP) ~rule;
-      startP := !pos;
-      q := start
-    end;
-    cls := next_cls
-  done;
-  if !startP < n then fail s !startP else Finished
+  (match e.mode with
+  | Table_k1 _ -> ()
+  | Te te ->
+      for i = from to from + Te_dfa.k te - 1 do
+        h.hst <- Te_dfa.step_class te h.hst (te_class te d s i)
+      done);
+  h
 
-let run_string_te_obs ~from e te rc sk swk s ~emit =
+(* Replay A up to [upto]; [token_end]: a token ends there (A resets). *)
+let heat_advance e h upto ~token_end =
   let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let atbl = d.Dfa.accel_tbl in
-  let start = d.Dfa.start in
-  let k = Te_dfa.k te in
-  let words = Te_dfa.Raw.words te in
-  let tw = Te_dfa.Raw.width te in
-  let eofc = tw - 1 in
+  let s = h.h_s in
   let n = String.length s in
-  let q = ref start in
-  let st = ref (Te_dfa.start te) in
-  let startP = ref from in
-  let te_trans = ref (Te_dfa.Raw.trans te) in
-  let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
-  let te_step cls =
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + cls) in
-    if tgt >= 0 then st := tgt
-    else begin
-      st := Te_dfa.step_class te !st cls;
-      te_trans := Te_dfa.Raw.trans te;
-      emit_rows := Te_dfa.Raw.emit_rows te
-    end
+  let step q i = step_byte d q (String.unsafe_get s i) in
+  let run_entry q prev i =
+    q = prev && prev = h.hprev2 && Dfa.is_accel_state d q
+    && Dfa.stop_bit d.Dfa.accel_stops (q * 8) (Char.code (String.unsafe_get s i))
+       = 0
   in
-  let class_at i =
-    if i < n then
-      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s i)))
-    else eofc
-  in
-  for i = from to from + k - 1 do
-    te_step (class_at i)
-  done;
-  let pos = ref from in
-  let prev2_q = ref (-1) and prev2_st = ref (-1) in
-  while !pos < n do
-    let prev_st = !st and prev_q = !q in
-    te_step (class_at (!pos + k));
-    q := Array.unsafe_get trans ((!q * nc) + class_at !pos);
-    if
-      Int64.logand
-        (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
-           (!q land 63))
-        1L
-      <> 0L
-    then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos + 1 - !startP) ~rule;
-      startP := !pos + 1;
-      q := start;
-      incr pos
-    end
-    else if
-      !q = prev_q && prev_q = !prev2_q && !st = prev_st
-      && prev_st = !prev2_st
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos + 1 < n - k
-      && Dfa.stop_bit astops (!q * 8)
-           (Char.code (String.unsafe_get s (!pos + 1)))
-         = 0
-    then begin
-      let bstops = Te_dfa.accel_stops te !st in
-      let bkinds = Te_dfa.accel_kinds te in
-      let j =
-        Dfa.skip_run2 astops akind aswar atbl !q bstops bkinds
-          (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) !st ~off:k s
-          (!pos + 1) (n - k)
-      in
-      sk := !sk + (j - (!pos + 1));
-      if
-        Bytes.unsafe_get akind !q <> '\000'
-        || Bytes.unsafe_get bkinds !st <> '\000'
-      then swk := !swk + (j - (!pos + 1));
-      pos := j
-    end
-    else incr pos;
-    prev2_q := prev_q;
-    prev2_st := prev_st
-  done;
-  if !startP < n then fail s !startP else Finished
-
-(* State-heat specializations: the _obs loops plus two unchecked per-byte
-   array increments ([sv] = bytes consumed landing in each state, [ss] =
-   bytes the skip loops consumed from it). A third copy of each loop, so
-   heat collection costs nothing unless Run_stats.enable_state_heat was
-   called — the visit counts are exact, not sampled, which keeps the
-   top-N table deterministic for a deterministic workload. *)
-
-let run_string_k1_heat ~from e tbl rc sk swk sv ss s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let kw = nc + 1 in
-  let start = d.Dfa.start in
-  let n = String.length s in
-  let q = ref start in
-  let startP = ref from in
-  let pos = ref from in
-  let cls =
-    ref
-      (if from < n then
-         Char.code
-           (String.unsafe_get cmap (Char.code (String.unsafe_get s from)))
-       else nc)
-  in
-  let prev2 = ref (-1) in
-  while !pos < n do
-    let prev = !q in
-    q := Array.unsafe_get trans ((!q * nc) + !cls);
-    Array.unsafe_set sv !q (Array.unsafe_get sv !q + 1);
-    incr pos;
-    if
-      !q = prev && prev = !prev2
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos < n
-      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-         = 0
-    then begin
-      let j = Dfa.skip_run astops akind aswar !q s !pos n in
-      sk := !sk + (j - !pos);
-      if Bytes.unsafe_get akind !q <> '\000' then swk := !swk + (j - !pos);
-      Array.unsafe_set ss !q (Array.unsafe_get ss !q + (j - !pos));
-      pos := j
-    end;
-    prev2 := prev;
-    let next_cls =
-      if !pos < n then
-        Char.code
-          (String.unsafe_get cmap (Char.code (String.unsafe_get s !pos)))
-      else nc
-    in
-    if Bytes.unsafe_get tbl ((!q * kw) + next_cls) <> '\000' then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos - !startP) ~rule;
-      startP := !pos;
-      q := start
-    end;
-    cls := next_cls
-  done;
-  if !startP < n then fail s !startP else Finished
-
-let run_string_te_heat ~from e te rc sk swk sv ss s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let atbl = d.Dfa.accel_tbl in
-  let start = d.Dfa.start in
-  let k = Te_dfa.k te in
-  let words = Te_dfa.Raw.words te in
-  let tw = Te_dfa.Raw.width te in
-  let eofc = tw - 1 in
-  let n = String.length s in
-  let q = ref start in
-  let st = ref (Te_dfa.start te) in
-  let startP = ref from in
-  let te_trans = ref (Te_dfa.Raw.trans te) in
-  let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
-  let te_step cls =
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + cls) in
-    if tgt >= 0 then st := tgt
-    else begin
-      st := Te_dfa.step_class te !st cls;
-      te_trans := Te_dfa.Raw.trans te;
-      emit_rows := Te_dfa.Raw.emit_rows te
-    end
-  in
-  let class_at i =
-    if i < n then
-      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s i)))
-    else eofc
-  in
-  for i = from to from + k - 1 do
-    te_step (class_at i)
-  done;
-  let pos = ref from in
-  let prev2_q = ref (-1) and prev2_st = ref (-1) in
-  while !pos < n do
-    let prev_st = !st and prev_q = !q in
-    te_step (class_at (!pos + k));
-    q := Array.unsafe_get trans ((!q * nc) + class_at !pos);
-    Array.unsafe_set sv !q (Array.unsafe_get sv !q + 1);
-    if
-      Int64.logand
-        (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
-           (!q land 63))
-        1L
-      <> 0L
-    then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos + 1 - !startP) ~rule;
-      startP := !pos + 1;
-      q := start;
-      incr pos
-    end
-    else if
-      !q = prev_q && prev_q = !prev2_q && !st = prev_st
-      && prev_st = !prev2_st
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos + 1 < n - k
-      && Dfa.stop_bit astops (!q * 8)
-           (Char.code (String.unsafe_get s (!pos + 1)))
-         = 0
-    then begin
-      let bstops = Te_dfa.accel_stops te !st in
-      let bkinds = Te_dfa.accel_kinds te in
-      let j =
-        Dfa.skip_run2 astops akind aswar atbl !q bstops bkinds
-          (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) !st ~off:k s
-          (!pos + 1) (n - k)
-      in
-      sk := !sk + (j - (!pos + 1));
-      if
-        Bytes.unsafe_get akind !q <> '\000'
-        || Bytes.unsafe_get bkinds !st <> '\000'
-      then swk := !swk + (j - (!pos + 1));
-      Array.unsafe_set ss !q (Array.unsafe_get ss !q + (j - (!pos + 1)));
-      pos := j
-    end
-    else incr pos;
-    prev2_q := prev_q;
-    prev2_st := prev_st
-  done;
-  if !startP < n then fail s !startP else Finished
+  (match e.mode with
+  | Table_k1 _ ->
+      while h.hi < upto do
+        let prev = h.hq in
+        h.hq <- step h.hq h.hi;
+        h.sv.(h.hq) <- h.sv.(h.hq) + 1;
+        h.hi <- h.hi + 1;
+        if h.hi < n - 1 && run_entry h.hq prev h.hi then begin
+          let j =
+            Dfa.skip_run d.Dfa.accel_stops d.Dfa.accel_kind d.Dfa.accel_swar
+              h.hq s h.hi (n - 1)
+          in
+          h.ss.(h.hq) <- h.ss.(h.hq) + (j - h.hi);
+          h.hi <- j
+        end;
+        h.hprev2 <- prev
+      done
+  | Te te ->
+      let k = Te_dfa.k te in
+      while h.hi < upto do
+        let prev = h.hq and prev_st = h.hst in
+        h.hst <- Te_dfa.step_class te h.hst (te_class te d s (h.hi + k));
+        h.hq <- step h.hq h.hi;
+        h.sv.(h.hq) <- h.sv.(h.hq) + 1;
+        if
+          not (token_end && h.hi + 1 = upto)
+          && h.hst = prev_st && prev_st = h.hprev2_st
+          && h.hi + 1 < n - k
+          && run_entry h.hq prev (h.hi + 1)
+        then begin
+          let bstops = Te_dfa.accel_stops te h.hst in
+          let j =
+            Dfa.skip_run2 d.Dfa.accel_stops d.Dfa.accel_kind d.Dfa.accel_swar
+              d.Dfa.accel_tbl h.hq bstops (Te_dfa.accel_kinds te)
+              (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) h.hst ~off:k s
+              (h.hi + 1) (n - k)
+          in
+          h.ss.(h.hq) <- h.ss.(h.hq) + (j - (h.hi + 1));
+          h.hi <- j
+        end
+        else h.hi <- h.hi + 1;
+        h.hprev2 <- prev;
+        h.hprev2_st <- prev_st
+      done);
+  if token_end then h.hq <- d.Dfa.start
 
 let num_rules e = 1 + Array.fold_left max (-1) e.dfa.Dfa.accept
 
@@ -632,30 +646,38 @@ let num_rules e = 1 + Array.fold_left max (-1) e.dfa.Dfa.accept
    load per call — gated by `bench/main.exe smoke`. *)
 let p_run = St_trace.Trace.probe ~cat:"engine" "engine.run"
 
+(* The same kernel run as [run_string]; the per-rule tally is one
+   unchecked increment per token in the position adapter, and the skip
+   counters are the cursor's own. *)
 let run_string_instrumented ?(from = 0) e s ~stats ~emit =
   let traced = !St_trace.Trace.on in
   if traced then St_trace.Trace.begin_span p_run;
   let rc = Run_stats.rule_slots stats (num_rules e) in
-  let sk = ref 0 in
-  let swk = ref 0 in
-  let outcome, dt =
-    St_util.Timer.time_it (fun () ->
-        if Run_stats.heat_enabled stats then begin
-          let sv, ss = Run_stats.heat_slots stats (Dfa.size e.dfa) in
-          match e.mode with
-          | Table_k1 tbl ->
-              run_string_k1_heat ~from e tbl rc sk swk sv ss s ~emit
-          | Te te -> run_string_te_heat ~from e te rc sk swk sv ss s ~emit
-        end
-        else
-          match e.mode with
-          | Table_k1 tbl -> run_string_k1_obs ~from e tbl rc sk swk s ~emit
-          | Te te -> run_string_te_obs ~from e te rc sk swk s ~emit)
+  let heat =
+    if not (Run_stats.heat_enabled stats) then None
+    else
+      let sv, ss = Run_stats.heat_slots stats (Dfa.size e.dfa) in
+      Some (heat_create e s ~from sv ss)
   in
+  let emit =
+    match heat with
+    | None -> emit
+    | Some h ->
+        fun ~pos ~len ~rule ->
+          heat_advance e h (pos + len) ~token_end:true;
+          emit ~pos ~len ~rule
+  in
+  let (c, outcome), dt =
+    St_util.Timer.time_it (fun () -> run_cursor ~tally:rc ~from e s ~emit)
+  in
+  (* the bytes after the last token (a failed tail) *)
+  Option.iter
+    (fun h -> heat_advance e h (String.length s) ~token_end:false)
+    heat;
   Run_stats.add_run_seconds stats dt;
   Run_stats.add_chunk stats (String.length s - from);
-  Run_stats.add_accel_skipped stats !sk;
-  Run_stats.add_swar_skipped stats !swk;
+  Run_stats.add_accel_skipped stats c.skipped;
+  Run_stats.add_swar_skipped stats c.swar_skipped;
   Run_stats.set_accel_states stats (accel_states e);
   Run_stats.set_accel_swar_states stats (accel_swar_states e);
   Run_stats.set_lookahead stats (max e.k 1);
@@ -709,29 +731,21 @@ let heat_table ?(label = "") e stats =
     rows;
   }
 
+module Kernel = struct
+  type nonrec cursor = cursor
+
+  let create = cursor
+  let reset = reset
+  let feed = kernel_feed
+  let finish = kernel_finish
+  let failed c = match c.state with Failed_stream _ -> true | _ -> false
+  let running c = match c.state with Running -> true | _ -> false
+  let fed c = c.fed
+  let carried c = c.clen
+  let skipped c = c.skipped
+  let swar_skipped c = c.swar_skipped
+end
+
 module Internal = struct
-  let delay e = max e.k 1
-  let is_reject e q = e.reject.(q)
-  let dfa_start e = e.dfa.Dfa.start
-  let dfa_step e q byte = Dfa.step e.dfa q (Char.unsafe_chr byte)
-  let accept e q = e.dfa.Dfa.accept.(q)
-
-  let la_start e =
-    match e.mode with Table_k1 _ -> 256 | Te te -> Te_dfa.start te
-
-  let la_step e la sym =
-    match e.mode with Table_k1 _ -> sym | Te te -> Te_dfa.step te la sym
-
-  (* [la] is byte-level (0..255 or 256 = EOF); translated here so callers
-     stay independent of the class layout *)
-  let maximal e q la =
-    match e.mode with
-    | Table_k1 tbl ->
-        let nc = Dfa.num_classes e.dfa in
-        let cls = if la = 256 then nc else Dfa.class_of_byte e.dfa la in
-        Bytes.get tbl ((q * (nc + 1)) + cls) = '\001'
-    | Te te -> Te_dfa.emit_bit te la q
-
-  let k1_table e = match e.mode with Table_k1 tbl -> Some tbl | Te _ -> None
   let te_dfa e = match e.mode with Table_k1 _ -> None | Te te -> Some te
 end

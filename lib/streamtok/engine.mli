@@ -83,10 +83,10 @@ val k1_table_bytes : t -> int
 
 (** Approximate resident size, in bytes, of all tables the engine consults
     at run time: DFA transition/accept tables, the Fig. 5 [k1_table] or the
-    materialized token-extension powerstates, and the lookahead buffer the
-    streaming runner keeps (one pending byte for K ≤ 1, a power-of-two ring
-    of capacity ≥ K + 1 otherwise). Monotone in {!te_states}, so it grows
-    as the lazy TE DFA materializes. Used by the RQ6 memory experiment. *)
+    materialized token-extension powerstates, and the max(K, 1) lookahead
+    bytes the streaming kernel carries across a chunk boundary. Monotone
+    in {!te_states}, so it grows as the lazy TE DFA materializes. Used by
+    the RQ6 memory experiment. *)
 val footprint_bytes : t -> int
 
 (** How a run ended: the whole input was tokenized, or tokenization stopped
@@ -104,10 +104,12 @@ val outcome_to_string : outcome -> string
 
 (** [run_string e s ~emit] tokenizes an in-memory string, calling
     [emit ~pos ~len ~rule] for every maximal token, in order. Single
-    left-to-right pass, no backtracking. [from] (default 0) starts
-    tokenization at that offset (the rest of the string is still the
-    lookahead horizon); the emit callback may raise to stop the run
-    early — used by the parallel tokenizer's splice phase. *)
+    left-to-right pass, no backtracking: one feed of [s] plus end of stream
+    through the streaming kernel ({!Stream_tokenizer}). [from] (default 0)
+    starts tokenization at that offset (the rest of the string is still
+    the lookahead horizon); the emit callback may raise to stop the run
+    early — used by the parallel tokenizer's splice phase. On failure,
+    [pending] is the whole untokenized suffix of [s]. *)
 val run_string :
   ?from:int ->
   t ->
@@ -118,12 +120,14 @@ val run_string :
 (** [tokens e s] collects [(lexeme, rule)] pairs (convenience wrapper). *)
 val tokens : t -> string -> (string * int) list * outcome
 
-(** Instrumented variant of {!run_string}: same token stream, same outcome
-    (differentially tested), plus [stats] recording. The stats are kept off
-    the plain runner entirely — these are separate specializations of the
-    Fig. 5 / Fig. 6 loops whose only per-token extra work is one unchecked
-    per-rule tally increment; bytes/chunk/lookahead/footprint numbers are
-    recorded once per call. *)
+(** Instrumented variant of {!run_string}: the same kernel run, plus
+    [stats] recording. The per-rule tally is one unchecked increment per
+    token; the skip counters are the kernel's own (per skip, always on);
+    bytes/chunk/lookahead/footprint numbers are recorded once per call.
+    With [Run_stats.enable_state_heat], per-state heat is counted by a
+    reference stepper that replays the input alongside the run with the
+    kernel's skip-entry rules, so the counts are exact while the kernel
+    itself never touches them. *)
 val run_string_instrumented :
   ?from:int ->
   t ->
@@ -152,33 +156,32 @@ val heat_table : ?label:string -> t -> Run_stats.t -> St_trace.Trace.Heat.table
 
 (**/**)
 
-(** Internal plumbing shared with {!Stream_tokenizer}: a uniform view of
-    the two lookahead mechanisms (Fig. 5 table / Fig. 6 token-extension
-    DFA). Not part of the public API. *)
+(** The streaming kernel behind {!run_string} and {!Stream_tokenizer}: the
+    one Fig. 5 loop and the one Fig. 6 loop. Use {!Stream_tokenizer}. *)
+module Kernel : sig
+  type cursor
+
+  (** [emit buf pos len rule]: the slice is valid only during the call. *)
+  val create : t -> emit:(string -> int -> int -> int -> unit) -> cursor
+
+  val reset : cursor -> unit
+
+  (** Feeds one chunk; only counts its bytes once the stream stopped. *)
+  val feed : cursor -> string -> int -> int -> unit
+
+  val finish : cursor -> outcome
+  val failed : cursor -> bool
+  val running : cursor -> bool
+  val fed : cursor -> int
+
+  (** Bytes carried across the last chunk boundary. *)
+  val carried : cursor -> int
+
+  val skipped : cursor -> int
+  val swar_skipped : cursor -> int
+end
+
 module Internal : sig
-  (** Lookahead depth: max(K, 1). *)
-  val delay : t -> int
-
-  val is_reject : t -> int -> bool
-  val dfa_start : t -> int
-
-  (** [dfa_step e q byte]. *)
-  val dfa_step : t -> int -> int -> int
-
-  (** Λ(q) or -1. *)
-  val accept : t -> int -> int
-
-  val la_start : t -> int
-
-  (** [la_step e la sym] with [sym] ∈ 0..256 (256 = EOF). *)
-  val la_step : t -> int -> int -> int
-
-  (** [maximal e q la]: should a token ending in state [q] be emitted? *)
-  val maximal : t -> int -> int -> bool
-
-  (** The Fig. 5 table when K ≤ 1. *)
-  val k1_table : t -> Bytes.t option
-
   (** The token-extension DFA when K ≥ 2. *)
   val te_dfa : t -> Te_dfa.t option
 end

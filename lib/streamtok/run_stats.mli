@@ -51,16 +51,15 @@ val record_token : t -> rule:int -> len:int -> unit
 
 (** [enable_state_heat t ~states] turns on per-DFA-state heat counters
     (visits = bytes consumed in the state; skipped = bytes the self-loop
-    accelerator skipped from it) for subsequent instrumented runs. Off by
-    default — the arrays stay [[||]] and the instrumented runners take
-    their usual heat-free loops. *)
+    accelerator skipped from it) for subsequent instrumented runs, counted
+    by a replay of the input beside the run. Off by default — the arrays
+    stay [[||]] and nothing is replayed. *)
 val enable_state_heat : t -> states:int -> unit
 
 val heat_enabled : t -> bool
 
 (** [heat_slots t n] returns [(visits, skipped)] grown to at least [n]
-    slots, for the hot loop's unsafe increments (mirror of
-    {!rule_slots}). *)
+    slots, for the heat replay's increments (mirror of {!rule_slots}). *)
 val heat_slots : t -> int -> int array * int array
 
 val state_visits : t -> int array

@@ -1,376 +1,68 @@
-module I = Engine.Internal
+module K = Engine.Kernel
 
-(* Mode-specialized chunk processing. The K ≤ 1 path mirrors the Fig. 5
-   loop with a single carried byte (the one still awaiting its lookahead)
-   and extracts lexemes by chunk segments, so the steady state does no
-   per-byte buffering. The K ≥ 2 path mirrors the Fig. 6 loop with a
-   K-byte ring between the token-extension DFA and the tokenization DFA. *)
+(* A thin shell over the engine's streaming kernel: bounds checks, stats,
+   trace spans and the coalesced-segment path. The per-byte work is all in
+   [Engine.Kernel]. *)
 
-type impl =
-  | M_k1 of { tbl : Bytes.t; mutable pending : int (* byte or -1 *) }
-  | M_te of {
-      te : Te_dfa.t;
-      k : int;
-      ring : Bytes.t;  (* power-of-two capacity ≥ k *)
-      mask : int;
-      mutable rd : int;
-      mutable wr : int;
-      mutable rlen : int;
-      mutable st : int;  (* TeDFA powerstate *)
-      mutable te_trans : int array;  (* cached lazy views *)
-      mutable emit_rows : int64 array;
-      words : int;
-      twidth : int;  (* TeDFA row width: num_classes + 1, EOF last *)
-    }
+type t = { engine : Engine.t; cur : K.cursor; stats : Run_stats.t option }
 
-type t = {
-  engine : Engine.t;
-  emit : string -> int -> unit;
-  trans : int array;
-  accept : int array;
-  reject : bool array;
-  cmap : string;  (* byte → equivalence class, 256 bytes *)
-  nc : int;  (* classes; the k1 table and TeDFA rows are nc+1 wide *)
-  aflags : Bytes.t;  (* accelerable-state flags (all zero when disabled) *)
-  astops : int array;  (* per-state stop-byte bitmaps *)
-  akind : Bytes.t;  (* per-state scanner kinds (SWAR classification) *)
-  aswar : int64 array;  (* per-state SWAR broadcast masks *)
-  atbl : Bytes.t;  (* per-state 0/1 gather stop tables (mixed-pair scan) *)
-  mutable skipped : int;  (* bytes consumed by skip loops, across chunks *)
-  mutable swar_skipped : int;  (* subset consumed by SWAR-classified loops *)
-  dfa_start : int;
-  mutable q : int;
-  token : Buffer.t;  (* bytes of the unfinished token from earlier chunks *)
-  mutable start_offset : int;  (* global offset of the current token start *)
-  mutable fed : int;
-  mutable state :
-    [ `Running | `Failed of Engine.outcome | `Finished of Engine.outcome ];
-  impl : impl;
-  stats : Run_stats.t option;
-}
-
-let create ?stats engine ~emit =
-  let impl =
-    match I.k1_table engine with
-    | Some tbl -> M_k1 { tbl; pending = -1 }
-    | None ->
-        let te = Option.get (I.te_dfa engine) in
-        let k = Te_dfa.k te in
-        let cap =
-          let rec go c = if c >= k + 1 then c else go (2 * c) in
-          go 2
-        in
-        M_te
-          {
-            te;
-            k;
-            ring = Bytes.make cap '\000';
-            mask = cap - 1;
-            rd = 0;
-            wr = 0;
-            rlen = 0;
-            st = Te_dfa.start te;
-            te_trans = Te_dfa.Raw.trans te;
-            emit_rows = Te_dfa.Raw.emit_rows te;
-            words = Te_dfa.Raw.words te;
-            twidth = Te_dfa.Raw.width te;
-          }
-  in
+let create_slices ?stats engine ~emit =
   let emit =
     match stats with
     | None -> emit
     | Some st ->
-        Run_stats.set_lookahead st (I.delay engine);
+        Run_stats.set_lookahead st (max (Engine.k engine) 1);
         Run_stats.set_accel_states st (Engine.accel_states engine);
         Run_stats.set_accel_swar_states st (Engine.accel_swar_states engine);
-        fun lexeme rule ->
-          Run_stats.record_token st ~rule ~len:(String.length lexeme);
-          emit lexeme rule
+        fun buf pos len rule ->
+          Run_stats.record_token st ~rule ~len;
+          emit buf pos len rule
   in
-  let d = Engine.dfa engine in
-  {
-    engine;
-    emit;
-    trans = d.St_automata.Dfa.trans;
-    accept = d.St_automata.Dfa.accept;
-    reject = Array.init (St_automata.Dfa.size d) (fun q -> I.is_reject engine q);
-    cmap = d.St_automata.Dfa.classmap;
-    nc = d.St_automata.Dfa.num_classes;
-    aflags = d.St_automata.Dfa.accel_flags;
-    astops = d.St_automata.Dfa.accel_stops;
-    akind = d.St_automata.Dfa.accel_kind;
-    aswar = d.St_automata.Dfa.accel_swar;
-    atbl = d.St_automata.Dfa.accel_tbl;
-    skipped = 0;
-    swar_skipped = 0;
-    dfa_start = d.St_automata.Dfa.start;
-    q = d.St_automata.Dfa.start;
-    token = Buffer.create 64;
-    start_offset = 0;
-    fed = 0;
-    state = `Running;
-    impl;
-    stats;
-  }
+  { engine; cur = K.create engine ~emit; stats }
 
-let failed t = match t.state with `Failed _ -> true | _ -> false
-let bytes_fed t = t.fed
-let accel_skipped_bytes t = t.skipped
-let swar_skipped_bytes t = t.swar_skipped
+let create ?stats engine ~emit =
+  create_slices ?stats engine ~emit:(fun buf pos len rule ->
+      emit (String.sub buf pos len) rule)
 
-let fail_with t pending_bytes =
-  (match t.stats with Some st -> Run_stats.record_failure st | None -> ());
-  t.state <-
-    `Failed (Engine.Failed { offset = t.start_offset; pending = pending_bytes })
-
-(* Bytes carried across the chunk boundary: the unfinished-token buffer
-   plus whatever the lookahead mechanism holds back. *)
-let carried_bytes t =
-  Buffer.length t.token
-  + (match t.impl with
-    | M_k1 m -> if m.pending >= 0 then 1 else 0
-    | M_te m -> m.rlen)
-
-(* Emit the current token given that its trailing bytes are s[seg..last]
-   (possibly empty when the token lives entirely in [t.token]). *)
-let emit_token t s seg last =
-  let rule = t.accept.(t.q) in
-  let lexeme =
-    if Buffer.length t.token = 0 then String.sub s seg (last - seg + 1)
-    else begin
-      if last >= seg then Buffer.add_substring t.token s seg (last - seg + 1);
-      let lex = Buffer.contents t.token in
-      Buffer.clear t.token;
-      lex
-    end
-  in
-  t.emit lexeme rule;
-  t.start_offset <- t.start_offset + String.length lexeme;
-  t.q <- t.dfa_start
-
-(* K ≤ 1: consume byte [c] (already known) with lookahead symbol [la]
-   (byte or 256); the byte's text is already in t.token or will be handled
-   by the caller's segment bookkeeping — here only for the carried byte. *)
-let k1_consume_carried t tbl c la =
-  t.q <- t.trans.((t.q * t.nc) + Char.code (String.unsafe_get t.cmap c));
-  Buffer.add_char t.token (Char.chr c);
-  if t.reject.(t.q) then fail_with t (Buffer.contents t.token)
-  else begin
-    let lacls =
-      if la = 256 then t.nc else Char.code (String.unsafe_get t.cmap la)
-    in
-    if Bytes.unsafe_get tbl ((t.q * (t.nc + 1)) + lacls) <> '\000' then
-      emit_token t "" 0 (-1)
-  end
+let reset t = K.reset t.cur
+let failed t = K.failed t.cur
+let bytes_fed t = K.fed t.cur
+let accel_skipped_bytes t = K.skipped t.cur
+let swar_skipped_bytes t = K.swar_skipped t.cur
 
 let p_feed = St_trace.Trace.probe ~cat:"engine" "st.feed"
 let p_finish = St_trace.Trace.probe ~cat:"engine" "st.finish"
 
-(* One chunk through the mode-specialized hot loop. Callers guarantee
-   [t.state = `Running] and in-bounds [pos]/[len]; all per-call
-   bookkeeping (bounds, [fed], stats, trace) lives in the wrappers so the
-   batched path can amortize it over many segments. *)
-let run_chunk t s pos len =
-  (match t.impl with
-    | M_k1 m ->
-        let finish = pos + len in
-        let i = ref pos in
-        (* the carried byte consumes the chunk's first byte as lookahead *)
-        if m.pending >= 0 && !i < finish then begin
-          let la = Char.code (String.unsafe_get s !i) in
-          k1_consume_carried t m.tbl m.pending la;
-          m.pending <- -1
-        end;
-        let seg = ref !i in
-        let trans = t.trans and tbl = m.tbl and reject = t.reject in
-        let cmap = t.cmap and nc = t.nc in
-        let kw = nc + 1 in
-        let prev2 = ref (-1) in
-        while t.state = `Running && !i + 1 < finish do
-          let prev = t.q in
-          let c =
-            Char.code
-              (String.unsafe_get cmap (Char.code (String.unsafe_get s !i)))
-          in
-          let la =
-            Char.code
-              (String.unsafe_get cmap
-                 (Char.code (String.unsafe_get s (!i + 1))))
-          in
-          t.q <- Array.unsafe_get trans ((t.q * nc) + c);
-          if Array.unsafe_get reject t.q then begin
-            Buffer.add_substring t.token s !seg (!i - !seg + 1);
-            fail_with t (Buffer.contents t.token)
-          end
-          else begin
-            if Bytes.unsafe_get tbl ((t.q * kw) + la) <> '\000' then begin
-              emit_token t s !seg !i;
-              seg := !i + 1
-            end;
-            incr i;
-            (* Skip the rest of a self-loop run, stopping one byte short of
-               the first stop byte so the loop's own probe fires the
-               maximality check with that byte as lookahead — and short of
-               the chunk's last byte, which must still go pending. The
-               Fig. 5 probes skipped in between are structurally 0: a
-               self-loop step never takes a final state non-final. *)
-            if
-              t.q = prev && prev = !prev2
-              && Bytes.unsafe_get t.aflags t.q <> '\000'
-              && !i < finish - 1
-              && St_automata.Dfa.stop_bit t.astops (t.q * 8)
-                   (Char.code (String.unsafe_get s !i))
-                 = 0
-            then begin
-              let j =
-                St_automata.Dfa.skip_run t.astops t.akind t.aswar t.q s !i
-                  (finish - 1)
-              in
-              if j > !i then begin
-                t.skipped <- t.skipped + (j - 1 - !i);
-                if Bytes.unsafe_get t.akind t.q <> '\000' then
-                  t.swar_skipped <- t.swar_skipped + (j - 1 - !i);
-                i := j - 1
-              end
-            end;
-            prev2 := prev
-          end
-        done;
-        if t.state = `Running then begin
-          if !i < finish then begin
-            (* the chunk's last byte awaits its lookahead *)
-            m.pending <- Char.code (String.unsafe_get s !i);
-            if !i > !seg then Buffer.add_substring t.token s !seg (!i - !seg)
-          end
-          else if !i > !seg then
-            Buffer.add_substring t.token s !seg (!i - !seg)
-        end
-    | M_te m ->
-        let finish = pos + len in
-        let i = ref pos in
-        let trans = t.trans and reject = t.reject in
-        let cmap = t.cmap and nc = t.nc in
-        let prev2_q = ref (-1) and prev2_st = ref (-1) in
-        while t.state = `Running && !i < finish do
-          let prev_st = m.st and prev_q = t.q in
-          let c = Char.code (String.unsafe_get s !i) in
-          let ccls =
-            Char.code (String.unsafe_get cmap c)
-          in
-          (* B: token-extension DFA step, lazy views refreshed on miss *)
-          let tgt = Array.unsafe_get m.te_trans ((m.st * m.twidth) + ccls) in
-          if tgt >= 0 then m.st <- tgt
-          else begin
-            m.st <- Te_dfa.step_class m.te m.st ccls;
-            m.te_trans <- Te_dfa.Raw.trans m.te;
-            m.emit_rows <- Te_dfa.Raw.emit_rows m.te
-          end;
-          if m.rlen = m.k then begin
-            (* A consumes the oldest pending byte *)
-            let c' = Char.code (Bytes.unsafe_get m.ring m.rd) in
-            m.rd <- (m.rd + 1) land m.mask;
-            Bytes.unsafe_set m.ring m.wr (Char.unsafe_chr c);
-            m.wr <- (m.wr + 1) land m.mask;
-            t.q <-
-              Array.unsafe_get trans
-                ((t.q * nc) + Char.code (String.unsafe_get cmap c'));
-            Buffer.add_char t.token (Char.unsafe_chr c');
-            if Array.unsafe_get reject t.q then
-              fail_with t (Buffer.contents t.token)
-            else if
-              Int64.logand
-                (Int64.shift_right_logical
-                   (Array.unsafe_get m.emit_rows
-                      ((m.st * m.words) + (t.q lsr 6)))
-                   (t.q land 63))
-                1L
-              <> 0L
-            then emit_token t "" 0 (-1)
-            else if
-              (* Both cursors just self-looped with the emit bit known 0:
-                 skip while B's byte (s[idx]) and A's byte, k behind
-                 (s[idx-k]), both stay inside their states' self-loops.
-                 Restricted to idx-k ≥ pos so A never reaches back before
-                 this chunk — the carried lead never shrinks. The ring is
-                 rewritten to the k bytes behind the resume point; rd/wr
-                 stay put since the queue is full before and after. *)
-              t.q = prev_q && prev_q = !prev2_q && m.st = prev_st
-              && prev_st = !prev2_st
-              && Bytes.unsafe_get t.aflags t.q <> '\000'
-              && !i + 1 - m.k >= pos
-              && St_automata.Dfa.stop_bit t.astops (t.q * 8)
-                   (Char.code (String.unsafe_get s (!i + 1 - m.k)))
-                 = 0
-            then begin
-              let bstops = Te_dfa.accel_stops m.te m.st in
-              let bkinds = Te_dfa.accel_kinds m.te in
-              let j =
-                St_automata.Dfa.skip_run2 bstops bkinds
-                  (Te_dfa.accel_masks m.te)
-                  (Te_dfa.accel_tbl m.te)
-                  m.st t.astops t.akind t.aswar t.atbl t.q ~off:(-m.k) s
-                  (!i + 1) finish
-              in
-              let mskip = j - (!i + 1) in
-              if mskip > 0 then begin
-                Buffer.add_substring t.token s (!i + 1 - m.k) mskip;
-                for x = 0 to m.k - 1 do
-                  Bytes.unsafe_set m.ring
-                    ((m.rd + x) land m.mask)
-                    (String.unsafe_get s (j - m.k + x))
-                done;
-                t.skipped <- t.skipped + mskip;
-                if
-                  Bytes.unsafe_get t.akind t.q <> '\000'
-                  || Bytes.unsafe_get bkinds m.st <> '\000'
-                then t.swar_skipped <- t.swar_skipped + mskip;
-                i := j - 1
-              end
-            end
-          end
-          else begin
-            Bytes.unsafe_set m.ring m.wr (Char.unsafe_chr c);
-            m.wr <- (m.wr + 1) land m.mask;
-            m.rlen <- m.rlen + 1
-          end;
-          prev2_q := prev_q;
-          prev2_st := prev_st;
-          incr i
-        done)
+(* One chunk with its stats: chunk size, a failure it detects, and the
+   carried bytes sampled before and after it, so the high-water mark
+   reflects what survives chunk boundaries. *)
+let feed_chunk t st s pos len =
+  Run_stats.add_chunk st len;
+  Run_stats.observe_buffer st (K.carried t.cur);
+  let running = K.running t.cur in
+  K.feed t.cur s pos len;
+  if running && K.failed t.cur then Run_stats.record_failure st;
+  Run_stats.observe_buffer st (K.carried t.cur)
 
 let feed_untraced t s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Stream_tokenizer.feed";
-  (match t.stats with
+  match t.stats with
+  | None -> K.feed t.cur s pos len
   | Some st ->
-      Run_stats.add_chunk st len;
-      (* carried state is sampled before and after each chunk (below), so
-         the high-water mark reflects what survives chunk boundaries *)
-      Run_stats.observe_buffer st (carried_bytes t)
-  | None -> ());
-  if t.state <> `Running then t.fed <- t.fed + len
-  else begin
-    t.fed <- t.fed + len;
-    let sk0 = t.skipped in
-    let sw0 = t.swar_skipped in
-    run_chunk t s pos len;
-    match t.stats with
-    | Some st ->
-        Run_stats.add_accel_skipped st (t.skipped - sk0);
-        Run_stats.add_swar_skipped st (t.swar_skipped - sw0);
-        Run_stats.observe_buffer st (carried_bytes t)
-    | None -> ()
-  end
+      let sk0 = K.skipped t.cur and sw0 = K.swar_skipped t.cur in
+      feed_chunk t st s pos len;
+      Run_stats.add_accel_skipped st (K.skipped t.cur - sk0);
+      Run_stats.add_swar_skipped st (K.swar_skipped t.cur - sw0)
 
 (* The coalesced-FEED path: many chunks, one call. Each [(pos, len)]
-   segment of [s] is processed as its own chunk — carried-byte, ring and
+   segment of [s] is processed as its own chunk — carried bytes and
    failure semantics at segment boundaries are bit-identical to calling
-   {!feed} once per segment — but the per-call overhead (validation,
-   stats sampling, the trace span, skip-counter deltas) is paid once for
-   the batch. Processing stops at the segment that fails the stream:
-   later segments are neither consumed nor counted, matching the serving
-   layer's drop-after-failure contract ({!Session.feed} never feeds a
-   failed stream). *)
+   {!feed} once per segment — but the per-call overhead (validation, the
+   trace span, skip-counter deltas) is paid once for the batch. Processing
+   stops at the segment that fails the stream: later segments are neither
+   consumed nor counted, matching the serving layer's drop-after-failure
+   contract ({!Session.feed} never feeds a failed stream). *)
 let feed_batch_untraced t segs n =
   if n < 0 || n > Array.length segs then
     invalid_arg "Stream_tokenizer.feed_batch";
@@ -379,39 +71,39 @@ let feed_batch_untraced t segs n =
     if pos < 0 || len < 0 || pos + len > String.length s then
       invalid_arg "Stream_tokenizer.feed_batch"
   done;
-  let sk0 = t.skipped in
-  let sw0 = t.swar_skipped in
+  let sk0 = K.skipped t.cur and sw0 = K.swar_skipped t.cur in
   let j = ref 0 in
-  while !j < n && t.state = `Running do
+  while !j < n && K.running t.cur do
     let s, pos, len = Array.unsafe_get segs !j in
     (match t.stats with
-    | Some st ->
-        Run_stats.add_chunk st len;
-        Run_stats.observe_buffer st (carried_bytes t)
-    | None -> ());
-    t.fed <- t.fed + len;
-    run_chunk t s pos len;
+    | Some st -> feed_chunk t st s pos len
+    | None -> K.feed t.cur s pos len);
     incr j
   done;
   match t.stats with
   | Some st ->
-      Run_stats.add_accel_skipped st (t.skipped - sk0);
-      Run_stats.add_swar_skipped st (t.swar_skipped - sw0);
-      Run_stats.observe_buffer st (carried_bytes t)
+      Run_stats.add_accel_skipped st (K.skipped t.cur - sk0);
+      Run_stats.add_swar_skipped st (K.swar_skipped t.cur - sw0)
   | None -> ()
 
-(* Per-chunk trace span; the probe never enters the chunk loop itself, so
-   the disabled cost is a single bool load per feed call. *)
-let feed t s pos len =
-  if not !St_trace.Trace.on then feed_untraced t s pos len
+(* Per-call trace span; the probe never enters the chunk loop itself, so
+   the disabled cost is a single bool load per call. *)
+let traced p f =
+  if not !St_trace.Trace.on then f ()
   else begin
-    St_trace.Trace.begin_span p_feed;
-    match feed_untraced t s pos len with
-    | () -> St_trace.Trace.end_span p_feed
+    St_trace.Trace.begin_span p;
+    match f () with
+    | r ->
+        St_trace.Trace.end_span p;
+        r
     | exception exn ->
-        St_trace.Trace.end_span p_feed;
+        St_trace.Trace.end_span p;
         raise exn
   end
+
+let feed t s pos len =
+  if not !St_trace.Trace.on then feed_untraced t s pos len
+  else traced p_feed (fun () -> feed_untraced t s pos len)
 
 let feed_string t s = feed t s 0 (String.length s)
 
@@ -419,85 +111,18 @@ let feed_string t s = feed t s 0 (String.length s)
    per-call cost) amortizes over the coalesced segments. *)
 let feed_batch t segs n =
   if not !St_trace.Trace.on then feed_batch_untraced t segs n
-  else begin
-    St_trace.Trace.begin_span p_feed;
-    match feed_batch_untraced t segs n with
-    | () -> St_trace.Trace.end_span p_feed
-    | exception exn ->
-        St_trace.Trace.end_span p_feed;
-        raise exn
-  end
+  else traced p_feed (fun () -> feed_batch_untraced t segs n)
 
 let finish_untraced t =
-  match t.state with
-  | `Failed o | `Finished o -> o
-  | `Running ->
-      (match t.impl with
-      | M_k1 m ->
-          if m.pending >= 0 then begin
-            k1_consume_carried t m.tbl m.pending 256;
-            m.pending <- -1
-          end
-      | M_te m ->
-          (* Drain: K EOF pseudo-symbols; pop a pending byte once the
-             lookahead is again K symbols ahead of the tokenization DFA. *)
-          let round = ref 1 in
-          while t.state = `Running && !round <= m.k do
-            m.st <- Te_dfa.step m.te m.st Te_dfa.eof_symbol;
-            m.te_trans <- Te_dfa.Raw.trans m.te;
-            m.emit_rows <- Te_dfa.Raw.emit_rows m.te;
-            if m.rlen > 0 && m.rlen + !round > m.k then begin
-              let c' = Char.code (Bytes.unsafe_get m.ring m.rd) in
-              m.rd <- (m.rd + 1) land m.mask;
-              m.rlen <- m.rlen - 1;
-              t.q <-
-                t.trans.((t.q * t.nc) + Char.code (String.unsafe_get t.cmap c'));
-              Buffer.add_char t.token (Char.chr c');
-              if t.reject.(t.q) then fail_with t (Buffer.contents t.token)
-              else if Te_dfa.emit_bit m.te m.st t.q then emit_token t "" 0 (-1)
-            end;
-            incr round
-          done);
-      let outcome =
-        match t.state with
-        | `Failed o -> o
-        | _ ->
-            let leftover = Buffer.length t.token > 0 in
-            let leftover_ring =
-              match t.impl with M_te m -> m.rlen > 0 | M_k1 _ -> false
-            in
-            if leftover || leftover_ring then begin
-              let b = Buffer.create 16 in
-              Buffer.add_buffer b t.token;
-              (match t.impl with
-              | M_te m ->
-                  for j = 0 to m.rlen - 1 do
-                    Buffer.add_char b (Bytes.get m.ring ((m.rd + j) land m.mask))
-                  done
-              | M_k1 _ -> ());
-              (match t.stats with
-              | Some st -> Run_stats.record_failure st
-              | None -> ());
-              Engine.Failed { offset = t.start_offset; pending = Buffer.contents b }
-            end
-            else Engine.Finished
-      in
-      (match t.stats with
-      | Some st ->
-          Run_stats.set_te_states st (Engine.te_states t.engine)
-      | None -> ());
-      (match t.state with `Failed _ -> () | _ -> t.state <- `Finished outcome);
-      outcome
+  let running = K.running t.cur in
+  let outcome = K.finish t.cur in
+  (match t.stats with
+  | Some st when running ->
+      (match outcome with
+      | Engine.Failed _ -> Run_stats.record_failure st
+      | Engine.Finished -> ());
+      Run_stats.set_te_states st (Engine.te_states t.engine)
+  | _ -> ());
+  outcome
 
-let finish t =
-  if not !St_trace.Trace.on then finish_untraced t
-  else begin
-    St_trace.Trace.begin_span p_finish;
-    match finish_untraced t with
-    | o ->
-        St_trace.Trace.end_span p_finish;
-        o
-    | exception exn ->
-        St_trace.Trace.end_span p_finish;
-        raise exn
-  end
+let finish t = traced p_finish (fun () -> finish_untraced t)

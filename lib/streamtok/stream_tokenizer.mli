@@ -8,21 +8,43 @@
 
     This is the interface the paper's streaming claims are about: flex
     processes a stream block-by-block with backtracking inside its buffer,
-    while StreamTok never re-reads a byte. *)
+    while StreamTok never re-reads a byte.
+
+    {b The slice contract.} Tokens are emitted as slices
+    [emit buf pos len rule]: the token is [String.sub buf pos len].
+    - A slice is valid only during the callback: [buf] is either the chunk
+      being fed or the tokenizer's carry buffer, which the next call
+      overwrites. Copy what must outlive the call.
+    - Bytes are carried (copied) only on a straddle: a token lying inside
+      one chunk is a slice of that chunk; only a token that began in an
+      earlier chunk is assembled in the carry buffer.
+    - Between chunks the carry holds only the open token's prefix, whose
+      tail is the ≤ max(K, 1) lookahead bytes already read past the
+      tokenizer's position; no other byte is buffered.
+    The tokenizer keeps no reference to a chunk after {!feed} returns. *)
 
 type t
 
-(** [create engine ~emit] starts a run. [emit lexeme rule] is called for
-    every maximal token in stream order.
+(** [create_slices engine ~emit] starts a run; [emit buf pos len rule] is
+    called for every maximal token in stream order, per the slice contract
+    above.
 
     [stats] (optional) turns on the instrumented variant: tokens are
     tallied per rule as they are emitted, and each {!feed} additionally
-    records the chunk size and the carried-state high-water mark (pending
-    token buffer + lookahead ring occupancy at the chunk boundary — the
+    records the chunk size and the carried-bytes high-water mark (the
     bytes the tokenizer actually retains between chunks). All extra work is
     per token or per chunk; the per-byte loops are unchanged. *)
+val create_slices :
+  ?stats:Run_stats.t -> Engine.t -> emit:(string -> int -> int -> int -> unit) -> t
+
+(** [create engine ~emit] is {!create_slices} with each slice copied into
+    a fresh lexeme: [emit lexeme rule]. *)
 val create :
   ?stats:Run_stats.t -> Engine.t -> emit:(string -> int -> unit) -> t
+
+(** Start a new stream on the same engine and callback, reusing the
+    tokenizer's buffers — as if freshly created. *)
+val reset : t -> unit
 
 (** Has the run already failed (untokenizable input seen)? Further {!feed}s
     are ignored once failed. *)
@@ -48,7 +70,10 @@ val feed_string : t -> string -> unit
 val feed_batch : t -> (string * int * int) array -> int -> unit
 
 (** Signal end-of-stream: drains the lookahead window, emits any final
-    maximal token, and reports the outcome. Idempotent. *)
+    maximal token, and reports the outcome. Idempotent. On failure,
+    [pending] runs from the failed token's start up to and including the
+    byte that made it untokenizable (to the end of the stream if no byte
+    did). *)
 val finish : t -> Engine.outcome
 
 (** Total bytes accepted so far (across all chunks). *)

@@ -21,6 +21,7 @@ let () =
       ("grammars", Test_grammars.suite);
       ("workloads", Test_workloads.suite);
       ("stream", Test_stream.suite);
+      ("kernel", Test_kernel.suite);
       ("serve", Test_serve.suite);
       ("shard", Test_shard.suite);
       ("apps", Test_apps.suite);

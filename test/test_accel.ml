@@ -175,7 +175,7 @@ let test_skip_run2_unit () =
   (* a-cursor stops first *)
   Bytes.set s 3 'x';
   check_int "a stops first" 3 (skip2 0 1 ~off:2 (Bytes.to_string s) 0 (n - 2));
-  (* negative offset (the streaming M_te shape): b reads behind a *)
+  (* negative offset: b reads behind a *)
   let s = Bytes.make n 'a' in
   Bytes.set s 5 'y';
   check_int "b stops first (off -3)" 8

@@ -193,9 +193,9 @@ let prop_random_chunk_plans =
               a = b
           | _ -> false))
 
-(* Chunked accel ≡ chunked noaccel (1k seeded cases): the streaming skip
-   loops — M_k1's stop-short re-entry and M_te's dual-cursor skip with the
-   K-symbol lead — against the [~accel:false] reference tokenizer under
+(* Chunked accel ≡ chunked noaccel (1k seeded cases): the kernel's skip
+   loops — the K ≤ 1 skip held short of the chunk's last byte and the TE
+   dual-cursor skip with the K-symbol lead — against the [~accel:false] reference tokenizer under
    random chunk plans, so skip entry and exit land on chunk boundaries in
    every alignment. *)
 let test_accel_chunked_parity () =
