@@ -87,11 +87,12 @@ let best_of rounds f x =
   (!best_dt, !result)
 
 (* ---------------------------------------------------------------- *)
-(* Sharded scaling: M concurrent clients against (a) the classic     *)
-(* single-threaded Io_loop and (b) the Shard pool at N=1,2,4.        *)
-(* Parity is checked per connection with a rolling hash over every   *)
-(* (rule, lexeme) pair, against a direct Stream_tokenizer run — the  *)
-(* sharded path must be token-exact, not just count-exact.           *)
+(* Sharded scaling: M concurrent clients against (a) the daemon      *)
+(* ([Shard.serve ~domains:1]) over a real listening socket and (b)   *)
+(* the Shard pool at N=1,2,4 over socketpairs. Parity is checked per *)
+(* connection with a rolling hash over every (rule, lexeme) pair,    *)
+(* against a direct Stream_tokenizer run — the sharded path must be  *)
+(* token-exact, not just count-exact.                                *)
 (* ---------------------------------------------------------------- *)
 
 let fnv_basis = 0x1545_28DC_4F88_ECD1 (* FNV-1a offset, truncated to 62b *)
@@ -256,19 +257,20 @@ let close_conns conns =
 
 let results_of conns = List.map (fun c -> (c.tokens, c.hash)) conns
 
-(* The pre-sharding baseline: the classic single-threaded Io_loop in a
-   spawned domain, clients over a real AF_UNIX socket. *)
-let bench_classic ~clients input =
+(* The daemon as the CLI runs it by default: [Shard.serve ~domains:1]
+   (worker 0 with the listener, no worker domain) in a spawned domain,
+   clients over a real AF_UNIX socket. *)
+let bench_socket ~clients input =
   let sock = Filename.temp_file "streamtok_bench" ".sock" in
   Sys.remove sock;
   let stopf = Atomic.make false in
   let ready = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        Serve.Io_loop.serve
+        Serve.Shard.serve
           ~on_listening:(fun () -> Atomic.set ready true)
           ~should_stop:(fun () -> Atomic.get stopf)
-          ~socket:sock ())
+          ~domains:1 ~socket:sock ())
   in
   while not (Atomic.get ready) do
     Unix.sleepf 0.001
@@ -319,27 +321,21 @@ let best_of_runs rounds f =
   (!best_dt, !res)
 
 (* ---------------------------------------------------------------- *)
-(* Engine-cache layout under a compile storm: [domains] domains each *)
-(* resolving the same 4 flag-variants of the json grammar (distinct  *)
-(* cache keys) concurrently. Shared = exactly 4 compiles pool-wide;  *)
-(* per-domain = 4 per domain. The measured gap is the DESIGN.md      *)
-(* justification for keeping one shared locked cache.                *)
+(* The pool's one shared engine cache under a compile storm:         *)
+(* [domains] domains each resolving the same 4 flag-variants of the  *)
+(* json grammar (distinct cache keys) concurrently must cost exactly *)
+(* 4 compiles pool-wide.                                             *)
 (* ---------------------------------------------------------------- *)
 
-let cache_storm ~per_domain ~domains:n =
+let cache_storm ~domains:n =
   let rules = Grammar.rules Formats.json in
   let variants = [ (true, true); (true, false); (false, true); (false, false) ] in
-  let shared = Engine_cache.create ~max_entries:16 () in
+  let cache = Engine_cache.create ~max_entries:16 () in
   let started = Atomic.make 0 in
-  let per_counts = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
   let doms =
     List.init n (fun _ ->
         Domain.spawn (fun () ->
-            let cache =
-              if per_domain then Engine_cache.create ~max_entries:16 ()
-              else shared
-            in
             Atomic.incr started;
             while Atomic.get started < n do
               Domain.cpu_relax ()
@@ -351,17 +347,10 @@ let cache_storm ~per_domain ~domains:n =
                 with
                 | Ok _ -> ()
                 | Error _ -> failwith "serve bench: storm compile failed")
-              variants;
-            if per_domain then
-              ignore
-                (Atomic.fetch_and_add per_counts (Engine_cache.compiles cache))))
+              variants))
   in
   List.iter Domain.join doms;
-  let dt = Unix.gettimeofday () -. t0 in
-  let compiles =
-    if per_domain then Atomic.get per_counts else Engine_cache.compiles shared
-  in
-  (dt, compiles)
+  (Unix.gettimeofday () -. t0, Engine_cache.compiles cache)
 
 let run ?(size_mb = 8) () =
   Bench_common.pp_header
@@ -437,13 +426,13 @@ let run ?(size_mb = 8) () =
       results
   in
   let agg dt = float_of_int clients *. mb /. dt in
-  let classic_dt, classic_res =
-    best_of_runs 2 (fun () -> bench_classic ~clients input)
+  let socket_dt, socket_res =
+    best_of_runs 2 (fun () -> bench_socket ~clients input)
   in
-  check "classic" classic_res;
-  let classic_mbps = agg classic_dt in
-  Printf.printf "  io_loop  %8.1f MB/s  (pre-sharding single-threaded loop)\n"
-    classic_mbps;
+  check "socket" socket_res;
+  let socket_mbps = agg socket_dt in
+  Printf.printf "  socket   %8.1f MB/s  (daemon, --domains 1, real listener)\n"
+    socket_mbps;
   let shard_mbps =
     List.map
       (fun n ->
@@ -464,22 +453,14 @@ let run ?(size_mb = 8) () =
       record (Printf.sprintf "shard%d_mb_s" n) mbps;
       if n > 1 then record (Printf.sprintf "shard_speedup_%d" n) (speedup n))
     shard_mbps;
-  record "socket_mb_s" classic_mbps;
+  record "socket_mb_s" socket_mbps;
   record "cores" (float_of_int cores);
   Printf.printf "  speedups: x%.2f @2 domains, x%.2f @4 domains\n" (speedup 2)
     (speedup 4);
-  (* Gates. Parity is absolute (checked above). The N=1 shard must not
-     regress vs the old loop (it IS the old loop plus one handoff), and
-     the scaling floors only bind when the machine has the cores — on
-     fewer cores the domains timeshare one CPU and the honest
-     expectation is parity, not speedup (recorded regardless). *)
-  if s1 < 0.8 *. classic_mbps then begin
-    Printf.eprintf
-      "serve bench: shard N=1 (%.1f MB/s) regressed vs classic loop (%.1f \
-       MB/s)\n"
-      s1 classic_mbps;
-    exit 1
-  end;
+  (* Gates. Parity is absolute (checked above); the scaling floors only
+     bind when the machine has the cores — on fewer cores the domains
+     timeshare one CPU and the honest expectation is parity, not speedup
+     (recorded regardless). *)
   let floor_gate n floor =
     if cores >= n && speedup n < floor then begin
       Printf.eprintf
@@ -498,33 +479,17 @@ let run ?(size_mb = 8) () =
   floor_gate 2 1.6;
   floor_gate 4 2.8;
 
-  (* -------- engine-cache layout under a 4-domain compile storm ------ *)
+  (* -------- the shared engine cache under a 4-domain compile storm -- *)
   Bench_common.pp_header
     "Serve: engine cache under a 4-domain compile storm (4 grammar variants)";
-  let storm_domains = 4 in
-  let shared_dt, shared_compiles =
-    cache_storm ~per_domain:false ~domains:storm_domains
-  in
-  let per_dt, per_compiles =
-    cache_storm ~per_domain:true ~domains:storm_domains
-  in
-  Printf.printf "  shared     %6.1f ms  %2d compiles\n" (shared_dt *. 1000.)
-    shared_compiles;
-  Printf.printf "  per-domain %6.1f ms  %2d compiles\n" (per_dt *. 1000.)
-    per_compiles;
-  record "cache_storm_shared_ms" (shared_dt *. 1000.);
-  record "cache_storm_shared_compiles" (float_of_int shared_compiles);
-  record "cache_storm_per_domain_ms" (per_dt *. 1000.);
-  record "cache_storm_per_domain_compiles" (float_of_int per_compiles);
-  if shared_compiles <> 4 then begin
+  let storm_dt, storm_compiles = cache_storm ~domains:4 in
+  Printf.printf "  shared     %6.1f ms  %2d compiles\n" (storm_dt *. 1000.)
+    storm_compiles;
+  record "cache_storm_shared_ms" (storm_dt *. 1000.);
+  record "cache_storm_shared_compiles" (float_of_int storm_compiles);
+  if storm_compiles <> 4 then begin
     Printf.eprintf
       "serve bench: shared cache storm did %d compiles, want exactly 4\n"
-      shared_compiles;
-    exit 1
-  end;
-  if per_compiles <> 4 * storm_domains then begin
-    Printf.eprintf
-      "serve bench: per-domain cache storm did %d compiles, want %d\n"
-      per_compiles (4 * storm_domains);
+      storm_compiles;
     exit 1
   end

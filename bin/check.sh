@@ -229,12 +229,87 @@ if [ -e "$sock" ]; then
 fi
 rm -rf "$tmpd"
 
+echo "== fd-bound check (ulimit -n 24: overflow refused, daemon lives)"
+# More concurrent clients than the daemon has fds: stdio, the listener,
+# its reserve fd and worker 0's wakeup pipe leave 17 of 24 for sessions.
+# Each client connects at once and sends its input a second later, so all
+# 30 are connected together. Admitted clients must match tokenize byte
+# for byte; the rest must get the retryable out-of-fds Capacity reply
+# (EMFILE at accept), and the daemon must stay up and serve afterwards.
+tmpd=$(mktemp -d)
+sock="$tmpd/st.sock"
+(ulimit -n 24 && exec "$BIN" serve --socket "$sock" --idle-timeout 30) \
+  > "$tmpd/serve.log" 2>&1 &
+srv=$!
+i=0
+while [ ! -S "$sock" ]; do
+  i=$((i + 1))
+  if [ "$i" -gt 100 ]; then
+    echo "fd-bound check FAILED: daemon did not come up"
+    cat "$tmpd/serve.log"
+    rm -rf "$tmpd"
+    exit 1
+  fi
+  sleep 0.1
+done
+"$BIN" gen json --bytes 50000 --seed 9 > "$tmpd/in.json"
+"$BIN" tokenize json "$tmpd/in.json" > "$tmpd/ref.out"
+pids=""
+for n in $(seq 1 30); do
+  (sleep 1 && cat "$tmpd/in.json") \
+    | "$BIN" client --socket "$sock" json > "$tmpd/out.$n" 2> "$tmpd/err.$n" &
+  pids="$pids $!"
+done
+for job in $pids; do
+  wait "$job" || true
+done
+admitted=0
+refused=0
+for n in $(seq 1 30); do
+  if cmp -s "$tmpd/ref.out" "$tmpd/out.$n"; then
+    admitted=$((admitted + 1))
+  elif grep -q 'out of fds.*(retryable)' "$tmpd/err.$n"; then
+    refused=$((refused + 1))
+  else
+    echo "fd-bound check FAILED: client $n: no tokenize match, no refusal"
+    cat "$tmpd/err.$n"
+    rm -rf "$tmpd"
+    exit 1
+  fi
+done
+echo "admitted $admitted, refused $refused"
+if [ "$admitted" -eq 0 ] || [ "$refused" -eq 0 ]; then
+  echo "fd-bound check FAILED: expected both admitted and refused clients"
+  rm -rf "$tmpd"
+  exit 1
+fi
+if ! kill -0 "$srv" 2> /dev/null; then
+  echo "fd-bound check FAILED: daemon died at its fd limit"
+  cat "$tmpd/serve.log"
+  rm -rf "$tmpd"
+  exit 1
+fi
+# the reserve fd is back: a client after the burst is served
+"$BIN" client --socket "$sock" json "$tmpd/in.json" > "$tmpd/after.out"
+if ! cmp -s "$tmpd/ref.out" "$tmpd/after.out"; then
+  echo "fd-bound check FAILED: client after the burst differs from tokenize"
+  rm -rf "$tmpd"
+  exit 1
+fi
+kill -TERM "$srv"
+if ! wait "$srv"; then
+  echo "fd-bound check FAILED: daemon did not exit 0 on SIGTERM"
+  rm -rf "$tmpd"
+  exit 1
+fi
+rm -rf "$tmpd"
+
 echo "== shard check (--domains 2: parity, pool stats, client abort, SIGTERM drain)"
 # The sharded daemon must be indistinguishable from --domains 1 on the
 # wire: same client output bytes (checked against batch tokenize, which
 # the single-domain leg above also matched), one engine compile pool-wide
 # through the shared cache, and the same abort/drain behavior — a killed
-# client takes down neither its worker domain nor the acceptor.
+# client takes down neither its worker domain nor worker 0 and its listener.
 tmpd=$(mktemp -d)
 sock="$tmpd/st.sock"
 "$BIN" serve --socket "$sock" --domains 2 --idle-timeout 30 \

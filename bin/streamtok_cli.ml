@@ -814,11 +814,13 @@ let serve_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains. 1 (default): the classic single-threaded \
-             select loop. N>1: one acceptor hands connections to $(docv) \
-             worker domains round-robin; the engine cache is shared \
-             (one compile per grammar pool-wide) and STATS aggregates \
-             across the pool.")
+            "Worker count. Worker 0 runs in the main domain and owns the \
+             listening socket; it hands connections round-robin to itself \
+             and $(docv)-1 spawned worker domains, so 1 (default) spawns \
+             none. The engine cache is shared (one compile per grammar \
+             daemon-wide) and STATS answers for every worker. \
+             --max-sessions times $(docv) must stay below FD_SETSIZE \
+             (1024).")
   in
   let run socket max_sessions idle_timeout domains =
     let config =
@@ -834,6 +836,9 @@ let serve_cmd =
     | exception Unix.Unix_error (e, _, arg) ->
         Printf.eprintf "error: %s: %s\n" arg (Unix.error_message e);
         exit 1
+    | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 2
   in
   Cmd.v
     (Cmd.info "serve"

@@ -171,4 +171,35 @@ module Registry = struct
     s
 
   let metrics r = List.rev r.rev_metrics
+
+  let copy_kind = function
+    | Counter c -> Counter { Counter.v = c.Counter.v }
+    | Gauge g -> Gauge { Gauge.v = g.Gauge.v }
+    | Histogram h -> Histogram (Histogram.copy h)
+    | Span s -> Span { Span.seconds = s.Span.seconds; count = s.Span.count }
+
+  let copy r =
+    {
+      rev_metrics =
+        List.map (fun m -> { m with kind = copy_kind m.kind }) r.rev_metrics;
+    }
+
+  (* Positional: registries built by the same code have the same metrics
+     in the same order, which is the only shape a merge makes sense for. *)
+  let merge dst src =
+    let fold (d : metric) (s : metric) =
+      if d.name <> s.name || d.labels <> s.labels then
+        invalid_arg (Printf.sprintf "Registry.merge: %s vs %s" d.name s.name);
+      match (d.kind, s.kind) with
+      | Counter a, Counter b -> a.Counter.v <- a.Counter.v + b.Counter.v
+      | Gauge a, Gauge b -> a.Gauge.v <- a.Gauge.v +. b.Gauge.v
+      | Histogram a, Histogram b -> Histogram.merge a b
+      | Span a, Span b ->
+          a.Span.seconds <- a.Span.seconds +. b.Span.seconds;
+          a.Span.count <- a.Span.count + b.Span.count
+      | _ -> invalid_arg ("Registry.merge: kind mismatch on " ^ d.name)
+    in
+    if List.compare_lengths dst.rev_metrics src.rev_metrics <> 0 then
+      invalid_arg "Registry.merge: different metric counts";
+    List.iter2 fold dst.rev_metrics src.rev_metrics
 end

@@ -135,4 +135,17 @@ module Registry : sig
 
   (** Registration order. *)
   val metrics : t -> metric list
+
+  (** Independent deep copy: same names, labels, kinds and order, values
+      frozen at the time of the call. The snapshot a worker domain
+      publishes so an aggregator can read it without racing further
+      updates. *)
+  val copy : t -> t
+
+  (** [merge dst src] folds [src] into [dst] metric by metric: counters,
+      gauges and spans sum, histograms {!Histogram.merge}. Both registries
+      must list the same names and kinds in the same order (as two
+      registries built by the same code do); otherwise raises
+      [Invalid_argument]. [src] is not modified. *)
+  val merge : t -> t -> unit
 end

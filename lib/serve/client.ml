@@ -73,6 +73,9 @@ let make_feeder input pend =
 
 let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
     ?stats ?stats_dest () =
+  (* A daemon that refuses the connection closes it: the next write must
+     fail with EPIPE, not kill the process before the refusal is shown. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX socket) with
   | exception Unix.Unix_error (e, _, _) ->

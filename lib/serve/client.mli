@@ -36,7 +36,10 @@ type outcome = {
 
     [open_request] replaces the initial [Wire.Open grammar] frame — the
     CLI uses it to send [Wire.Open_bpe] for [bpe:<vocab>] specs;
-    [grammar] is then only documentation. *)
+    [grammar] is then only documentation.
+
+    Ignores SIGPIPE process-wide: a refused connection is reported from
+    the server's ERROR reply, not lost to the signal. *)
 val run :
   socket:string ->
   grammar:string ->

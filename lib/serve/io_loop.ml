@@ -1,23 +1,21 @@
-let stop = ref false
-
 (* io.read wraps the syscall plus the decode/session/flush work done in
    Server.on_data, which nests its own spans inside; io.write is the
    flush syscall side. Both are per-select-readiness, not per-byte. *)
 let p_read = St_trace.Trace.probe ~cat:"io" "io.read"
 let p_write = St_trace.Trace.probe ~cat:"flush" "io.write"
 
-let install_signal_handlers () =
-  let handler = Sys.Signal_handle (fun _ -> stop := true) in
-  Sys.set_signal Sys.sigterm handler;
-  Sys.set_signal Sys.sigint handler;
-  (* A client killed mid-write must not take the daemon down. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+(* glibc's fd_set size: [Unix.select] raises EINVAL on any fd at or
+   above it, so such an fd must never reach [select]. *)
+let fd_setsize = 1024
+
+(* A file descriptor is its int on Unix. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 let rec select_eintr r w e timeout =
   try Unix.select r w e timeout
   with Unix.Unix_error (Unix.EINTR, _, _) -> select_eintr r w e timeout
 
-let bind_listener ~socket =
+let bind ~socket =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.bind listen_fd (Unix.ADDR_UNIX socket)
    with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
@@ -44,6 +42,38 @@ let bind_listener ~socket =
   Unix.set_nonblock listen_fd;
   listen_fd
 
+(* The reserve fd is held so that, at EMFILE/ENFILE, one fd can be
+   freed to accept a pending connection and answer it, instead of
+   leaving it in the backlog with the listener readable forever. *)
+let open_reserve () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+type listener = {
+  lfd : Unix.file_descr;
+  socket : string;
+  mutable reserve : Unix.file_descr option;
+  mutable paused_until : float;  (* accept gave up; retry after this *)
+  mutable closed : bool;
+}
+
+let listen ~socket =
+  let lfd = bind ~socket in
+  { lfd; socket; reserve = open_reserve (); paused_until = 0.0; closed = false }
+
+let close_listener l =
+  if not l.closed then begin
+    l.closed <- true;
+    (try Unix.close l.lfd with Unix.Unix_error _ -> ());
+    (try Unix.unlink l.socket with Unix.Unix_error _ | Sys_error _ -> ());
+    Option.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      l.reserve;
+    l.reserve <- None
+  end
+
+let watch l ~now = if l.closed || now < l.paused_until then [] else [ l.lfd ]
+
 module Core = struct
   type t = {
     srv : Server.t;
@@ -62,11 +92,27 @@ module Core = struct
       vecs = Array.make 3 (Bytes.empty, 0, 0);
     }
 
+  (* Best effort: a fresh socket's send buffer takes the small frame
+     whole; a client that already hung up just misses it. *)
+  let refuse t fd message =
+    let frame = Server.refusal t.srv ~message in
+    (try
+       Unix.set_nonblock fd;
+       ignore (Unix.write_substring fd frame 0 (String.length frame))
+     with Unix.Unix_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+
   let register t fd =
-    Unix.set_nonblock fd;
-    let id = Server.on_connect t.srv in
-    Hashtbl.replace t.fd_of_id id fd;
-    Hashtbl.replace t.id_of_fd fd id
+    if fd_number fd >= fd_setsize then
+      refuse t fd
+        (Printf.sprintf "fd %d is over the select limit %d; retry later"
+           (fd_number fd) fd_setsize)
+    else begin
+      Unix.set_nonblock fd;
+      let id = Server.on_connect t.srv in
+      Hashtbl.replace t.fd_of_id id fd;
+      Hashtbl.replace t.id_of_fd fd id
+    end
 
   let drop_conn t ~eof id =
     match Hashtbl.find_opt t.fd_of_id id with
@@ -147,54 +193,41 @@ module Core = struct
       (Server.conn_ids t.srv);
     Server.on_tick t.srv;
     List.filter (fun fd -> List.memq fd readable) extra
-end
 
-let serve ?config ?(on_listening = fun () -> ()) ?should_stop ~socket () =
-  stop := false;
-  let srv =
-    match config with
-    | None -> Server.create ()
-    | Some config -> Server.create ~config ()
-  in
-  (* A caller-supplied stop predicate (bench harnesses, worker pools)
-     replaces the process-global signal handlers. *)
-  (match should_stop with None -> install_signal_handlers () | Some _ -> ());
-  let stop_requested () =
-    !stop || match should_stop with Some f -> f () | None -> false
-  in
-  let max_timeout = match should_stop with None -> 1.0 | Some _ -> 0.05 in
-  let listen_fd = bind_listener ~socket in
-  on_listening ();
-  let core = Core.create srv in
-  let accept_new () =
+  (* Drain the listener's backlog, handing each connection to [handoff].
+     Out of fds, the reserve is spent on accepting one pending
+     connection just to refuse it, then reopened; if even that fails the
+     listener is left out of [select] for a moment rather than spun on. *)
+  let accept t l ~handoff =
+    let pause () =
+      l.paused_until <- (Server.config t.srv).Server.clock () +. 0.1
+    in
     let continue = ref true in
     while !continue do
-      match Unix.accept ~cloexec:true listen_fd with
-      | fd, _ -> Core.register core fd
+      match Unix.accept ~cloexec:true l.lfd with
+      | fd, _ -> handoff fd
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
+      | exception
+          Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED | Unix.EPERM), _, _)
+        ->
           ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE) as e, _, _) -> (
+          match l.reserve with
+          | None ->
+              pause ();
+              continue := false
+          | Some r ->
+              Unix.close r;
+              l.reserve <- None;
+              (match Unix.accept ~cloexec:true l.lfd with
+              | fd, _ ->
+                  refuse t fd
+                    (Printf.sprintf "daemon out of fds (%s); retry later"
+                       (Unix.error_message e))
+              | exception Unix.Unix_error _ ->
+                  pause ();
+                  continue := false);
+              l.reserve <- open_reserve ())
     done
-  in
-  let listening = ref true in
-  let finished = ref false in
-  while not !finished do
-    if stop_requested () && not (Server.draining srv) then Server.drain srv;
-    if Server.draining srv && !listening then begin
-      listening := false;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ())
-    end;
-    if Server.draining srv && Server.live_conns srv = 0 then finished := true
-    else begin
-      let extra = if !listening then [ listen_fd ] else [] in
-      let ready = Core.iterate core ~extra ~max_timeout in
-      if ready <> [] then accept_new ()
-    end
-  done;
-  if !listening then begin
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ()
-  end
+end

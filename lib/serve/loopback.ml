@@ -110,11 +110,17 @@ let tick t = Server.on_tick t.srv
 
 let replies c =
   let rec go acc =
-    match Wire.Decoder.next c.dec with
-    | Wire.Decoder.Need_more -> List.rev acc
-    | Wire.Decoder.Corrupt msg ->
+    match Wire.Decoder.next_view c.dec with
+    | Wire.Decoder.View_need_more -> List.rev acc
+    | Wire.Decoder.View_corrupt msg ->
         failwith ("Loopback.replies: corrupt reply stream: " ^ msg)
-    | Wire.Decoder.Frame f -> (
+    | Wire.Decoder.View v -> (
+        let f =
+          {
+            Wire.tag = v.Wire.Decoder.vtag;
+            payload = Wire.Decoder.view_string v;
+          }
+        in
         match Wire.reply_of_frame f with
         | Ok r -> go (r :: acc)
         | Error msg -> failwith ("Loopback.replies: bad reply frame: " ^ msg))

@@ -51,29 +51,72 @@ type t = {
   mutable next_id : int;
   mutable is_draining : bool;
   mutable stats_hook : (unit -> Metrics.Registry.t) option;
-  (* counters; snapshotted by stats_registry *)
-  mutable opened_total : int;
-  mutable closed_total : int;
-  mutable rejected_total : int;
-  mutable evicted_idle_total : int;
-  mutable proto_errors_total : int;
-  mutable lexical_errors_total : int;
-  mutable bytes_in_total : int;
-  mutable bytes_out_total : int;
-  mutable tokens_total : int;
-  mutable feeds_total : int;
-  mutable feed_batches_total : int;
-  mutable flushes_total : int;
-  mutable writevs_total : int;
-  mutable batch_bytes_direct : int;
-  mutable batch_bytes_copied : int;
-  mutable peak_sessions : int;
-  mutable decoder_copies_closed : int;
-      (* copies accumulated by decoders of connections already removed *)
+  (* this server's own metrics, in STATS order; the hot path bumps the
+     handles below and {!snapshot} copies the registry *)
+  metrics : Metrics.Registry.t;
+  sessions_g : Metrics.Gauge.t;  (* set from the session table on snapshot *)
+  peak : Metrics.Gauge.t;
+  opened : Metrics.Counter.t;
+  closed : Metrics.Counter.t;
+  rejected : Metrics.Counter.t;
+  evicted_idle : Metrics.Counter.t;
+  bytes_in : Metrics.Counter.t;
+  bytes_out : Metrics.Counter.t;
+  tokens : Metrics.Counter.t;
+  feeds : Metrics.Counter.t;
+  feed_batches : Metrics.Counter.t;
+  flushes : Metrics.Counter.t;
+  writevs : Metrics.Counter.t;
+  batch_bytes_direct : Metrics.Counter.t;
+  batch_bytes_copied : Metrics.Counter.t;
+  decoder_copies : Metrics.Counter.t;
+  proto_errors : Metrics.Counter.t;
+  lexical_errors : Metrics.Counter.t;
   feed_ns : Metrics.Histogram.t;
 }
 
 let create ?cache ?(config = default_config) () =
+  let r = Metrics.Registry.create () in
+  let gauge name help = Metrics.Registry.gauge r ~help name in
+  let counter name help = Metrics.Registry.counter r ~help name in
+  let sessions_g = gauge "sessions" "active sessions" in
+  let peak = gauge "sessions_peak" "peak concurrent sessions" in
+  let opened = counter "sessions_opened" "connections accepted as sessions" in
+  let closed = counter "sessions_closed" "sessions ended (any reason)" in
+  let rejected =
+    counter "sessions_rejected" "connections rejected at capacity or drain"
+  in
+  let evicted_idle =
+    counter "sessions_evicted_idle" "sessions evicted by the idle timeout"
+  in
+  let bytes_in = counter "bytes_in" "FEED payload bytes" in
+  let bytes_out = counter "bytes_out" "reply frame bytes enqueued" in
+  let tokens = counter "tokens" "tokens emitted" in
+  let feeds = counter "feeds" "FEED frames processed" in
+  let feed_batches = counter "feed_batches" "coalesced FEED batches flushed" in
+  let flushes = counter "flushes" "FLUSH frames processed" in
+  let writevs = counter "writevs" "vectored socket writes consumed" in
+  let batch_bytes_direct =
+    counter "batch_bytes_direct"
+      "token-batch frame bytes written in place by writev (no out-queue blit)"
+  in
+  let batch_bytes_copied =
+    counter "batch_bytes_copied"
+      "token-batch frame bytes blitted through the out queue"
+  in
+  let decoder_copies =
+    counter "decoder_copies"
+      "receive-buffer compaction copies (frames straddling a read)"
+  in
+  let proto_errors = counter "protocol_errors" "fatal protocol errors" in
+  let lexical_errors =
+    counter "lexical_errors" "streams that stopped tokenizing"
+  in
+  let feed_ns =
+    Metrics.Registry.histogram r
+      ~help:"per-FEED-batch handling latency, nanoseconds (log2 buckets)"
+      "feed_latency_ns"
+  in
   {
     cfg = config;
     cache =
@@ -87,24 +130,26 @@ let create ?cache ?(config = default_config) () =
     next_id = 0;
     is_draining = false;
     stats_hook = None;
-    opened_total = 0;
-    closed_total = 0;
-    rejected_total = 0;
-    evicted_idle_total = 0;
-    proto_errors_total = 0;
-    lexical_errors_total = 0;
-    bytes_in_total = 0;
-    bytes_out_total = 0;
-    tokens_total = 0;
-    feeds_total = 0;
-    feed_batches_total = 0;
-    flushes_total = 0;
-    writevs_total = 0;
-    batch_bytes_direct = 0;
-    batch_bytes_copied = 0;
-    peak_sessions = 0;
-    decoder_copies_closed = 0;
-    feed_ns = Metrics.Histogram.create ();
+    metrics = r;
+    sessions_g;
+    peak;
+    opened;
+    closed;
+    rejected;
+    evicted_idle;
+    bytes_in;
+    bytes_out;
+    tokens;
+    feeds;
+    feed_batches;
+    flushes;
+    writevs;
+    batch_bytes_direct;
+    batch_bytes_copied;
+    decoder_copies;
+    proto_errors;
+    lexical_errors;
+    feed_ns;
   }
 
 let config t = t.cfg
@@ -119,10 +164,7 @@ let conn t id =
 let sessions t =
   Hashtbl.fold (fun _ c n -> if c.phase = Active then n + 1 else n) t.conns 0
 
-let decoder_copies t =
-  Hashtbl.fold
-    (fun _ c n -> n + Wire.Decoder.copies c.dec)
-    t.conns t.decoder_copies_closed
+let decoder_copies t = Metrics.Counter.value t.decoder_copies
 
 let p_enqueue = St_trace.Trace.probe ~cat:"flush" "serve.enqueue"
 let p_on_data = St_trace.Trace.probe ~cat:"decode" "serve.on_data"
@@ -138,10 +180,10 @@ let flush_tokens_untraced t c =
   | None -> c.deferred <- false
   | Some (enc, n) ->
       c.deferred <- false;
-      t.tokens_total <- t.tokens_total + n;
+      Metrics.Counter.add t.tokens n;
       let bytes = 5 + Outbuf.length enc in
-      t.bytes_out_total <- t.bytes_out_total + bytes;
-      t.batch_bytes_copied <- t.batch_bytes_copied + bytes;
+      Metrics.Counter.add t.bytes_out bytes;
+      Metrics.Counter.add t.batch_bytes_copied bytes;
       Outbuf.add_frame c.out ~tag:(Session.batch_tag c.session) enc;
       Session.batch_clear c.session
 
@@ -158,7 +200,7 @@ let enqueue_untraced t c reply =
   flush_tokens_untraced t c;
   Buffer.clear t.scratch;
   Wire.encode_reply t.scratch reply;
-  t.bytes_out_total <- t.bytes_out_total + Buffer.length t.scratch;
+  Metrics.Counter.add t.bytes_out (Buffer.length t.scratch);
   Outbuf.add_buffer c.out t.scratch
 
 (* Reply encode + out-queue append — the cold reply path. Token batches
@@ -193,7 +235,7 @@ let on_connect t =
   Hashtbl.replace t.conns id c;
   if t.is_draining then begin
     c.phase <- Draining;
-    t.rejected_total <- t.rejected_total + 1;
+    Metrics.Counter.incr t.rejected;
     enqueue t c
       (Wire.Error
          {
@@ -204,7 +246,7 @@ let on_connect t =
   end
   else if sessions t > t.cfg.max_sessions then begin
     c.phase <- Draining;
-    t.rejected_total <- t.rejected_total + 1;
+    Metrics.Counter.incr t.rejected;
     enqueue t c
       (Wire.Error
          {
@@ -216,9 +258,8 @@ let on_connect t =
          })
   end
   else begin
-    t.opened_total <- t.opened_total + 1;
-    let live = sessions t in
-    if live > t.peak_sessions then t.peak_sessions <- live
+    Metrics.Counter.incr t.opened;
+    Metrics.Gauge.set_max t.peak (float_of_int (sessions t))
   end;
   id
 
@@ -230,181 +271,47 @@ let count_replies t replies =
   List.iter
     (fun r ->
       match r with
-      | Wire.Tokens toks -> t.tokens_total <- t.tokens_total + List.length toks
+      | Wire.Tokens toks -> Metrics.Counter.add t.tokens (List.length toks)
       | Wire.Error { code = Wire.Lexical; _ } ->
-          t.lexical_errors_total <- t.lexical_errors_total + 1
+          Metrics.Counter.incr t.lexical_errors
       | Wire.Error { code = Wire.Protocol; _ } ->
-          t.proto_errors_total <- t.proto_errors_total + 1
+          Metrics.Counter.incr t.proto_errors
       | _ -> ())
     replies
 
 (* ---- stats ---- *)
 
-type totals = {
-  tot_sessions : int;
-  tot_peak : int;
-  tot_opened : int;
-  tot_closed : int;
-  tot_rejected : int;
-  tot_evicted_idle : int;
-  tot_proto_errors : int;
-  tot_lexical_errors : int;
-  tot_bytes_in : int;
-  tot_bytes_out : int;
-  tot_tokens : int;
-  tot_feeds : int;
-  tot_feed_batches : int;
-  tot_flushes : int;
-  tot_writevs : int;
-  tot_batch_bytes_direct : int;
-  tot_batch_bytes_copied : int;
-  tot_decoder_copies : int;
-  tot_feed_ns : Metrics.Histogram.t;
-  tot_cache_compiles : int;
-  tot_cache_hits : int;
-  tot_cache_evictions : int;
-  tot_cache_entries : int;
-  tot_uptime : float;
-}
+let snapshot t =
+  Metrics.Gauge.set_int t.sessions_g (sessions t);
+  Metrics.Registry.copy t.metrics
 
-let totals t =
-  {
-    tot_sessions = sessions t;
-    tot_peak = t.peak_sessions;
-    tot_opened = t.opened_total;
-    tot_closed = t.closed_total;
-    tot_rejected = t.rejected_total;
-    tot_evicted_idle = t.evicted_idle_total;
-    tot_proto_errors = t.proto_errors_total;
-    tot_lexical_errors = t.lexical_errors_total;
-    tot_bytes_in = t.bytes_in_total;
-    tot_bytes_out = t.bytes_out_total;
-    tot_tokens = t.tokens_total;
-    tot_feeds = t.feeds_total;
-    tot_feed_batches = t.feed_batches_total;
-    tot_flushes = t.flushes_total;
-    tot_writevs = t.writevs_total;
-    tot_batch_bytes_direct = t.batch_bytes_direct;
-    tot_batch_bytes_copied = t.batch_bytes_copied;
-    tot_decoder_copies = decoder_copies t;
-    tot_feed_ns = Metrics.Histogram.copy t.feed_ns;
-    tot_cache_compiles = Engine_cache.compiles t.cache;
-    tot_cache_hits = Engine_cache.hits t.cache;
-    tot_cache_evictions = Engine_cache.evictions t.cache;
-    tot_cache_entries = Engine_cache.size t.cache;
-    tot_uptime = t.cfg.clock () -. t.started;
-  }
-
-(* Fold worker snapshots into one pool-wide view. With a shared engine
-   cache every worker reports the same cache counters, so they are taken
-   once (max, the freshest snapshot) rather than summed; per-domain
-   caches sum. [tot_peak] sums per-worker peaks — an upper bound on the
-   true pool-wide concurrent peak, which no worker can observe alone. *)
-let sum_totals ~shared_cache = function
-  | [] -> invalid_arg "Server.sum_totals: empty"
-  | first :: rest ->
-      let acc =
-        ref { first with tot_feed_ns = Metrics.Histogram.copy first.tot_feed_ns }
-      in
-      List.iter
-        (fun x ->
-          let a = !acc in
-          Metrics.Histogram.merge a.tot_feed_ns x.tot_feed_ns;
-          acc :=
-            {
-              a with
-              tot_sessions = a.tot_sessions + x.tot_sessions;
-              tot_peak = a.tot_peak + x.tot_peak;
-              tot_opened = a.tot_opened + x.tot_opened;
-              tot_closed = a.tot_closed + x.tot_closed;
-              tot_rejected = a.tot_rejected + x.tot_rejected;
-              tot_evicted_idle = a.tot_evicted_idle + x.tot_evicted_idle;
-              tot_proto_errors = a.tot_proto_errors + x.tot_proto_errors;
-              tot_lexical_errors = a.tot_lexical_errors + x.tot_lexical_errors;
-              tot_bytes_in = a.tot_bytes_in + x.tot_bytes_in;
-              tot_bytes_out = a.tot_bytes_out + x.tot_bytes_out;
-              tot_tokens = a.tot_tokens + x.tot_tokens;
-              tot_feeds = a.tot_feeds + x.tot_feeds;
-              tot_feed_batches = a.tot_feed_batches + x.tot_feed_batches;
-              tot_flushes = a.tot_flushes + x.tot_flushes;
-              tot_writevs = a.tot_writevs + x.tot_writevs;
-              tot_batch_bytes_direct =
-                a.tot_batch_bytes_direct + x.tot_batch_bytes_direct;
-              tot_batch_bytes_copied =
-                a.tot_batch_bytes_copied + x.tot_batch_bytes_copied;
-              tot_decoder_copies = a.tot_decoder_copies + x.tot_decoder_copies;
-              tot_cache_compiles =
-                (if shared_cache then max a.tot_cache_compiles x.tot_cache_compiles
-                 else a.tot_cache_compiles + x.tot_cache_compiles);
-              tot_cache_hits =
-                (if shared_cache then max a.tot_cache_hits x.tot_cache_hits
-                 else a.tot_cache_hits + x.tot_cache_hits);
-              tot_cache_evictions =
-                (if shared_cache then
-                   max a.tot_cache_evictions x.tot_cache_evictions
-                 else a.tot_cache_evictions + x.tot_cache_evictions);
-              tot_cache_entries =
-                (if shared_cache then max a.tot_cache_entries x.tot_cache_entries
-                 else a.tot_cache_entries + x.tot_cache_entries);
-              tot_uptime = Float.max a.tot_uptime x.tot_uptime;
-            })
-        rest;
-      !acc
-
-let registry_of_totals tot =
-  let r = Metrics.Registry.create () in
-  let gauge name help v =
-    Metrics.Gauge.set (Metrics.Registry.gauge r ~help name) v
-  in
+let add_pool_metrics r ~cache ~uptime =
   let counter name help v =
     Metrics.Counter.add (Metrics.Registry.counter r ~help name) v
   in
-  gauge "sessions" "active sessions" (float_of_int tot.tot_sessions);
-  gauge "sessions_peak" "peak concurrent sessions"
-    (float_of_int tot.tot_peak);
-  counter "sessions_opened" "connections accepted as sessions" tot.tot_opened;
-  counter "sessions_closed" "sessions ended (any reason)" tot.tot_closed;
-  counter "sessions_rejected" "connections rejected at capacity or drain"
-    tot.tot_rejected;
-  counter "sessions_evicted_idle" "sessions evicted by the idle timeout"
-    tot.tot_evicted_idle;
-  counter "bytes_in" "FEED payload bytes" tot.tot_bytes_in;
-  counter "bytes_out" "reply frame bytes enqueued" tot.tot_bytes_out;
-  counter "tokens" "tokens emitted" tot.tot_tokens;
-  counter "feeds" "FEED frames processed" tot.tot_feeds;
-  counter "feed_batches" "coalesced FEED batches flushed" tot.tot_feed_batches;
-  counter "flushes" "FLUSH frames processed" tot.tot_flushes;
-  counter "writevs" "vectored socket writes consumed" tot.tot_writevs;
-  counter "batch_bytes_direct"
-    "token-batch frame bytes written in place by writev (no out-queue blit)"
-    tot.tot_batch_bytes_direct;
-  counter "batch_bytes_copied"
-    "token-batch frame bytes blitted through the out queue"
-    tot.tot_batch_bytes_copied;
-  counter "decoder_copies"
-    "receive-buffer compaction copies (frames straddling a read)"
-    tot.tot_decoder_copies;
-  counter "protocol_errors" "fatal protocol errors" tot.tot_proto_errors;
-  counter "lexical_errors" "streams that stopped tokenizing"
-    tot.tot_lexical_errors;
-  Metrics.Registry.add r
-    {
-      Metrics.name = "feed_latency_ns";
-      help = "per-FEED-batch handling latency, nanoseconds (log2 buckets)";
-      labels = [];
-      kind = Metrics.Histogram tot.tot_feed_ns;
-    };
+  let gauge name help v =
+    Metrics.Gauge.set (Metrics.Registry.gauge r ~help name) v
+  in
   counter "engine_cache_compiles" "grammar compiles (cache misses)"
-    tot.tot_cache_compiles;
-  counter "engine_cache_hits" "engine cache hits" tot.tot_cache_hits;
+    (Engine_cache.compiles cache);
+  counter "engine_cache_hits" "engine cache hits" (Engine_cache.hits cache);
   counter "engine_cache_evictions" "engines evicted from the cache"
-    tot.tot_cache_evictions;
+    (Engine_cache.evictions cache);
   gauge "engine_cache_entries" "resident compiled engines"
-    (float_of_int tot.tot_cache_entries);
-  gauge "uptime_seconds" "seconds since server start" tot.tot_uptime;
+    (float_of_int (Engine_cache.size cache));
+  gauge "uptime_seconds" "seconds since server start" uptime
+
+let stats_registry t =
+  let r = snapshot t in
+  add_pool_metrics r ~cache:t.cache ~uptime:(t.cfg.clock () -. t.started);
   r
 
-let stats_registry_impl t = registry_of_totals (totals t)
+let refusal t ~message =
+  Metrics.Counter.incr t.rejected;
+  Buffer.clear t.scratch;
+  Wire.encode_reply t.scratch
+    (Wire.Error { code = Wire.Capacity; retryable = true; message });
+  Buffer.contents t.scratch
 
 (* Non-FEED requests (FEED has its own coalesced path in [on_data]). *)
 let dispatch t c (req : Wire.request) =
@@ -413,7 +320,7 @@ let dispatch t c (req : Wire.request) =
       let registry =
         match t.stats_hook with
         | Some f -> f ()
-        | None -> stats_registry_impl t
+        | None -> stats_registry t
       in
       let body =
         match fmt with
@@ -424,7 +331,7 @@ let dispatch t c (req : Wire.request) =
   | Wire.Close -> c.phase <- Draining
   | Wire.Open _ | Wire.Open_bpe _ | Wire.Flush | Wire.Feed _ ->
       (match req with
-      | Wire.Flush -> t.flushes_total <- t.flushes_total + 1
+      | Wire.Flush -> Metrics.Counter.incr t.flushes
       | _ -> ());
       let replies = Session.handle c.session req in
       flush_tokens t c;
@@ -433,7 +340,7 @@ let dispatch t c (req : Wire.request) =
       if List.exists fatal_reply replies then c.phase <- Draining
 
 let protocol_failure t c msg =
-  t.proto_errors_total <- t.proto_errors_total + 1;
+  Metrics.Counter.incr t.proto_errors;
   enqueue t c
     (Wire.Error { code = Wire.Protocol; retryable = false; message = msg });
   c.phase <- Draining
@@ -453,7 +360,9 @@ let on_data_untraced t id b ~pos ~len =
   let c = conn t id in
   if c.phase = Active then begin
     c.last_activity <- t.cfg.clock ();
+    let copies = Wire.Decoder.copies c.dec in
     Wire.Decoder.feed_bytes c.dec b ~pos ~len;
+    Metrics.Counter.add t.decoder_copies (Wire.Decoder.copies c.dec - copies);
     let batch_t0 = ref 0.0 in
     let in_batch = ref false in
     let end_batch ~defer =
@@ -464,7 +373,7 @@ let on_data_untraced t id b ~pos ~len =
            | Some _ -> c.deferred <- true
            | None -> ())
          else flush_tokens t c);
-        t.feed_batches_total <- t.feed_batches_total + 1;
+        Metrics.Counter.incr t.feed_batches;
         Metrics.Histogram.observe_seconds t.feed_ns
           (t.cfg.clock () -. !batch_t0)
       end
@@ -498,8 +407,8 @@ let on_data_untraced t id b ~pos ~len =
             let nsegs = ref 0 in
             let acc = ref 0 in
             let push (v : Wire.Decoder.view) =
-              t.feeds_total <- t.feeds_total + 1;
-              t.bytes_in_total <- t.bytes_in_total + v.Wire.Decoder.vlen;
+              Metrics.Counter.incr t.feeds;
+              Metrics.Counter.add t.bytes_in v.Wire.Decoder.vlen;
               t.segs.(!nsegs) <-
                 ( (* the tokenizer copies what it keeps, so handing it
                      the decoder's buffer as an immutable string is
@@ -576,19 +485,16 @@ let on_data t id b ~pos ~len =
   end
 
 let remove t id =
-  match Hashtbl.find_opt t.conns id with
-  | None -> ()
-  | Some c ->
-      t.decoder_copies_closed <-
-        t.decoder_copies_closed + Wire.Decoder.copies c.dec;
-      Hashtbl.remove t.conns id;
-      t.closed_total <- t.closed_total + 1
+  if Hashtbl.mem t.conns id then begin
+    Hashtbl.remove t.conns id;
+    Metrics.Counter.incr t.closed
+  end
 
 let on_eof t id = remove t id
 let on_closed t id = remove t id
 
 let evict t c ~message =
-  t.evicted_idle_total <- t.evicted_idle_total + 1;
+  Metrics.Counter.incr t.evicted_idle;
   enqueue t c
     (Wire.Error { code = Wire.Shutting_down; retryable = true; message });
   c.phase <- Draining
@@ -662,7 +568,7 @@ let out_vectors t id vecs =
 
 let out_vec_consume t id n =
   let c = conn t id in
-  t.writevs_total <- t.writevs_total + 1;
+  Metrics.Counter.incr t.writevs;
   let ol = Outbuf.length c.out in
   if n <= ol then Outbuf.consume c.out n
   else begin
@@ -673,15 +579,15 @@ let out_vec_consume t id n =
     | Some (enc, ntoks) ->
         let frame = 5 + Outbuf.length enc in
         if written > frame then invalid_arg "Server.out_vec_consume";
-        t.tokens_total <- t.tokens_total + ntoks;
-        t.bytes_out_total <- t.bytes_out_total + frame;
-        t.batch_bytes_direct <- t.batch_bytes_direct + written;
+        Metrics.Counter.add t.tokens ntoks;
+        Metrics.Counter.add t.bytes_out frame;
+        Metrics.Counter.add t.batch_bytes_direct written;
         c.deferred <- false;
         if written < frame then begin
           (* Short write mid-frame: the unwritten tail (header remainder
              + encoder suffix) moves to the out queue so the next
              writable event resumes exactly where the socket stopped. *)
-          t.batch_bytes_copied <- t.batch_bytes_copied + (frame - written);
+          Metrics.Counter.add t.batch_bytes_copied (frame - written);
           if written < 5 then Outbuf.add_subbytes c.out c.hdr written (5 - written);
           let skip = if written > 5 then written - 5 else 0 in
           let eb, ep, el = Outbuf.view enc in
@@ -727,4 +633,3 @@ let drain t =
 
 let draining t = t.is_draining
 let live_conns t = Hashtbl.length t.conns
-let stats_registry t = stats_registry_impl t

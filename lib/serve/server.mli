@@ -3,9 +3,9 @@
     One {!t} holds the session table, the (possibly shared — see
     {!create}'s [cache]) {!St_streamtok.Engine_cache}, per-connection
     frame decoders and bounded output queues, and the server-wide
-    metrics. A transport (the [Unix.select] daemon in {!Io_loop}, a
-    {!Shard} worker domain, the in-memory {!Loopback} in tests and
-    benchmarks) owns the actual byte movement and drives this module
+    metrics. A transport (a {!Shard} worker's {!Io_loop.Core} select
+    loop, the in-memory {!Loopback} in tests and benchmarks) owns the
+    actual byte movement and drives this module
     through a small event/query interface:
 
     - events in: {!on_connect}, {!on_data}, {!on_eof}, {!on_closed},
@@ -19,7 +19,7 @@
 
     A {!t} is single-domain: one transport drives it, and in the sharded
     server each worker domain owns its own instance (only the engine
-    cache and the {!totals} snapshots cross domains).
+    cache and the {!snapshot} copies cross domains).
 
     Time enters only through [config.clock], so a fake clock makes idle
     eviction and latency recording fully deterministic under loopback. *)
@@ -144,43 +144,39 @@ val cache : t -> St_streamtok.Engine_cache.t
 
 (** Receive-buffer bytes moved by decoder compaction across all
     connections (live and closed): the price of frames straddling a read.
-    Zero on a straddle-free run — also exported as the [decoder_copies]
-    counter in {!stats_registry}. *)
+    Zero on a straddle-free run — the [decoder_copies] counter in
+    {!stats_registry}. *)
 val decoder_copies : t -> int
-
-(** A point-in-time snapshot of every exported quantity, as plain data —
-    what a worker domain publishes (under the pool's mutex) so the
-    sharded server can aggregate stats across domains without touching
-    another domain's live [t]. The histogram inside is a deep copy. *)
-type totals
-
-val totals : t -> totals
-
-(** [sum_totals ~shared_cache snapshots] folds worker snapshots into one
-    pool-wide view: counters sum, latency histograms merge exactly
-    (shared log2 buckets), uptime takes the max. With [shared_cache]
-    every worker reports the same engine-cache counters, so they are
-    taken once (max — the freshest snapshot) instead of summed.
-    [sessions_peak] sums per-worker peaks: an upper bound on the true
-    pool-wide concurrent peak, which no single worker can observe.
-    Raises [Invalid_argument] on an empty list. *)
-val sum_totals : shared_cache:bool -> totals list -> totals
-
-(** Render a snapshot with exactly the same metric names and shapes as
-    {!stats_registry}, so aggregated (sharded) STATS replies are
-    indistinguishable from single-domain ones. *)
-val registry_of_totals : totals -> Metrics.Registry.t
 
 (** Install the STATS responder: when set, a STATS request is answered
     with [f ()]'s registry instead of this instance's own — the hook a
-    {!Shard} worker uses to reply with pool-wide aggregated stats. *)
+    {!Shard} worker uses to reply with pool-wide stats. *)
 val set_stats_hook : t -> (unit -> Metrics.Registry.t) -> unit
 
-(** Fresh snapshot of the server metrics (sessions gauge + peak,
-    open/close/reject/evict counters, bytes and token counters, the
-    per-FEED-batch latency log2 histogram in nanoseconds, [feed_batches]
-    / [decoder_copies] / [writevs] / [batch_bytes_direct] /
-    [batch_bytes_copied] data-plane counters, engine-cache compile/hit
-    counters, uptime). Equal to
-    [registry_of_totals (totals t)]. *)
+(** An independent copy of this server's own metrics, in STATS order:
+    sessions gauge + peak, open/close/reject/evict counters, bytes and
+    token counters, the [feeds] / [feed_batches] / [flushes] /
+    [writevs] / [batch_bytes_direct] / [batch_bytes_copied] /
+    [decoder_copies] data-plane counters, error counters, and the
+    per-FEED-batch latency log2 histogram in nanoseconds. Snapshots of
+    servers built by {!create} share one shape, so a pool folds its
+    workers' snapshots with {!Metrics.Registry.merge}. *)
+val snapshot : t -> Metrics.Registry.t
+
+(** [add_pool_metrics r ~cache ~uptime] appends the values that belong
+    to the whole daemon rather than to one server — the engine-cache
+    compile / hit / eviction counters and resident-entries gauge, read
+    from [cache], and [uptime_seconds] — completing a STATS document. *)
+val add_pool_metrics :
+  Metrics.Registry.t -> cache:St_streamtok.Engine_cache.t -> uptime:float ->
+  unit
+
+(** This server's STATS document: {!snapshot} plus {!add_pool_metrics}
+    for its own cache and start time. *)
 val stats_registry : t -> Metrics.Registry.t
+
+(** [refusal t ~message] counts a connection turned away before it
+    became a session (in [sessions_rejected]) and returns the encoded
+    retryable [Capacity] ERROR frame to send it before closing — the
+    transport's reply when it cannot even track the fd. *)
+val refusal : t -> message:string -> string

@@ -1,18 +1,20 @@
+open St_obs
 open St_streamtok
 
 type worker = {
   idx : int;
-  queue : Unix.file_descr Queue.t;  (* acceptor -> worker fd handoff *)
+  queue : Unix.file_descr Queue.t;  (* handoff queue, filled by [inject] *)
   mu : Mutex.t;  (* guards [queue] *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  mutable published : Server.totals option;  (* guarded by pool.pub_mu *)
+  mutable published : Metrics.Registry.t option;  (* guarded by pool.pub_mu *)
   mutable domain : unit Domain.t option;
 }
 
 type t = {
   cfg : Server.config;
-  cache : Engine_cache.t option;  (* [Some] = one shared locked cache *)
+  cache : Engine_cache.t;  (* one locked cache for every worker *)
+  started : float;
   workers : worker array;
   stop_flag : bool Atomic.t;
   pub_mu : Mutex.t;
@@ -31,52 +33,74 @@ let wake w =
   ->
     ()
 
-let shared_cache pool = Option.is_some pool.cache
-
-(* Pool-wide aggregated stats: the calling worker's live snapshot plus
-   every other worker's last published one (at most ~50 ms + one select
-   round stale). *)
-let aggregate pool ~self_idx own =
-  Mutex.lock pool.pub_mu;
-  let snaps =
-    Array.to_list
-      (Array.map
-         (fun w -> if w.idx = self_idx then Some own else w.published)
-         pool.workers)
-  in
-  Mutex.unlock pool.pub_mu;
-  let snaps = List.filter_map Fun.id snaps in
-  Server.registry_of_totals
-    (Server.sum_totals ~shared_cache:(shared_cache pool) snaps)
-
-let stats pool =
-  Mutex.lock pool.pub_mu;
-  let snaps =
-    Array.to_list pool.workers |> List.filter_map (fun w -> w.published)
-  in
-  Mutex.unlock pool.pub_mu;
-  match snaps with
+(* One STATS document from worker snapshots: fold them with one merge,
+   then append the pool-level values, read once here. *)
+let render pool = function
   | [] -> None
-  | snaps ->
-      Some
-        (Server.registry_of_totals
-           (Server.sum_totals ~shared_cache:(shared_cache pool) snaps))
+  | first :: rest ->
+      let r = Metrics.Registry.copy first in
+      List.iter (Metrics.Registry.merge r) rest;
+      Server.add_pool_metrics r ~cache:pool.cache
+        ~uptime:(pool.cfg.Server.clock () -. pool.started);
+      Some r
 
-let worker_loop pool w =
-  let srv = Server.create ?cache:pool.cache ~config:pool.cfg () in
+(* The calling worker's live snapshot plus every other worker's last
+   published one (at most ~50 ms + one select round stale). *)
+let snapshots pool ?self () =
+  Mutex.lock pool.pub_mu;
+  let snaps =
+    Array.to_list pool.workers
+    |> List.filter_map (fun w ->
+           match self with
+           | Some (idx, own) when idx = w.idx -> Some own
+           | _ -> w.published)
+  in
+  Mutex.unlock pool.pub_mu;
+  snaps
+
+let stats pool = render pool (snapshots pool ())
+
+(* Worker 0 of a daemon also owns the listener and hands accepted fds
+   off round-robin. A [should_stop] predicate is polled every round,
+   which is then capped at 50 ms; without one, signals call [stop]. *)
+type listening = {
+  l : Io_loop.listener;
+  should_stop : (unit -> bool) option;
+}
+
+let inject pool fd =
+  let w = pool.workers.(pool.rr mod Array.length pool.workers) in
+  pool.rr <- pool.rr + 1;
+  Mutex.lock w.mu;
+  Queue.push fd w.queue;
+  Mutex.unlock w.mu;
+  wake w
+
+let stop pool =
+  Atomic.set pool.stop_flag true;
+  Array.iter wake pool.workers
+
+let worker_loop ?listening pool w =
+  let srv = Server.create ~cache:pool.cache ~config:pool.cfg () in
   Server.set_stats_hook srv (fun () ->
-      aggregate pool ~self_idx:w.idx (Server.totals srv));
+      Option.get
+        (render pool (snapshots pool ~self:(w.idx, Server.snapshot srv) ())));
   let core = Io_loop.Core.create srv in
-  let cfg = Server.config srv in
+  let clock = pool.cfg.Server.clock in
+  let max_timeout =
+    match listening with
+    | Some { should_stop = Some _; _ } -> 0.05
+    | _ -> 0.25
+  in
   let wbuf = Bytes.create 64 in
   let last_pub = ref neg_infinity in
   let publish ~force =
-    let now = cfg.Server.clock () in
+    let now = clock () in
     if force || now -. !last_pub >= 0.05 then begin
       last_pub := now;
-      let tot = Server.totals srv in
+      let snap = Server.snapshot srv in
       Mutex.lock pool.pub_mu;
-      w.published <- Some tot;
+      w.published <- Some snap;
       Mutex.unlock pool.pub_mu
     end
   in
@@ -100,40 +124,56 @@ let worker_loop pool w =
           continue := false
     done
   in
+  (* the accepting worker keeps its own share of connections directly *)
+  let handoff fd =
+    let n = Array.length pool.workers in
+    if pool.rr mod n = w.idx then begin
+      pool.rr <- pool.rr + 1;
+      Io_loop.Core.register core fd
+    end
+    else inject pool fd
+  in
   publish ~force:true;
   let finished = ref false in
   while not !finished do
+    (match listening with
+    | Some { should_stop = Some f; _ } when f () -> stop pool
+    | _ -> ());
     if Atomic.get pool.stop_flag && not (Server.draining srv) then begin
+      Option.iter (fun { l; _ } -> Io_loop.close_listener l) listening;
       (* adopt handoffs still queued so they get the drain reply too *)
       drain_queue ();
       Server.drain srv
     end;
     if Server.draining srv && Server.live_conns srv = 0 then finished := true
     else begin
-      let ready =
-        Io_loop.Core.iterate core ~extra:[ w.wake_r ] ~max_timeout:0.25
+      let lfds =
+        match listening with
+        | Some { l; _ } -> Io_loop.watch l ~now:(clock ())
+        | None -> []
       in
-      if ready <> [] then begin
+      let ready =
+        Io_loop.Core.iterate core ~extra:(w.wake_r :: lfds) ~max_timeout
+      in
+      if List.memq w.wake_r ready then begin
         drain_wakeup ();
         drain_queue ()
       end;
+      (match listening with
+      | Some { l; _ } when List.exists (fun fd -> List.memq fd ready) lfds ->
+          Io_loop.Core.accept core l ~handoff
+      | _ -> ());
       publish ~force:false
     end
   done;
   publish ~force:true
 
-let create_pool ?(config = Server.default_config) ?(cache_mode = `Shared)
-    ~domains () =
+(* The pool without its domains: callers decide which workers get one. *)
+let make_pool ~config ~domains =
   (* a worker writing to a freshly-dead client must not kill the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let n = max 1 domains in
-  let cache =
-    match cache_mode with
-    | `Shared -> Some (Engine_cache.create ~max_entries:config.cache_entries ())
-    | `Per_domain -> None
-  in
   let workers =
-    Array.init n (fun idx ->
+    Array.init (max 1 domains) (fun idx ->
         let wake_r, wake_w = Unix.pipe ~cloexec:true () in
         Unix.set_nonblock wake_r;
         Unix.set_nonblock wake_w;
@@ -147,34 +187,25 @@ let create_pool ?(config = Server.default_config) ?(cache_mode = `Shared)
           domain = None;
         })
   in
-  let pool =
-    {
-      cfg = config;
-      cache;
-      workers;
-      stop_flag = Atomic.make false;
-      pub_mu = Mutex.create ();
-      rr = 0;
-    }
-  in
-  Array.iter
-    (fun w -> w.domain <- Some (Domain.spawn (fun () -> worker_loop pool w)))
+  {
+    cfg = config;
+    cache = Engine_cache.create ~max_entries:config.Server.cache_entries ();
+    started = config.Server.clock ();
     workers;
+    stop_flag = Atomic.make false;
+    pub_mu = Mutex.create ();
+    rr = 0;
+  }
+
+let spawn pool w =
+  w.domain <- Some (Domain.spawn (fun () -> worker_loop pool w))
+
+let create_pool ?(config = Server.default_config) ~domains () =
+  let pool = make_pool ~config ~domains in
+  Array.iter (spawn pool) pool.workers;
   pool
 
 let domains pool = Array.length pool.workers
-
-let inject pool fd =
-  let w = pool.workers.(pool.rr mod Array.length pool.workers) in
-  pool.rr <- pool.rr + 1;
-  Mutex.lock w.mu;
-  Queue.push fd w.queue;
-  Mutex.unlock w.mu;
-  wake w
-
-let stop pool =
-  Atomic.set pool.stop_flag true;
-  Array.iter wake pool.workers
 
 let join pool =
   Array.iter
@@ -188,50 +219,26 @@ let join pool =
       try Unix.close w.wake_w with Unix.Unix_error _ -> ())
     pool.workers
 
-let rec select_eintr r w e timeout =
-  try Unix.select r w e timeout
-  with Unix.Unix_error (Unix.EINTR, _, _) -> select_eintr r w e timeout
-
-let serve ?config ?(on_listening = fun () -> ()) ?should_stop ?cache_mode
-    ~domains ~socket () =
-  if domains <= 1 then Io_loop.serve ?config ~on_listening ?should_stop ~socket ()
-  else begin
-    let pool = create_pool ?config ?cache_mode ~domains () in
-    let sigstop = Atomic.make false in
-    (match should_stop with
-    | Some _ -> ()
-    | None ->
-        let handler = Sys.Signal_handle (fun _ -> Atomic.set sigstop true) in
-        Sys.set_signal Sys.sigterm handler;
-        Sys.set_signal Sys.sigint handler);
-    let stop_requested () =
-      Atomic.get sigstop
-      || match should_stop with Some f -> f () | None -> false
-    in
-    let listen_fd = Io_loop.bind_listener ~socket in
-    on_listening ();
-    let timeout = match should_stop with None -> 0.25 | Some _ -> 0.05 in
-    let accept_new () =
-      let continue = ref true in
-      while !continue do
-        match Unix.accept ~cloexec:true listen_fd with
-        | fd, _ -> inject pool fd
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception
-            Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
-            ()
-      done
-    in
-    while not (stop_requested ()) do
-      match select_eintr [ listen_fd ] [] [] timeout with
-      | [], _, _ -> ()
-      | _ -> accept_new ()
-    done;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
-    stop pool;
-    join pool
-  end
+let serve ?(config = Server.default_config) ?(on_listening = fun () -> ())
+    ?should_stop ~domains ~socket () =
+  let domains = max 1 domains in
+  if config.Server.max_sessions * domains >= Io_loop.fd_setsize then
+    invalid_arg
+      (Printf.sprintf
+         "max-sessions %d x %d domains must stay below FD_SETSIZE (%d)"
+         config.Server.max_sessions domains Io_loop.fd_setsize);
+  let l = Io_loop.listen ~socket in
+  let pool = make_pool ~config ~domains in
+  if should_stop = None then begin
+    let handler = Sys.Signal_handle (fun _ -> stop pool) in
+    Sys.set_signal Sys.sigterm handler;
+    Sys.set_signal Sys.sigint handler
+  end;
+  Array.iteri (fun i w -> if i > 0 then spawn pool w) pool.workers;
+  on_listening ();
+  Fun.protect
+    ~finally:(fun () ->
+      Io_loop.close_listener l;
+      stop pool;
+      join pool)
+    (fun () -> worker_loop ~listening:{ l; should_stop } pool pool.workers.(0))

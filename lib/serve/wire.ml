@@ -368,8 +368,6 @@ module Decoder = struct
 
   type view_result = View of view | View_need_more | View_corrupt of string
 
-  type result = Frame of frame | Need_more | Corrupt of string
-
   let p_decode = St_trace.Trace.probe ~cat:"decode" "wire.decode"
 
   let next_view_untraced t =
@@ -408,7 +406,7 @@ module Decoder = struct
         end
 
   (* Span around one frame-extraction attempt: one per decoded frame in
-     steady state (Need_more outcomes only occur on partial reads). *)
+     steady state (View_need_more outcomes only occur on partial reads). *)
   let next_view t =
     if not !St_trace.Trace.on then next_view_untraced t
     else begin
@@ -419,13 +417,6 @@ module Decoder = struct
     end
 
   let view_string v = Bytes.sub_string v.vbuf v.voff v.vlen
-
-  (* Copying compatibility shim over [next_view] — cold paths and tests. *)
-  let next t =
-    match next_view t with
-    | View_need_more -> Need_more
-    | View_corrupt msg -> Corrupt msg
-    | View v -> Frame { tag = v.vtag; payload = view_string v }
 end
 
 (* Walk the TOKENS records of a decoded frame view without materializing
@@ -487,11 +478,12 @@ let decode_all s =
   let d = Decoder.create () in
   Decoder.feed_string d s;
   let rec go acc =
-    match Decoder.next d with
-    | Decoder.Frame f -> go (f :: acc)
-    | Decoder.Need_more ->
+    match Decoder.next_view d with
+    | Decoder.View v ->
+        go ({ tag = v.Decoder.vtag; payload = Decoder.view_string v } :: acc)
+    | Decoder.View_need_more ->
         if Decoder.buffered d = 0 then Ok (List.rev acc)
         else Result.Error "trailing bytes: truncated frame"
-    | Decoder.Corrupt msg -> Result.Error msg
+    | Decoder.View_corrupt msg -> Result.Error msg
   in
   go []

@@ -119,7 +119,7 @@ val reply_of_frame : frame -> (reply, string) result
     Callers that need the payload beyond the next feed must copy
     ({!view_string}).
 
-    After a [View_corrupt]/[Corrupt] result the decoder is poisoned — the
+    After a [View_corrupt] result the decoder is poisoned — the
     stream has no recoverable framing — and every further call returns the
     same error. *)
 module Decoder : sig
@@ -141,11 +141,6 @@ module Decoder : sig
 
   (** Copy a view's payload out (cold paths, retention past the batch). *)
   val view_string : view -> string
-
-  type result = Frame of frame | Need_more | Corrupt of string
-
-  (** Copying shim over {!next_view} (tests, cold paths). *)
-  val next : t -> result
 
   (** Bytes buffered but not yet consumed by complete frames. *)
   val buffered : t -> int

@@ -2,20 +2,16 @@ open St_automata
 
 let magic = "STKE"
 
-(* version 2 added alphabet equivalence classes: a num_classes field plus the
-   raw 256-byte classmap, with the transition table shrunk to
-   num_states × num_classes. Version 3 appends the self-loop acceleration
-   tables (one enable byte, then per-state flags and 256-bit stop bitmaps,
-   serialized as 8 little-endian 32-bit words per state,
-   when enabled). Version 4 appends, after the stop bitmaps, one SWAR
-   accel-kind byte per state (0 = bitmap tier, 1–3 = SWAR with that many
-   stop bytes, 4 = free-running); the 64-bit broadcast masks are never
-   serialized — they are always rederived from the stop bitmaps, and the
-   stored kinds are cross-checked against the rederivation on load.
-   Version-2 and version-3 blobs are still readable — acceleration and its
-   SWAR classification are derived data, so they are recomputed on load.
-   Version-1 blobs (dense 256-column) are no longer produced and are
-   rejected on load. *)
+(* Layout (version 4): header, then the alphabet equivalence classes (a
+   num_classes field plus the raw 256-byte classmap), accept and
+   transition tables (num_states × num_classes), then the self-loop
+   acceleration tables — one enable byte, then per-state flags, 256-bit
+   stop bitmaps serialized as 8 little-endian 32-bit words per state, and
+   one SWAR accel-kind byte per state (0 = bitmap tier, 1–3 = SWAR with
+   that many stop bytes, 4 = free-running), when enabled. The 64-bit
+   broadcast masks are never serialized — they are always rederived from
+   the stop bitmaps, and the stored kinds are cross-checked against the
+   rederivation on load. Any other version is rejected on load. *)
 let version = 4
 
 (* little-endian 32-bit ints; table entries are small nonnegative numbers
@@ -79,11 +75,9 @@ let of_string ?(verify = true) s =
   let err msg = Error ("Engine_io: " ^ msg) in
   if String.length s < 281 then err "truncated header"
   else if String.sub s 0 4 <> magic then err "bad magic"
-  else if
-    Char.code s.[4] <> 2 && Char.code s.[4] <> 3 && Char.code s.[4] <> version
-  then err (Printf.sprintf "unsupported version %d" (Char.code s.[4]))
+  else if Char.code s.[4] <> version then
+    err (Printf.sprintf "unsupported version %d" (Char.code s.[4]))
   else begin
-    let ver = Char.code s.[4] in
     let stored_sum = get_i32 s 5 in
     if checksum s 9 <> stored_sum then err "checksum mismatch"
     else begin
@@ -92,28 +86,20 @@ let of_string ?(verify = true) s =
       let start = get_i32 s 17 in
       let num_classes = get_i32 s 21 in
       let tables_end = 281 + (4 * num_states) + (4 * num_states * num_classes) in
-      (* v3+ appends an accel-enable byte, then flags + stop bitmaps when
-         set; v4 additionally appends one SWAR kind byte per state *)
+      (* the accel-enable byte, then flags + stop bitmaps + one SWAR kind
+         byte per state when set *)
       let accel_on =
-        ver >= 3
-        && String.length s > tables_end
-        && s.[tables_end] = '\001'
+        String.length s > tables_end && s.[tables_end] = '\001'
       in
       let need =
-        if ver = 2 then tables_end
-        else
-          tables_end + 1
-          +
-          if accel_on then
-            num_states + (num_states * 32)
-            + if ver >= 4 then num_states else 0
-          else 0
+        tables_end + 1
+        + if accel_on then num_states + (num_states * 32) + num_states else 0
       in
       if
         num_states <= 0 || num_classes <= 0 || num_classes > 256
         || String.length s <> need
       then err "bad table sizes"
-      else if ver >= 3 && s.[tables_end] > '\001' then err "bad accel flag byte"
+      else if s.[tables_end] > '\001' then err "bad accel flag byte"
       else if start < 0 || start >= num_states then err "bad start state"
       else begin
         let classmap = String.sub s 25 256 in
@@ -164,21 +150,18 @@ let of_string ?(verify = true) s =
                 then err "bad accel state flag"
                 else begin
                   (* SWAR classification (and its broadcast masks) is derived
-                     from the stop bitmaps; a v4 blob stores the kind bytes
+                     from the stop bitmaps; the blob stores the kind bytes
                      only as a cross-check — a kind the bitmaps don't imply
                      would silently corrupt the skip loops, so reject it *)
                   let kinds, masks =
                     Dfa.swar_classify ~num_states ~stops
                   in
-                  if ver >= 4 then begin
-                    let kbase = sbase + (num_states * 32) in
-                    let stored = String.sub s kbase num_states in
-                    if String.exists (fun c -> c > '\004') stored then
-                      err "bad accel kind byte"
-                    else if not (String.equal stored (Bytes.to_string kinds))
-                    then err "accel kinds inconsistent with stop bitmaps"
-                    else Ok (Some (flags, stops, kinds, masks))
-                  end
+                  let kbase = sbase + (num_states * 32) in
+                  let stored = String.sub s kbase num_states in
+                  if String.exists (fun c -> c > '\004') stored then
+                    err "bad accel kind byte"
+                  else if not (String.equal stored (Bytes.to_string kinds))
+                  then err "accel kinds inconsistent with stop bitmaps"
                   else Ok (Some (flags, stops, kinds, masks))
                 end
               end
@@ -189,9 +172,8 @@ let of_string ?(verify = true) s =
                 let d =
                   match tables with
                   | None ->
-                      (* v2, or a v3/v4 blob serialized from an unaccelerated
-                         build: acceleration is derived data — recompute *)
-                      Dfa.attach_accel ~enabled:(ver = 2) bare
+                      (* serialized from an unaccelerated build *)
+                      Dfa.attach_accel ~enabled:false bare
                   | Some (accel_flags, accel_stops, accel_kind, accel_swar) ->
                       {
                         bare with

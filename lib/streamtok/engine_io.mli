@@ -8,12 +8,12 @@
     The format stores the tokenization DFA and the analyzed max-TND; the
     derived structures (Fig. 5 table, co-accessibility, token-extension
     DFA) are cheap and rebuilt on load. The self-loop acceleration tables
-    travel with the DFA (v3), including the per-state SWAR tier
-    classification (v4, cross-checked against the stop bitmaps on load;
-    the 64-bit broadcast masks are always rederived). v2/v3 blobs still
-    load — SWAR classification is derived data and is recomputed. The
-    encoding is a versioned, self-describing binary format — not
-    [Marshal] — so files are stable across compiler versions. *)
+    travel with the DFA, including the per-state SWAR tier classification
+    (cross-checked against the stop bitmaps on load; the 64-bit broadcast
+    masks are always rederived). The encoding is a versioned,
+    self-describing binary format — not [Marshal] — so files are stable
+    across compiler versions; only the current {!version} (4) loads, any
+    other is rejected as [unsupported version]. *)
 
 val magic : string
 val version : int

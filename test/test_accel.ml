@@ -3,7 +3,7 @@
    scanners' unit behaviour around the unroll boundaries, golden-corpus
    parity of accelerated vs. reference engines (batch and chunked), the
    streaming skip counters, and the .stc v4 accel section (round-trip,
-   v2/v3 compat, corruption). The SWAR tier itself (word-level oracle,
+   v2/v3 rejection, corruption). The SWAR tier itself (word-level oracle,
    endianness, random battery) lives in test_swar.ml. *)
 
 open Streamtok
@@ -11,6 +11,7 @@ module Chunking = Fuzz.Chunking
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_str = Alcotest.(check string)
 
 let golden_grammars = Formats.all @ Languages.all
 
@@ -335,40 +336,28 @@ let test_stc_v4_roundtrip () =
         (Dfa.accel_enabled (Engine.dfa ep'))
   | Error msg -> Alcotest.failf "noaccel v4 load failed: %s" msg
 
-let test_stc_v2_compat () =
-  (* a v2 blob is a v4 blob cut at the end of the transition tables with
-     the version byte rewound; acceleration must be recomputed on load *)
-  let e = compile_grammar Formats.csv in
-  let d = Engine.dfa e in
-  let v4 = Engine_io.to_string e in
-  let v2 = Bytes.of_string (String.sub v4 0 (tables_end d)) in
-  Bytes.set v2 4 '\002';
-  fix_checksum v2;
-  match Engine_io.of_string (Bytes.to_string v2) with
-  | Ok e' ->
-      check "v2 load recomputes identical accel tables" true
-        (Dfa.equal d (Engine.dfa e'))
-  | Error msg -> Alcotest.failf "v2 load failed: %s" msg
-
-let test_stc_v3_compat () =
-  (* a v3 blob is a v4 blob with the per-state kind section cut off and the
-     version byte rewound; the SWAR classification must be recomputed on
-     load, identically to the build-time one *)
+(* a v2 blob is a v4 blob cut at the end of the transition tables, a v3
+   blob one with the per-state kind section cut off; each with its version
+   byte rewound and a valid checksum. Only v4 loads. *)
+let check_old_version_rejected ver cut =
   let e = compile_grammar Formats.json in
-  let d = Engine.dfa e in
   let v4 = Engine_io.to_string e in
-  let n = Dfa.size d in
-  let v3 = Bytes.of_string (String.sub v4 0 (String.length v4 - n)) in
-  Bytes.set v3 4 '\003';
-  fix_checksum v3;
-  match Engine_io.of_string (Bytes.to_string v3) with
-  | Ok e' ->
-      check "v3 load recomputes identical classification" true
-        (Dfa.equal d (Engine.dfa e'));
-      check_int "v3 load finds the same swar states"
-        (Dfa.accel_swar_state_count d)
-        (Dfa.accel_swar_state_count (Engine.dfa e'))
-  | Error msg -> Alcotest.failf "v3 load failed: %s" msg
+  let b = Bytes.of_string (String.sub v4 0 (cut (Engine.dfa e) v4)) in
+  Bytes.set b 4 (Char.chr ver);
+  fix_checksum b;
+  match Engine_io.of_string (Bytes.to_string b) with
+  | Ok _ -> Alcotest.failf "v%d blob loaded" ver
+  | Error msg ->
+      check_str
+        (Printf.sprintf "v%d rejected" ver)
+        (Printf.sprintf "Engine_io: unsupported version %d" ver)
+        msg
+
+let test_stc_v2_rejected () =
+  check_old_version_rejected 2 (fun d _ -> tables_end d)
+
+let test_stc_v3_rejected () =
+  check_old_version_rejected 3 (fun d v4 -> String.length v4 - Dfa.size d)
 
 let test_stc_accel_corruption () =
   let e = compile_grammar Formats.csv in
@@ -447,8 +436,8 @@ let suite =
     Alcotest.test_case "streaming skip counters" `Quick
       test_streaming_skip_counters;
     Alcotest.test_case "stc v4 roundtrip" `Quick test_stc_v4_roundtrip;
-    Alcotest.test_case "stc v2 compat" `Quick test_stc_v2_compat;
-    Alcotest.test_case "stc v3 compat" `Quick test_stc_v3_compat;
+    Alcotest.test_case "stc v2 rejected" `Quick test_stc_v2_rejected;
+    Alcotest.test_case "stc v3 rejected" `Quick test_stc_v3_rejected;
     Alcotest.test_case "stc accel corruption" `Quick test_stc_accel_corruption;
     Alcotest.test_case "stc swar corruption" `Quick test_stc_swar_corruption;
   ]

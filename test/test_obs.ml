@@ -121,6 +121,73 @@ let test_span () =
 
 (* ---- serialization ---- *)
 
+(* Two registries with one shape, as two servers built by the same code
+   have: a counter, a gauge, a histogram, a span. *)
+let sample_registry ~c ~g ~obs ~span =
+  let r = M.Registry.create () in
+  M.Counter.add (M.Registry.counter r "c") c;
+  M.Gauge.set (M.Registry.gauge r "g") g;
+  let h = M.Registry.histogram r "h" in
+  List.iter (M.Histogram.observe h) obs;
+  M.Span.add (M.Registry.span r "s") span;
+  r
+
+let metric r name =
+  (List.find (fun m -> m.M.name = name) (M.Registry.metrics r)).M.kind
+
+let counter_of r name =
+  match metric r name with M.Counter c -> M.Counter.value c | _ -> assert false
+
+let gauge_of r name =
+  match metric r name with M.Gauge g -> M.Gauge.value g | _ -> assert false
+
+let histogram_of r name =
+  match metric r name with M.Histogram h -> h | _ -> assert false
+
+let test_registry_copy () =
+  let r = sample_registry ~c:3 ~g:1.5 ~obs:[ 1; 100 ] ~span:0.25 in
+  let cp = M.Registry.copy r in
+  check "same names in order" true
+    (List.map (fun m -> m.M.name) (M.Registry.metrics cp)
+    = List.map (fun m -> m.M.name) (M.Registry.metrics r));
+  (* mutate the source: the copy must not move *)
+  (match metric r "c" with M.Counter c -> M.Counter.add c 10 | _ -> ());
+  (match metric r "g" with M.Gauge g -> M.Gauge.set g 9. | _ -> ());
+  M.Histogram.observe (histogram_of r "h") 5000;
+  check_int "counter frozen" 3 (counter_of cp "c");
+  check "gauge frozen" true (gauge_of cp "g" = 1.5);
+  check_int "histogram frozen" 2 (M.Histogram.count (histogram_of cp "h"));
+  (* and the other way round *)
+  (match metric cp "c" with M.Counter c -> M.Counter.incr c | _ -> ());
+  check_int "source untouched by the copy" 13 (counter_of r "c")
+
+let test_registry_merge () =
+  let a = sample_registry ~c:3 ~g:1.5 ~obs:[ 1; 100 ] ~span:0.25 in
+  let b = sample_registry ~c:4 ~g:2.0 ~obs:[ 7; 70000 ] ~span:0.5 in
+  M.Registry.merge a b;
+  check_int "counters sum" 7 (counter_of a "c");
+  check "gauges sum" true (gauge_of a "g" = 3.5);
+  let expect = M.Histogram.create () in
+  List.iter (M.Histogram.observe expect) [ 1; 100; 7; 70000 ];
+  let h = histogram_of a "h" in
+  check "histogram merged exactly" true
+    (M.Histogram.buckets h = M.Histogram.buckets expect
+    && M.Histogram.count h = 4
+    && M.Histogram.sum h = M.Histogram.sum expect
+    && M.Histogram.max_value h = 70000);
+  (match metric a "s" with
+  | M.Span s ->
+      check_int "span counts sum" 2 (M.Span.count s);
+      check "span seconds sum" true (M.Span.seconds s = 0.75)
+  | _ -> assert false);
+  check_int "source unchanged" 4 (counter_of b "c");
+  let other = M.Registry.create () in
+  ignore (M.Registry.counter other "c");
+  check "shape mismatch rejected" true
+    (match M.Registry.merge a other with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let test_json_exact () =
   let r = M.Registry.create () in
   M.Counter.add (M.Registry.counter r "tokens") 12;
@@ -439,6 +506,9 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick
       test_histogram_percentiles;
     Alcotest.test_case "span" `Quick test_span;
+    Alcotest.test_case "registry copy is independent" `Quick
+      test_registry_copy;
+    Alcotest.test_case "registry merge" `Quick test_registry_merge;
     Alcotest.test_case "JSON exact form" `Quick test_json_exact;
     Alcotest.test_case "JSON non-finite + escaping" `Quick test_json_non_finite;
     Alcotest.test_case "JSON \\u decoding (surrogates)" `Quick

@@ -76,6 +76,30 @@ let prop_reply_roundtrip =
       | Ok [ f ] -> W.reply_of_frame f = Ok reply
       | _ -> false)
 
+(* Drive the view API under one chunking and collect (tag, payload copy)
+   pairs; [View_corrupt] maps to None. *)
+let decode_views_under chunking stream =
+  let d = W.Decoder.create () in
+  let frames = ref [] in
+  let ok = ref true in
+  let pos = ref 0 in
+  List.iter
+    (fun n ->
+      W.Decoder.feed d stream ~pos:!pos ~len:n;
+      pos := !pos + n;
+      let continue = ref true in
+      while !continue do
+        match W.Decoder.next_view d with
+        | W.Decoder.View v ->
+            frames := (v.W.Decoder.vtag, W.Decoder.view_string v) :: !frames
+        | W.Decoder.View_need_more -> continue := false
+        | W.Decoder.View_corrupt _ ->
+            ok := false;
+            continue := false
+      done)
+    chunking;
+  if !ok then Some (List.rev !frames, W.Decoder.copies d) else None
+
 (* A frame stream split at adversarial byte boundaries (reusing the fuzz
    chunking strategies) must decode to exactly the same frames. *)
 let prop_chunked_decode =
@@ -89,30 +113,14 @@ let prop_chunked_decode =
       List.iter (W.encode_request b) reqs;
       let stream = Buffer.contents b in
       let reference =
-        match W.decode_all stream with Ok fs -> fs | Error _ -> assert false
+        match W.decode_all stream with
+        | Ok fs -> List.map (fun f -> (f.W.tag, f.W.payload)) fs
+        | Error _ -> assert false
       in
       let rng = Prng.create (Int64.of_int seed) in
       List.for_all
         (fun (_name, chunking) ->
-          let d = W.Decoder.create () in
-          let frames = ref [] in
-          let ok = ref true in
-          let pos = ref 0 in
-          List.iter
-            (fun n ->
-              W.Decoder.feed d stream ~pos:!pos ~len:n;
-              pos := !pos + n;
-              let continue = ref true in
-              while !continue do
-                match W.Decoder.next d with
-                | W.Decoder.Frame f -> frames := f :: !frames
-                | W.Decoder.Need_more -> continue := false
-                | W.Decoder.Corrupt _ ->
-                    ok := false;
-                    continue := false
-              done)
-            chunking;
-          !ok && List.rev !frames = reference)
+          Option.map fst (decode_views_under chunking stream) = Some reference)
         (Fuzz.Chunking.standard ~rng ~delay:5 (String.length stream)))
 
 (* ---- loopback session lifecycles ---- *)
@@ -395,34 +403,10 @@ let test_drain () =
 
 (* ---- zero-copy decoder views ---- *)
 
-(* Drive the view API under one chunking and collect (tag, payload copy)
-   pairs; [Corrupt]/[View_corrupt] maps to None. *)
-let decode_views_under chunking stream =
-  let d = W.Decoder.create () in
-  let frames = ref [] in
-  let ok = ref true in
-  let pos = ref 0 in
-  List.iter
-    (fun n ->
-      W.Decoder.feed d stream ~pos:!pos ~len:n;
-      pos := !pos + n;
-      let continue = ref true in
-      while !continue do
-        match W.Decoder.next_view d with
-        | W.Decoder.View v ->
-            frames := (v.W.Decoder.vtag, W.Decoder.view_string v) :: !frames
-        | W.Decoder.View_need_more -> continue := false
-        | W.Decoder.View_corrupt _ ->
-            ok := false;
-            continue := false
-      done)
-    chunking;
-  if !ok then Some (List.rev !frames, W.Decoder.copies d) else None
-
-(* The tentpole contract: under ANY chunk split — byte-at-a-time, random,
-   straddling the compaction boundary — the payload views are
-   byte-identical to the old compact-and-copy decode, and a whole-stream
-   feed (no frame ever straddles a feed) performs zero copies. *)
+(* The zero-copy contract: under ANY chunk split — byte-at-a-time,
+   random, straddling the compaction boundary — the payload views are
+   byte-identical to a one-feed decode, and a whole-stream feed (no frame
+   ever straddles a feed) performs zero copies. *)
 let prop_view_decode_identity =
   QCheck.Test.make ~count:100 ~name:"wire: zero-copy views ≡ copying decode"
     QCheck.(

@@ -1,7 +1,9 @@
 (* Domain sharding: the engine cache under real multi-domain compile
-   storms (exactly-one-compile, LRU integrity, cached failures), and the
+   storms (exactly-one-compile, LRU integrity, cached failures), the
    worker-domain pool end-to-end — socketpair handoff, token parity on
-   every connection, pool-wide stats aggregation, and drain liveness. *)
+   every connection, pool-wide stats merging, and drain liveness — one
+   STATS shape for every daemon, and the daemon's accept-side fd bounds
+   driven in-process through [Shard.serve]. *)
 
 open Streamtok
 module W = Serve.Wire
@@ -211,6 +213,256 @@ let test_stop_with_inflight_handoff () =
   check "connection resolved without wedging" true
     (s = "" || tokens_of_stream s <> [] || has_error_frame s)
 
+(* ---- one STATS document for every daemon shape ---- *)
+
+(* Every name, kind and position of the STATS document. It includes every
+   name the layered benchmark reads (bytes_in, feed_batches, writevs,
+   batch_bytes_direct, batch_bytes_copied, decoder_copies,
+   feed_latency_ns, engine_cache_compiles / hits / evictions). *)
+let pinned_stats =
+  [
+    ("sessions", "gauge");
+    ("sessions_peak", "gauge");
+    ("sessions_opened", "counter");
+    ("sessions_closed", "counter");
+    ("sessions_rejected", "counter");
+    ("sessions_evicted_idle", "counter");
+    ("bytes_in", "counter");
+    ("bytes_out", "counter");
+    ("tokens", "counter");
+    ("feeds", "counter");
+    ("feed_batches", "counter");
+    ("flushes", "counter");
+    ("writevs", "counter");
+    ("batch_bytes_direct", "counter");
+    ("batch_bytes_copied", "counter");
+    ("decoder_copies", "counter");
+    ("protocol_errors", "counter");
+    ("lexical_errors", "counter");
+    ("feed_latency_ns", "histogram");
+    ("engine_cache_compiles", "counter");
+    ("engine_cache_hits", "counter");
+    ("engine_cache_evictions", "counter");
+    ("engine_cache_entries", "gauge");
+    ("uptime_seconds", "gauge");
+  ]
+
+let names_and_kinds body =
+  let field k j =
+    match Option.bind (Obs.Json.member k j) Obs.Json.to_string_opt with
+    | Some v -> v
+    | None -> Alcotest.fail ("STATS metric without " ^ k)
+  in
+  match Obs.Json.of_string body with
+  | Error msg -> Alcotest.fail ("STATS body is not JSON: " ^ msg)
+  | Ok doc -> (
+      match
+        Option.bind (Obs.Json.member "metrics" doc) Obs.Json.to_list_opt
+      with
+      | Some ms -> List.map (fun m -> (field "name" m, field "type" m)) ms
+      | None -> Alcotest.fail "STATS body has no metrics list")
+
+let stats_body_of_replies replies =
+  match
+    List.find_map
+      (function W.Metrics { body; _ } -> Some body | _ -> None)
+      replies
+  with
+  | Some body -> body
+  | None -> Alcotest.fail "no METRICS reply"
+
+let pool_stats_body ~domains =
+  let pool = Serve.Shard.create_pool ~domains () in
+  let cl, sv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Serve.Shard.inject pool sv;
+  write_all cl (encode_reqs [ W.Stats W.Json; W.Close ]);
+  let s = read_all cl in
+  Unix.close cl;
+  Serve.Shard.stop pool;
+  Serve.Shard.join pool;
+  match W.decode_all s with
+  | Error msg -> Alcotest.fail msg
+  | Ok frames ->
+      stats_body_of_replies
+        (List.filter_map
+           (fun f -> Result.to_option (W.reply_of_frame f))
+           frames)
+
+let test_stats_shape () =
+  let lb = Serve.Loopback.create () in
+  let c = Serve.Loopback.connect lb in
+  Serve.Loopback.send c (W.Stats W.Json);
+  Serve.Loopback.run lb;
+  let docs =
+    [
+      ("loopback server", stats_body_of_replies (Serve.Loopback.replies c));
+      ("domains:1 pool", pool_stats_body ~domains:1);
+      ("domains:2 pool", pool_stats_body ~domains:2);
+    ]
+  in
+  List.iter
+    (fun (label, body) ->
+      check (label ^ ": pinned names, kinds and order") true
+        (names_and_kinds body = pinned_stats))
+    docs
+
+let pool_histogram reg name =
+  match
+    List.find_opt
+      (fun m -> m.Obs.Metrics.name = name)
+      (Obs.Metrics.Registry.metrics reg)
+  with
+  | Some { Obs.Metrics.kind = Obs.Metrics.Histogram h; _ } -> h
+  | _ -> Alcotest.fail (Printf.sprintf "no histogram %s" name)
+
+let test_pool_counters_sum () =
+  (* Four clients of different sizes and FEED counts over two workers:
+     every pool counter is the sum of what the clients sent and got. *)
+  let inputs =
+    List.init 4 (fun i ->
+        let doc =
+          Gen_data.json ~seed:(Int64.of_int (7 + i))
+            ~target_bytes:(600 * (i + 1)) ()
+        in
+        (* i + 1 FEED frames per client *)
+        let n = String.length doc and k = i + 1 in
+        List.init k (fun j ->
+            let lo = j * n / k and hi = (j + 1) * n / k in
+            String.sub doc lo (hi - lo)))
+  in
+  let pool = Serve.Shard.create_pool ~domains:2 () in
+  let clients =
+    List.map
+      (fun feeds ->
+        let cl, sv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Serve.Shard.inject pool sv;
+        write_all cl
+          (encode_reqs
+             ((W.Open "json" :: List.map (fun f -> W.Feed f) feeds)
+             @ [ W.Flush; W.Close ]));
+        cl)
+      inputs
+  in
+  let streams = List.map read_all clients in
+  List.iter Unix.close clients;
+  Serve.Shard.stop pool;
+  Serve.Shard.join pool;
+  let sum f =
+    List.fold_left ( + ) 0 (List.map f (List.combine inputs streams))
+  in
+  let reg =
+    match Serve.Shard.stats pool with
+    | Some r -> r
+    | None -> Alcotest.fail "pool published no stats"
+  in
+  let expect name v = check_int name v (pool_counter reg name) in
+  expect "sessions_opened" 4;
+  expect "sessions_closed" 4;
+  expect "flushes" 4;
+  expect "feeds" (sum (fun (feeds, _) -> List.length feeds));
+  expect "bytes_in"
+    (sum (fun (feeds, _) -> String.length (String.concat "" feeds)));
+  expect "bytes_out" (sum (fun (_, s) -> String.length s));
+  expect "tokens" (sum (fun (_, s) -> List.length (tokens_of_stream s)));
+  expect "engine_cache_compiles" 1;
+  check_int "one latency sample per feed batch"
+    (pool_counter reg "feed_batches")
+    (Obs.Metrics.Histogram.count (pool_histogram reg "feed_latency_ns"))
+
+(* ---- the daemon's accept-side fd bounds ---- *)
+
+(* A file descriptor is its int on Unix. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
+let fd_setsize = Serve.Io_loop.fd_setsize
+
+(* Run [Shard.serve ~domains:1] in a domain of this process for [f]. *)
+let with_daemon f =
+  let sock = Filename.temp_file "streamtok_test" ".sock" in
+  Sys.remove sock;
+  let stopf = Atomic.make false and ready = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Serve.Shard.serve
+          ~on_listening:(fun () -> Atomic.set ready true)
+          ~should_stop:(fun () -> Atomic.get stopf)
+          ~domains:1 ~socket:sock ())
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.001
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stopf true;
+      Domain.join d)
+    (fun () -> f sock)
+
+(* A blocking client whose reads give up (EAGAIN) instead of hanging if
+   the daemon never answers. *)
+let connect sock =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  fd
+
+let test_fd_over_setsize () =
+  let input = Gen_data.json ~seed:0x5EEDL ~target_bytes:2048 () in
+  let expect =
+    let cl = Serve.Loopback.create () in
+    let c = Serve.Loopback.connect cl in
+    List.iter (Serve.Loopback.send c) [ W.Open "json"; W.Feed input; W.Flush ];
+    Serve.Loopback.run cl;
+    List.concat_map
+      (function W.Tokens toks -> toks | _ -> [])
+      (Serve.Loopback.replies c)
+  in
+  with_daemon (fun sock ->
+      (* occupy every fd below FD_SETSIZE, so the daemon's next accept
+         returns one [select] cannot watch *)
+      let devnull =
+        Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+      in
+      let dups = ref [ devnull ] in
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> List.iter Unix.close !dups)
+          (fun () ->
+            while fd_number (List.hd !dups) < fd_setsize + 8 do
+              dups := Unix.dup ~cloexec:true devnull :: !dups
+            done;
+            let cl = connect sock in
+            check "client fd past FD_SETSIZE" true (fd_number cl >= fd_setsize);
+            Fun.protect
+              ~finally:(fun () -> Unix.close cl)
+              (fun () -> read_all cl))
+      in
+      (match W.decode_all reply with
+      | Ok [ f ] -> (
+          match W.reply_of_frame f with
+          | Ok (W.Error { code = W.Capacity; retryable = true; _ }) -> ()
+          | _ -> Alcotest.fail "expected a retryable Capacity error")
+      | _ -> Alcotest.fail "expected exactly one reply frame");
+      (* the fds are back under the bound: an honest client is served *)
+      let cl = connect sock in
+      write_all cl
+        (encode_reqs [ W.Open "json"; W.Feed input; W.Flush; W.Close ]);
+      let s = read_all cl in
+      Unix.close cl;
+      check "no error reply" false (has_error_frame s);
+      check "token parity after the refusal" true (tokens_of_stream s = expect))
+
+let test_serve_rejects_fd_budget () =
+  let sock = Filename.temp_file "streamtok_test" ".sock" in
+  Sys.remove sock;
+  let config = { Serve.Server.default_config with max_sessions = 512 } in
+  check "max-sessions x domains >= FD_SETSIZE refused" true
+    (match
+       Serve.Shard.serve ~config ~should_stop:(fun () -> true) ~domains:2
+         ~socket:sock ()
+     with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  check "refused before binding" false (Sys.file_exists sock)
+
 let suite =
   [
     Alcotest.test_case "cache storm: exactly one compile" `Quick
@@ -223,4 +475,12 @@ let suite =
       test_pool_parity_and_stats;
     Alcotest.test_case "stop with in-flight handoff" `Quick
       test_stop_with_inflight_handoff;
+    Alcotest.test_case "STATS shape, every daemon" `Quick
+      test_stats_shape;
+    Alcotest.test_case "pool counters = worker sum" `Quick
+      test_pool_counters_sum;
+    Alcotest.test_case "fd over FD_SETSIZE refused" `Quick
+      test_fd_over_setsize;
+    Alcotest.test_case "fd budget checked at start" `Quick
+      test_serve_rejects_fd_budget;
   ]
