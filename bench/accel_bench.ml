@@ -49,8 +49,8 @@ let best_of_triple rounds ea es ep input =
 let engines_opt name rules =
   match
     ( Engine.compile_rules rules,
-      Engine.compile_rules ~swar:false rules,
-      Engine.compile_rules ~accel:false rules )
+      Engine.compile (Dfa.of_rules ~swar:false rules),
+      Engine.compile (Dfa.of_rules ~accel:false rules) )
   with
   | Ok a, Ok s, Ok p -> Some (a, s, p)
   | Error Engine.Unbounded_tnd, Error Engine.Unbounded_tnd,

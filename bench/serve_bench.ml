@@ -322,14 +322,14 @@ let best_of_runs rounds f =
 
 (* ---------------------------------------------------------------- *)
 (* The pool's one shared engine cache under a compile storm:         *)
-(* [domains] domains each resolving the same 4 flag-variants of the  *)
-(* json grammar (distinct cache keys) concurrently must cost exactly *)
-(* 4 compiles pool-wide.                                             *)
+(* [domains] domains each resolving the same 4 built-in grammars     *)
+(* (distinct cache keys) concurrently must cost exactly 4 compiles   *)
+(* pool-wide.                                                        *)
 (* ---------------------------------------------------------------- *)
 
+let storm_grammars = [ Formats.json; Formats.csv; Formats.tsv; Formats.xml ]
+
 let cache_storm ~domains:n =
-  let rules = Grammar.rules Formats.json in
-  let variants = [ (true, true); (true, false); (false, true); (false, false) ] in
   let cache = Engine_cache.create ~max_entries:16 () in
   let started = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
@@ -341,13 +341,11 @@ let cache_storm ~domains:n =
               Domain.cpu_relax ()
             done;
             List.iter
-              (fun (classes, accel) ->
-                match
-                  Engine_cache.find_or_compile cache ~classes ~accel rules
-                with
+              (fun g ->
+                match Engine_cache.find_or_compile cache (Grammar.rules g) with
                 | Ok _ -> ()
                 | Error _ -> failwith "serve bench: storm compile failed")
-              variants))
+              storm_grammars))
   in
   List.iter Domain.join doms;
   (Unix.gettimeofday () -. t0, Engine_cache.compiles cache)
@@ -481,7 +479,7 @@ let run ?(size_mb = 8) () =
 
   (* -------- the shared engine cache under a 4-domain compile storm -- *)
   Bench_common.pp_header
-    "Serve: engine cache under a 4-domain compile storm (4 grammar variants)";
+    "Serve: engine cache under a 4-domain compile storm (4 built-in grammars)";
   let storm_dt, storm_compiles = cache_storm ~domains:4 in
   Printf.printf "  shared     %6.1f ms  %2d compiles\n" (storm_dt *. 1000.)
     storm_compiles;

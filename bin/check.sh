@@ -98,7 +98,7 @@ for f in "$tmpd"/*.repro; do
 done
 rm -rf "$tmpd"
 
-echo "== serve smoke (daemon parity, zero-copy decode, engine cache, client abort, SIGTERM drain)"
+echo "== serve smoke (daemon parity, zero-copy decode, engine cache, client abort, over-cap OPEN, SIGTERM drain)"
 # Use the installed binary directly: the daemon and clients run
 # concurrently, and parallel `dune exec` invocations would fight over the
 # build lock.
@@ -211,6 +211,34 @@ fi
   "$tmpd/small.json" --ids > "$tmpd/ids.out"
 if ! cmp -s "$tmpd/ids.ref" "$tmpd/ids.out"; then
   echo "serve smoke FAILED: BPE ids over the wire differ from tokenize --ids"
+  rm -rf "$tmpd"
+  exit 1
+fi
+
+# over-cap inline grammar: every OPEN compiles under the subset-
+# construction cap, so a 22-byte grammar with a 2^17-state DFA is a
+# bad-grammar refusal (client exits non-zero), the daemon stays up, and
+# the next client is still byte-identical to tokenize
+if "$BIN" client --socket "$sock" '@[ab]*a[ab]{16}c' "$tmpd/small.json" \
+  > /dev/null 2> "$tmpd/cap.err"; then
+  echo "serve smoke FAILED: over-cap grammar OPEN was accepted"
+  rm -rf "$tmpd"
+  exit 1
+fi
+if ! grep -q "exceeded 65536 states (max_states cap)" "$tmpd/cap.err"; then
+  echo "serve smoke FAILED: over-cap OPEN did not name the state cap"
+  cat "$tmpd/cap.err"
+  rm -rf "$tmpd"
+  exit 1
+fi
+if ! kill -0 "$srv" 2> /dev/null; then
+  echo "serve smoke FAILED: daemon died after an over-cap OPEN"
+  rm -rf "$tmpd"
+  exit 1
+fi
+"$BIN" client --socket "$sock" json "$tmpd/in.json" > "$tmpd/out.cap"
+if ! cmp -s "$tmpd/ref.out" "$tmpd/out.cap"; then
+  echo "serve smoke FAILED: client after an over-cap OPEN differs from tokenize"
   rm -rf "$tmpd"
   exit 1
 fi

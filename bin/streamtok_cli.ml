@@ -52,21 +52,15 @@ let bpe_spec spec =
 
 let resolve_grammar spec =
   match bpe_spec spec with
-  | Some path -> (
-      match Bpe.Vocab.load_file path with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok v -> (
-          match Bpe.Compiler.audit v with
-          | Error w ->
-              Error
-                (Printf.sprintf "%s: vocabulary is not munch-consistent — %s"
-                   path
-                   (Bpe.Compiler.witness_to_string w))
-          | Ok () ->
-              Ok
-                (Bpe.Compiler.grammar_of_vocab
-                   ~name:("bpe:" ^ Filename.basename path)
-                   v)))
+  | Some path ->
+      Result.bind (Bpe.Vocab.load_file path) (fun v ->
+          Result.map
+            (fun _ ->
+              Bpe.Compiler.grammar_of_vocab
+                ~name:("bpe:" ^ Filename.basename path)
+                v)
+            (Bpe.Compiler.admit v))
+      |> Result.map_error (fun e -> path ^ ": " ^ e)
   | None -> (
       match Registry.find spec with
       | Some g -> Ok g
@@ -417,15 +411,14 @@ let bpe_analyze_cmd =
     Printf.printf "vocab:     %s (%d tokens, longest %d bytes)\n"
       (Filename.basename path) (Bpe.Vocab.size v)
       (Bpe.Vocab.max_token_len v);
-    (match Bpe.Compiler.audit v with
-    | Error w ->
-        Printf.printf "audit:     NOT munch-consistent — %s\n"
-          (Bpe.Compiler.witness_to_string w);
+    (match Bpe.Compiler.admit v with
+    | Error e ->
+        Printf.printf "audit:     %s\n" e;
         print_endline
           "           (the greedy DFA would disagree with the merge loop; \
            drop the long token or retrain)";
         exit 1
-    | Ok () ->
+    | Ok _ ->
         print_endline
           "audit:     munch-consistent (greedy DFA = merge loop on every \
            input)");
@@ -437,7 +430,12 @@ let bpe_analyze_cmd =
           exit 1
     in
     Printf.printf "DFA size:  %d\n" (Dfa.size d);
-    let result = Tnd.max_tnd d in
+    let compiled = Engine.compile_timed d in
+    let result =
+      match compiled with
+      | Ok (_, cs) -> cs.Engine.max_tnd
+      | Error Engine.Unbounded_tnd -> Tnd.Infinite
+    in
     Printf.printf "max-TND:   %s\n" (Tnd.result_to_string result);
     (match result with
     | Tnd.Finite k when k > 0 -> (
@@ -447,7 +445,7 @@ let bpe_analyze_cmd =
               (String.length w - String.length u)
         | None -> ())
     | _ -> ());
-    match Engine.compile_timed d with
+    match compiled with
     | Error Engine.Unbounded_tnd ->
         (* Unreachable for a finite vocabulary of literals, but keep the
            same shape as `analyze` rather than asserting. *)

@@ -59,8 +59,6 @@ let run_analysis ~record d =
 
 let max_tnd d = fst (run_analysis ~record:false d)
 let max_tnd_trace d = run_analysis ~record:true d
-let max_tnd_of_rules rules = max_tnd (Dfa.of_rules rules)
-let max_tnd_of_grammar src = max_tnd (Dfa.of_grammar src)
 
 (* Shortest nonempty strings from the start state to every state (BFS over
    the DFA, seeded with the one-symbol successors of start). *)

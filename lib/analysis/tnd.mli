@@ -6,7 +6,6 @@
     distances; by the dichotomy lemma (Lemma 11), if the distance exceeds
     |A| + 2 it is infinite. Running time is O(|A|²). *)
 
-open St_regex
 open St_automata
 
 type result = Finite of int | Infinite
@@ -17,11 +16,6 @@ val equal_result : result -> result -> bool
 
 (** Max-TND of the token language of an already-built tokenization DFA. *)
 val max_tnd : Dfa.t -> result
-
-(** Convenience: build the (minimized) DFA and analyze. *)
-val max_tnd_of_rules : Regex.t list -> result
-
-val max_tnd_of_grammar : string -> result
 
 (** One row of the Fig. 4-style execution trace: the tentative distance, the
     frontier [s] before the step, its successor set [t], and whether the

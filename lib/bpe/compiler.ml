@@ -146,12 +146,13 @@ let audit vocab =
 let rules_of_vocab vocab =
   Array.to_list (Array.map Regex.str (Vocab.tokens vocab))
 
+let rule_name id = Printf.sprintf "t%d" id
+
 let grammar_of_vocab ?(name = "bpe") vocab =
   let pairs =
     Array.to_list
       (Array.mapi
-         (fun id tok ->
-           (Printf.sprintf "t%d" id, Regex.to_string (Regex.str tok)))
+         (fun id tok -> (rule_name id, Regex.to_string (Regex.str tok)))
          (Vocab.tokens vocab))
   in
   match
@@ -168,15 +169,16 @@ let grammar_of_vocab ?(name = "bpe") vocab =
 
 let default_max_states = 65536
 
-let run_audit = audit
+let admit vocab =
+  match audit vocab with
+  | Error w ->
+      Error ("vocabulary is not munch-consistent — " ^ witness_to_string w)
+  | Ok () -> Ok (rules_of_vocab vocab)
 
 let dfa ?(audit = true) ?(max_states = default_max_states) vocab =
-  match (if audit then run_audit vocab else Ok ()) with
-  | Error w ->
-      Error
-        ("bpe: vocabulary is not munch-consistent — " ^ witness_to_string w
-       ^ " (drop the long token or retrain; see `streamtok bpe train`)")
-  | Ok () -> (
-      match Dfa.of_rules ~max_states (rules_of_vocab vocab) with
+  Result.bind
+    (if audit then admit vocab else Ok (rules_of_vocab vocab))
+    (fun rules ->
+      match Dfa.of_rules ~max_states rules with
       | d -> Ok d
       | exception Failure msg -> Error msg)

@@ -20,7 +20,7 @@
       the BPE tokenization of its concatenation iff every adjacent pair
       encodes to itself — Berglund et al.).
 
-    [compile] refuses inconsistent vocabularies with a concrete witness;
+    {!admit} refuses inconsistent vocabularies with a concrete witness;
     {!Trainer.repair} uses the same witness to drop offenders. *)
 
 open St_regex
@@ -43,16 +43,29 @@ val audit : Vocab.t -> (unit, witness) result
     grammar round-trips through the parser and the engine cache key). *)
 val rules_of_vocab : Vocab.t -> Regex.t list
 
+(** The name of token [id]'s rule: [t<id>]. *)
+val rule_name : int -> string
+
 (** The vocabulary as an ordinary grammar: rule [t<id>] per token, priority
-    = id order. No consistency check — pair with {!audit}. *)
+    = id order. No consistency check — pair with {!admit}. *)
 val grammar_of_vocab : ?name:string -> Vocab.t -> Grammar.t
 
-(** Default subset-construction cap for vocab-scale builds (65536). *)
+(** The subset-construction cap on a vocabulary's DFA (65536 states). The
+    serving layer compiles every client grammar, vocabulary or not, under
+    it. *)
 val default_max_states : int
 
-(** Audit, then build the minimized tokenization DFA (rule ids = token
-    ids). [Error] carries either the witness rendering or the max-states
-    overflow message. [audit] defaults to [true]; disable only for
-    vocabularies already proven consistent. *)
+(** Vocabulary admission, the one path from a parsed vocabulary to
+    compilable rules: the munch-consistency {!audit}, then
+    {!rules_of_vocab}. [Error] is the one refusal message,
+    ["vocabulary is not munch-consistent — <witness>"]. Compile the rules
+    under {!default_max_states}. *)
+val admit : Vocab.t -> (Regex.t list, string) result
+
+(** {!admit}, then build the minimized tokenization DFA (rule ids = token
+    ids) under [max_states] (default {!default_max_states}). [Error]
+    carries either the admission refusal or the max-states overflow
+    message. [audit] defaults to [true]; disable only for vocabularies
+    already proven consistent. *)
 val dfa :
   ?audit:bool -> ?max_states:int -> Vocab.t -> (Dfa.t, string) result

@@ -59,111 +59,70 @@ let batch_clear t =
 let protocol_error message =
   [ Wire.Error { code = Wire.Protocol; retryable = false; message } ]
 
-let handle_open t spec =
+let bad_grammar message =
+  [ Wire.Error { code = Wire.Bad_grammar; retryable = false; message } ]
+
+(* OPEN resolves a spec; OPEN_BPE admits a vocabulary (parse, audit,
+   literal rules). Either way the client grammar is a (grammar name, rule
+   names, rules) triple for [handle_open]. *)
+let grammar_of_spec t spec =
+  Result.map
+    (fun g -> (g.Grammar.name, List.map fst g.Grammar.rules, Grammar.rules g))
+    (t.deps.resolve spec)
+
+let grammar_of_vocab text =
+  Result.map
+    (fun rules ->
+      ("bpe", List.mapi (fun id _ -> St_bpe.Compiler.rule_name id) rules, rules))
+    (Result.bind (St_bpe.Vocab.of_string text) St_bpe.Compiler.admit)
+
+(* The one compile path for client grammars: one cache lookup (whose hit
+   flag is the OPENED [cached] field) under one subset-construction cap,
+   so a grammar whose DFA blows up — bounded max-TND is PSPACE-complete to
+   decide and the DFA can be exponential in the grammar — is a
+   Bad_grammar reply, not an OOM. The rules' canonical print is the cache
+   key, so N sessions of one grammar or vocabulary share one engine. *)
+let handle_open t ~ids resolve =
   match t.state with
   | Opened_ _ -> protocol_error "session already OPENed"
   | Awaiting_open -> (
-      match t.deps.resolve spec with
-      | Error msg ->
-          [ Wire.Error { code = Wire.Bad_grammar; retryable = false; message = msg } ]
-      | Ok g -> (
-          let rules = Grammar.rules g in
-          let cached = Engine_cache.mem t.deps.cache rules in
-          match Engine_cache.find_or_compile t.deps.cache rules with
-          | Error Engine.Unbounded_tnd ->
-              [
-                Wire.Error
-                  {
-                    code = Wire.Bad_grammar;
-                    retryable = false;
-                    message =
-                      Printf.sprintf
-                        "grammar %s has unbounded max-TND; no bounded-memory \
-                         streaming tokenizer exists"
-                        g.Grammar.name;
-                  };
-              ]
-          | Ok engine ->
+      match resolve () with
+      | Error message -> bad_grammar message
+      | Ok (grammar_name, rule_names, rules) -> (
+          match
+            Engine_cache.lookup t.deps.cache
+              ~max_states:St_bpe.Compiler.default_max_states rules
+          with
+          | exception Failure message -> bad_grammar message
+          | Error Engine.Unbounded_tnd, _ ->
+              bad_grammar
+                (Printf.sprintf
+                   "grammar %s has unbounded max-TND; no bounded-memory \
+                    streaming tokenizer exists"
+                   grammar_name)
+          | Ok engine, cached ->
               let enc = Outbuf.create () in
               let ntoks = ref 0 in
-              let os =
-                {
-                  grammar_name = g.Grammar.name;
-                  rule_names = List.map fst g.Grammar.rules;
-                  ids = false;
-                  enc;
-                  ntoks;
-                  tok = new_tokenizer ~ids:false engine enc ntoks;
-                  outcome = None;
-                }
-              in
-              t.state <- Opened_ os;
+              t.state <-
+                Opened_
+                  {
+                    grammar_name;
+                    rule_names;
+                    ids;
+                    enc;
+                    ntoks;
+                    tok = new_tokenizer ~ids engine enc ntoks;
+                    outcome = None;
+                  };
               [
                 Wire.Opened
                   {
-                    grammar = os.grammar_name;
+                    grammar = grammar_name;
                     k = Engine.k engine;
                     cached;
-                    rules = os.rule_names;
+                    rules = rule_names;
                   };
               ]))
-
-(* OPEN_BPE: vocab text -> audited vocabulary -> literal rules through the
-   same engine cache as OPEN (the rules' canonical print is the key, so N
-   sessions of one vocabulary share one engine). The subset-construction
-   cap turns a hostile vocab into a Bad_grammar error, not an OOM. *)
-let handle_open_bpe t ~ids vocab_text =
-  match t.state with
-  | Opened_ _ -> protocol_error "session already OPENed"
-  | Awaiting_open -> (
-      let bad message =
-        [ Wire.Error { code = Wire.Bad_grammar; retryable = false; message } ]
-      in
-      match St_bpe.Vocab.of_string vocab_text with
-      | Error msg -> bad msg
-      | Ok vocab -> (
-          match St_bpe.Compiler.audit vocab with
-          | Error w ->
-              bad
-                ("vocabulary is not munch-consistent — "
-               ^ St_bpe.Compiler.witness_to_string w)
-          | Ok () -> (
-              let rules = St_bpe.Compiler.rules_of_vocab vocab in
-              let cached = Engine_cache.mem t.deps.cache rules in
-              match
-                Engine_cache.find_or_compile t.deps.cache
-                  ~max_states:St_bpe.Compiler.default_max_states rules
-              with
-              | exception Failure msg -> bad msg
-              | Error Engine.Unbounded_tnd ->
-                  (* unreachable: a finite token language has finite TND *)
-                  bad "vocabulary has unbounded max-TND"
-              | Ok engine ->
-                  let enc = Outbuf.create () in
-                  let ntoks = ref 0 in
-                  let os =
-                    {
-                      grammar_name = "bpe";
-                      rule_names =
-                        List.init (St_bpe.Vocab.size vocab)
-                          (Printf.sprintf "t%d");
-                      ids;
-                      enc;
-                      ntoks;
-                      tok = new_tokenizer ~ids engine enc ntoks;
-                      outcome = None;
-                    }
-                  in
-                  t.state <- Opened_ os;
-                  [
-                    Wire.Opened
-                      {
-                        grammar = os.grammar_name;
-                        k = Engine.k engine;
-                        cached;
-                        rules = os.rule_names;
-                      };
-                  ])))
 
 let p_feed = St_trace.Trace.probe ~cat:"session" "session.feed"
 
@@ -239,19 +198,20 @@ let handle_flush t =
 let p_open = St_trace.Trace.probe ~cat:"session" "session.open"
 let p_flush = St_trace.Trace.probe ~cat:"session" "session.flush"
 
+let handle_untraced t = function
+  | Wire.Open spec -> handle_open t ~ids:false (fun () -> grammar_of_spec t spec)
+  | Wire.Open_bpe { ids; vocab } ->
+      handle_open t ~ids (fun () -> grammar_of_vocab vocab)
+  | Wire.Feed bytes -> feed_untraced t bytes ~pos:0 ~len:(String.length bytes)
+  | Wire.Flush -> handle_flush t
+  | Wire.Close | Wire.Stats _ -> []  (* handled by Server *)
+
 let handle t req =
-  if not !St_trace.Trace.on then
-    match req with
-    | Wire.Open spec -> handle_open t spec
-    | Wire.Open_bpe { ids; vocab } -> handle_open_bpe t ~ids vocab
-    | Wire.Feed bytes -> feed_untraced t bytes ~pos:0 ~len:(String.length bytes)
-    | Wire.Flush -> handle_flush t
-    | Wire.Close | Wire.Stats _ -> []  (* handled by Server *)
+  if not !St_trace.Trace.on then handle_untraced t req
   else
     match req with
-    | Wire.Open spec -> St_trace.Trace.with_span p_open (fun () -> handle_open t spec)
-    | Wire.Open_bpe { ids; vocab } ->
-        St_trace.Trace.with_span p_open (fun () -> handle_open_bpe t ~ids vocab)
+    | Wire.Open _ | Wire.Open_bpe _ ->
+        St_trace.Trace.with_span p_open (fun () -> handle_untraced t req)
     | Wire.Feed bytes -> feed t bytes ~pos:0 ~len:(String.length bytes)
     | Wire.Flush -> St_trace.Trace.with_span p_flush (fun () -> handle_flush t)
     | Wire.Close | Wire.Stats _ -> []

@@ -1,11 +1,15 @@
 (** Per-session protocol state machine.
 
     A session is the server half of one connection: [Awaiting_open] until
-    a valid OPEN (or OPEN_BPE: vocabulary text, audited and compiled to
-    literal rules, optionally serving token ids instead of lexemes)
-    resolves and compiles (through the shared
-    {!St_streamtok.Engine_cache}), then a live incremental
+    a valid OPEN (or OPEN_BPE: vocabulary text admitted by
+    {!St_bpe.Compiler.admit}, optionally serving token ids instead of
+    lexemes) compiles, then a live incremental
     {!St_streamtok.Stream_tokenizer} that FEED advances and FLUSH drains.
+    Both OPENs share one compile path: one
+    {!St_streamtok.Engine_cache.lookup} under
+    {!St_bpe.Compiler.default_max_states}, so an over-cap grammar or
+    vocabulary is a [Bad_grammar] reply, and OPENED's [cached] flag is
+    that lookup's hit bit.
     FLUSH ends the {e stream} but not the {e session}: the engine is kept
     and the next FEED starts a fresh stream, so a connection can tokenize
     many documents without re-OPENing.

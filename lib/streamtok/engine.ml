@@ -71,6 +71,18 @@ type compile_stats = {
   footprint_bytes : int;
 }
 
+(* The engine tables for a DFA whose max-TND is [k]. The token-extension
+   DFA is correct for any lookahead ≥ max-TND, so forcing it on a K ≤ 1
+   grammar (ablation) uses K = 1. *)
+let build d ~k ~force_te =
+  let coacc = Dfa.co_accessible d in
+  let reject = Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q)) in
+  let mode =
+    if k <= 1 && not force_te then Table_k1 (build_k1_table d)
+    else Te (Te_dfa.build d ~k:(max k 1))
+  in
+  { dfa = d; k; reject; mode }
+
 let compile_timed ?(force_te = false) d =
   let result, analysis_seconds =
     St_util.Timer.time_it (fun () -> Tnd.max_tnd d)
@@ -79,19 +91,7 @@ let compile_timed ?(force_te = false) d =
   | Tnd.Infinite -> Error Unbounded_tnd
   | Tnd.Finite k ->
       let e, build_seconds =
-        St_util.Timer.time_it (fun () ->
-            let coacc = Dfa.co_accessible d in
-            let reject =
-              Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q))
-            in
-            let mode =
-              (* the token-extension DFA is correct for any lookahead ≥
-                 max-TND, so forcing it on a K ≤ 1 grammar (ablation) uses
-                 K = 1 *)
-              if k <= 1 && not force_te then Table_k1 (build_k1_table d)
-              else Te (Te_dfa.build d ~k:(max k 1))
-            in
-            { dfa = d; k; reject; mode })
+        St_util.Timer.time_it (fun () -> build d ~k ~force_te)
       in
       Ok
         ( e,
@@ -112,15 +112,9 @@ let compile ?force_te d = Result.map fst (compile_timed ?force_te d)
    lookahead only needs to be at least the real distance. *)
 let compile_trusted d ~k =
   if k < 0 then invalid_arg "Engine.compile_trusted: negative k";
-  let coacc = Dfa.co_accessible d in
-  let reject = Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q)) in
-  let mode =
-    if k <= 1 then Table_k1 (build_k1_table d) else Te (Te_dfa.build d ~k)
-  in
-  { dfa = d; k; reject; mode }
+  build d ~k ~force_te:false
 
-let compile_rules ?classes ?accel ?swar ?max_states rules =
-  compile (Dfa.of_rules ?classes ?accel ?swar ?max_states rules)
+let compile_rules ?max_states rules = compile (Dfa.of_rules ?max_states rules)
 
 let compile_grammar src = compile (Dfa.of_grammar src)
 let accel_states e = Dfa.accel_state_count e.dfa

@@ -39,22 +39,20 @@ type compile_stats = {
 (** {!compile}, also returning the recorded {!compile_stats}. *)
 val compile_timed : ?force_te:bool -> Dfa.t -> (t * compile_stats, error) result
 
-(** Deserialization fast path ({!Engine_io}): builds the engine taking the
-    given [k] as the grammar's max-TND without re-running the analysis.
+(** Deserialization fast path ({!Engine_io}): builds the engine tables
+    exactly as {!compile} does, taking the given [k] as the grammar's
+    max-TND without running the analysis.
     {b Unsafe} if [k] is smaller than the true max-TND (tokens would be
     emitted too eagerly) or if the true max-TND is unbounded; sound
     whenever [k] is ≥ the true finite distance. *)
 val compile_trusted : Dfa.t -> k:int -> t
 
-(** Convenience wrappers: build the minimized tokenization DFA first.
-    [classes] / [accel] / [swar] (all default true) select the table layout,
-    the self-loop acceleration analysis and its SWAR classification, and
-    [max_states] caps the subset construction (raising [Failure]), as in
-    {!Dfa.of_rules} — the reference builds used by the differential
-    batteries. *)
-val compile_rules :
-  ?classes:bool -> ?accel:bool -> ?swar:bool -> ?max_states:int ->
-  Regex.t list -> (t, error) result
+(** Convenience wrappers: build the default (classed, accelerated)
+    minimized tokenization DFA first. [max_states] caps the subset
+    construction (raising [Failure]), as in {!Dfa.of_rules}. Reference
+    builds ([~classes:false], [~accel:false], [~swar:false]) go through
+    {!Dfa.of_rules} and {!compile} directly. *)
+val compile_rules : ?max_states:int -> Regex.t list -> (t, error) result
 
 val compile_grammar : string -> (t, error) result
 

@@ -26,15 +26,9 @@ let create ?(max_entries = 64) () =
     evictions = 0;
   }
 
-let key_of_rules ?(classes = true) ?(accel = true) rules =
-  (* compile flags are part of the identity: a classed+accelerated engine
-     and a reference build of the same grammar are distinct artifacts *)
-  let flags =
-    Printf.sprintf "\nclasses=%b accel=%b" classes accel
-  in
+let key_of_rules rules =
   Digest.to_hex
-    (Digest.string
-       (String.concat "\n" (List.map Regex.to_string rules) ^ flags))
+    (Digest.string (String.concat "\n" (List.map Regex.to_string rules)))
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -65,9 +59,11 @@ let p_compile = St_trace.Trace.probe ~cat:"engine" "cache.compile"
    lookups for its duration; compiles are per-distinct-grammar rare (and
    capped by [max_states]), while lookups are per-session rare, so the
    simple global lock beats per-key in-progress tracking in both code
-   size and measured storm behavior (see DESIGN.md, Sharding). *)
-let find_or_compile t ?(classes = true) ?(accel = true) ?max_states rules =
-  let key = key_of_rules ~classes ~accel rules in
+   size and measured storm behavior (see DESIGN.md, Sharding). The hit
+   flag is read under the same lock, so it is exact under any number of
+   domains. *)
+let lookup t ?max_states rules =
+  let key = key_of_rules rules in
   Mutex.lock t.mu;
   match Hashtbl.find_opt t.table key with
   | Some e ->
@@ -76,29 +72,24 @@ let find_or_compile t ?(classes = true) ?(accel = true) ?max_states rules =
       e.last_used <- tick t;
       let result = e.result in
       Mutex.unlock t.mu;
-      result
+      (result, true)
   | None -> (
       match
         St_trace.Trace.with_span p_compile (fun () ->
-            Engine.compile_rules ~classes ~accel ?max_states rules)
+            Engine.compile_rules ?max_states rules)
       with
       | result ->
           t.compiles <- t.compiles + 1;
           if Hashtbl.length t.table >= t.max_entries then evict_lru t;
           Hashtbl.add t.table key { result; last_used = tick t };
           Mutex.unlock t.mu;
-          result
+          (result, false)
       | exception exn ->
           (* a capped build's Failure propagates and is not cached *)
           Mutex.unlock t.mu;
           raise exn)
 
-let mem t ?(classes = true) ?(accel = true) rules =
-  let key = key_of_rules ~classes ~accel rules in
-  Mutex.lock t.mu;
-  let r = Hashtbl.mem t.table key in
-  Mutex.unlock t.mu;
-  r
+let find_or_compile t ?max_states rules = fst (lookup t ?max_states rules)
 
 let with_mu t f =
   Mutex.lock t.mu;

@@ -6,11 +6,15 @@
     sessions by a canonical grammar hash and compiles each distinct grammar
     once — N clients of the same grammar share one engine.
 
-    Entries are keyed by {!key_of_rules}: the hash of the parsed rules'
-    canonical printed form, so two grammar sources that parse to the same
-    rule list (whitespace, redundant escapes, inline vs. file form) share
-    an entry. Compile {e failures} (unbounded max-TND) are cached too:
-    repeatedly OPENing a non-streamable grammar costs one analysis total.
+    Entries are keyed by the MD5 of the parsed rules' canonical printed
+    form (newline separated, in priority order), so two grammar sources
+    that parse to the same rule list (whitespace, redundant escapes,
+    inline vs. file form) share an entry. Every engine is the default
+    build (classed, accelerated): the reference builds the differential
+    batteries compare against never go through the cache, so the key
+    carries no compile flags. Compile {e failures} (unbounded max-TND)
+    are cached too: repeatedly OPENing a non-streamable grammar costs one
+    analysis total.
 
     Domain-safe: every operation (lookup, compile-on-miss, LRU update,
     counter reads) runs under one internal mutex, and the mutex is held
@@ -31,30 +35,20 @@ type t
     resident engines; least-recently-used entries are evicted beyond it. *)
 val create : ?max_entries:int -> unit -> t
 
-(** Canonical cache key: MD5 of the canonically printed rules, newline
-    separated, in priority order, plus the compile flags ([classes],
-    [accel], both default [true]). The same grammar compiled with
-    different flags yields different engines, so the flags are part of
-    the key. *)
-val key_of_rules : ?classes:bool -> ?accel:bool -> Regex.t list -> string
-
-(** [find_or_compile t rules] returns the cached engine (or cached compile
-    error) for [rules] under the given compile flags, compiling on first
-    use. [max_states] caps the subset construction of a cache-miss compile
+(** [lookup t rules] returns the cached engine (or cached compile error)
+    for [rules], compiling on first use, and whether it was a hit — read
+    under the same lock as the lookup, so the flag is exact even when
+    other domains compile or evict concurrently. [max_states] caps the
+    subset construction of a cache-miss compile
     ({!St_automata.Dfa.of_nfa}); the resulting [Failure] propagates and is
     not cached. It is not part of the key: a successful capped build is
     identical to the uncapped one. *)
-val find_or_compile :
-  t ->
-  ?classes:bool ->
-  ?accel:bool ->
-  ?max_states:int ->
-  Regex.t list ->
-  (Engine.t, Engine.error) result
+val lookup :
+  t -> ?max_states:int -> Regex.t list -> (Engine.t, Engine.error) result * bool
 
-(** [mem t rules] — is the grammar (under these flags) resident (no
-    compile, no counter bump)? *)
-val mem : t -> ?classes:bool -> ?accel:bool -> Regex.t list -> bool
+(** {!lookup} without the hit flag. *)
+val find_or_compile :
+  t -> ?max_states:int -> Regex.t list -> (Engine.t, Engine.error) result
 
 (** {1 Counters} *)
 

@@ -194,17 +194,17 @@ let of_string ?(verify = true) s =
                   && not (Dfa.equal d (Dfa.attach_accel ~enabled:true bare))
                 then err "accel tables inconsistent with transitions"
                 else if verify then begin
-                  match St_analysis.Tnd.max_tnd d with
-                  | St_analysis.Tnd.Finite k' when k' = k -> (
-                      match Engine.compile d with
-                      | Ok e -> Ok e
-                      | Error Engine.Unbounded_tnd ->
-                          err "analysis disagreement")
-                  | St_analysis.Tnd.Finite k' ->
+                  (* one analysis: the compile's own max-TND is the check *)
+                  match Engine.compile_timed d with
+                  | Ok (e, cs)
+                    when cs.Engine.max_tnd = St_analysis.Tnd.Finite k ->
+                      Ok e
+                  | Ok (_, cs) ->
                       err
-                        (Printf.sprintf "stored max-TND %d but analysis says %d"
-                           k k')
-                  | St_analysis.Tnd.Infinite ->
+                        (Printf.sprintf "stored max-TND %d but analysis says %s"
+                           k
+                           (St_analysis.Tnd.result_to_string cs.Engine.max_tnd))
+                  | Error Engine.Unbounded_tnd ->
                       err "stored DFA has unbounded max-TND"
                 end
                 else

@@ -201,35 +201,61 @@ let test_engine_cache_sharing () =
   check_int "two hits" 2 (Engine_cache.hits cache);
   check_int "three live sessions" 3 (SV.sessions (LB.server lb))
 
-(* The compile flags are part of the cache key: the same grammar under
-   default and [~accel:false] builds must not share an entry (a session
-   handed the wrong variant would silently lose the skip loops — or worse,
-   a reference build would silently gain them). *)
-let test_engine_cache_flag_keys () =
-  let rules = Streamtok.Grammar.rules Streamtok.Formats.csv in
-  let cache = Engine_cache.create () in
-  check "keys differ across accel flag" false
-    (Engine_cache.key_of_rules rules
-    = Engine_cache.key_of_rules ~accel:false rules);
-  check "keys differ across classes flag" false
-    (Engine_cache.key_of_rules rules
-    = Engine_cache.key_of_rules ~classes:false rules);
-  let get ?classes ?accel () =
-    match Engine_cache.find_or_compile cache ?classes ?accel rules with
-    | Ok e -> e
-    | Error _ -> Alcotest.fail "csv must compile"
+(* The OPENED [cached] flag comes from the same locked lookup that finds
+   or compiles the engine: with a 1-entry cache it must report a miss, a
+   hit, then a miss again once another grammar has evicted the entry. *)
+let test_cached_flag_eviction () =
+  let clock, _ = fake_clock 0. in
+  let lb = LB.create ~config:{ (config clock) with SV.cache_entries = 1 } () in
+  let open_one spec =
+    let c = LB.connect lb in
+    LB.send c (W.Open spec);
+    LB.run lb;
+    match LB.replies c with
+    | [ W.Opened { cached; _ } ] -> cached
+    | _ -> Alcotest.fail "expected OPENED"
   in
-  let ea = get () in
-  let ep = get ~accel:false () in
-  check_int "two distinct compiles" 2 (Engine_cache.compiles cache);
-  check "default build accelerated" true
-    (Streamtok.Dfa.accel_enabled (Streamtok.Engine.dfa ea));
-  check "reference build not accelerated" false
-    (Streamtok.Dfa.accel_enabled (Streamtok.Engine.dfa ep));
-  ignore (get ());
-  ignore (get ~accel:false ());
-  check_int "both variants hit their own entry" 2 (Engine_cache.hits cache);
-  check_int "still two compiles" 2 (Engine_cache.compiles cache)
+  check "first open misses" false (open_one "json");
+  check "second open hits" true (open_one "json");
+  check "other grammar misses" false (open_one "csv");
+  check "evicted grammar misses again" false (open_one "json");
+  let cache = SV.cache (LB.server lb) in
+  check_int "three compiles" 3 (Engine_cache.compiles cache);
+  check_int "one hit" 1 (Engine_cache.hits cache);
+  check_int "two evictions" 2 (Engine_cache.evictions cache)
+
+(* A 22-byte grammar OPEN whose DFA has 2^17 + 2 states (max-TND 0):
+   every OPEN compiles under the subset-construction cap, so it is a
+   non-retryable Bad_grammar naming the cap, and the server then serves an
+   honest session exactly as the batch engine tokenizes. *)
+let test_over_cap_open () =
+  let clock, _ = fake_clock 0. in
+  let lb = LB.create ~config:(config clock) () in
+  let hostile = LB.connect lb in
+  LB.send hostile (W.Open "@[ab]*a[ab]{16}c");
+  LB.run lb;
+  (match LB.replies hostile with
+  | [ W.Error { code = W.Bad_grammar; retryable; message } ] ->
+      check "not retryable" false retryable;
+      Alcotest.(check string)
+        "names the state cap"
+        "Dfa.of_nfa: subset construction exceeded 65536 states (max_states \
+         cap)"
+        message
+  | _ -> Alcotest.fail "expected one Bad_grammar error");
+  check "hostile connection closed" true (LB.closed hostile);
+  let input = Gen_data.json ~seed:5L ~target_bytes:3000 () in
+  let c = LB.connect lb in
+  LB.send c (W.Open "json");
+  LB.send c (W.Feed input);
+  LB.send c W.Flush;
+  LB.run lb;
+  let replies = LB.replies c in
+  let reference, outcome = Engine.tokens (Lazy.force json_engine) input in
+  check "batch outcome finished" true (outcome = Engine.Finished);
+  check "tokens ≡ batch engine" true (tokens_of replies = reference);
+  check_int "no engine cached for the hostile grammar" 1
+    (Engine_cache.size (SV.cache (LB.server lb)))
 
 let test_idle_eviction () =
   let clock, set = fake_clock 0. in
@@ -801,8 +827,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chunked_decode;
     Alcotest.test_case "lifecycle ≡ batch engine" `Quick test_lifecycle_parity;
     Alcotest.test_case "engine cache sharing" `Quick test_engine_cache_sharing;
-    Alcotest.test_case "engine cache flag keys" `Quick
-      test_engine_cache_flag_keys;
+    Alcotest.test_case "cached flag across eviction" `Quick
+      test_cached_flag_eviction;
+    Alcotest.test_case "over-cap OPEN refused" `Quick test_over_cap_open;
     Alcotest.test_case "idle eviction" `Quick test_idle_eviction;
     Alcotest.test_case "capacity rejection" `Quick test_capacity_rejection;
     Alcotest.test_case "backpressure" `Quick test_backpressure;

@@ -49,16 +49,17 @@ let test_storm_one_compile () =
     engines
 
 let test_eviction_storm () =
-  (* 4 distinct keys (flag variants) hammering a 2-entry cache from 4
+  (* 4 distinct keys (built-in grammars) hammering a 2-entry cache from 4
      domains: evictions race with lookups, and the accounting identities
      prove no lookup was lost or double-counted (no torn LRU state). *)
   let cache = Engine_cache.create ~max_entries:2 () in
-  let variants = [| (true, true); (true, false); (false, true); (false, false) |] in
+  let grammars =
+    Array.map Grammar.rules [| Formats.json; Formats.csv; Formats.tsv; Formats.xml |]
+  in
   let rounds = 8 in
   run_domains 4 (fun i ->
       for r = 0 to rounds - 1 do
-        let classes, accel = variants.((i + r) mod 4) in
-        match Engine_cache.find_or_compile cache ~classes ~accel json_rules with
+        match Engine_cache.find_or_compile cache grammars.((i + r) mod 4) with
         | Ok _ -> ()
         | Error _ -> assert false
       done);
