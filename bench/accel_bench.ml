@@ -1,6 +1,6 @@
 (* Self-loop run acceleration: throughput of the default (SWAR-classified
    skip-loop) engines against two reference builds of the same rules — the
-   [~swar:false] build (bitmap skip loops only) and the [~accel:false]
+   [~accel:Bitmap] build (bitmap skip loops only) and the [~accel:Off]
    build (no skip loops at all).
 
    Hard checks, not just reporting: byte-identical token streams across
@@ -49,8 +49,8 @@ let best_of_triple rounds ea es ep input =
 let engines_opt name rules =
   match
     ( Engine.compile_rules rules,
-      Engine.compile (Dfa.of_rules ~swar:false rules),
-      Engine.compile (Dfa.of_rules ~accel:false rules) )
+      Engine.compile (Dfa.of_rules ~accel:Accel.Bitmap rules),
+      Engine.compile (Dfa.of_rules ~accel:Accel.Off rules) )
   with
   | Ok a, Ok s, Ok p -> Some (a, s, p)
   | Error Engine.Unbounded_tnd, Error Engine.Unbounded_tnd,

@@ -68,6 +68,14 @@ echo "== bpe gate (vendored-vocab drift, audit, parity vs merge loop, bounded K)
 # input, batch and chunked. Throughput timing is skipped here.
 dune exec bench/main.exe -- bpe-check
 
+echo "== perfbench selftest (the frozen benchmark still builds and runs)"
+# `dune runtest` never compiles perfbench/ (run.py builds it in its own
+# .bench_build/ workspace from copies of lib/ and bin/), so a lib/ API
+# change could break the benchmark unnoticed. The selftest builds it,
+# checks each workload's input is deterministic per seed, and checks that
+# a corrupted reference makes runs fail.
+python3 perfbench/run.py selftest
+
 echo "== bpe analyze smoke (finite max-TND at vocab scale)"
 out=$(dune exec -- streamtok bpe analyze test/vocab/mini.tiktoken)
 echo "$out" | grep '^max-TND:'

@@ -25,6 +25,7 @@ module Naive = St_regex.Naive
 
 module Nfa = St_automata.Nfa
 module Dfa = St_automata.Dfa
+module Accel = St_automata.Accel
 
 (** {1 Static analysis (paper §4)} *)
 

@@ -197,7 +197,7 @@ let check ?(on_subject = fun _ -> ()) spec =
         | Ok ed -> expect "engine-dense" (of_engine (Engine.tokens ed input)));
         (* the reference build without self-loop acceleration: the skip
            loops the "engine" subject ran must be behaviour-preserving *)
-        (match Engine.compile (Dfa.of_rules ~accel:false spec.rules) with
+        (match Engine.compile (Dfa.of_rules ~accel:Accel.Off spec.rules) with
         | Error Engine.Unbounded_tnd ->
             incr subjects;
             on_subject "engine-noaccel";
@@ -220,7 +220,7 @@ let check ?(on_subject = fun _ -> ()) spec =
         (* the reference build with acceleration but without the SWAR
            tier: the word-at-a-time scanners the "engine" subject ran
            must agree with the pure bitmap skip loops *)
-        (match Engine.compile (Dfa.of_rules ~swar:false spec.rules) with
+        (match Engine.compile (Dfa.of_rules ~accel:Accel.Bitmap spec.rules) with
         | Error Engine.Unbounded_tnd ->
             incr subjects;
             on_subject "engine-swar-off";

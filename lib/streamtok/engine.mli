@@ -50,7 +50,7 @@ val compile_trusted : Dfa.t -> k:int -> t
 (** Convenience wrappers: build the default (classed, accelerated)
     minimized tokenization DFA first. [max_states] caps the subset
     construction (raising [Failure]), as in {!Dfa.of_rules}. Reference
-    builds ([~classes:false], [~accel:false], [~swar:false]) go through
+    builds ([~classes:false], [~accel:Off], [~accel:Bitmap]) go through
     {!Dfa.of_rules} and {!compile} directly. *)
 val compile_rules : ?max_states:int -> Regex.t list -> (t, error) result
 
@@ -61,7 +61,7 @@ val compile_grammar : string -> (t, error) result
 val accel_states : t -> int
 
 (** Number of accelerable states classified into the SWAR (64-bit scan)
-    tier; 0 on unaccelerated or [~swar:false] builds. Reported as the
+    tier; 0 on [~accel:Off] or [~accel:Bitmap] builds. Reported as the
     [accel_swar_states] gauge. *)
 val accel_swar_states : t -> int
 

@@ -7,12 +7,12 @@
 
     The format stores the tokenization DFA and the analyzed max-TND; the
     derived structures (Fig. 5 table, co-accessibility, token-extension
-    DFA) are cheap and rebuilt on load. The self-loop acceleration tables
-    travel with the DFA, including the per-state SWAR tier classification
-    (cross-checked against the stop bitmaps on load; the 64-bit broadcast
-    masks are always rederived). The encoding is a versioned,
+    DFA) are cheap and rebuilt on load, and so is the self-loop skip
+    accelerator: it is a function of the transition table, so the format
+    carries no accelerator section and every load derives the default
+    ({!St_automata.Accel.Swar}) one. The encoding is a versioned,
     self-describing binary format — not [Marshal] — so files are stable
-    across compiler versions; only the current {!version} (4) loads, any
+    across compiler versions; only the current {!version} (5) loads, any
     other is rejected as [unsupported version]. *)
 
 val magic : string

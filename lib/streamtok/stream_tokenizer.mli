@@ -80,11 +80,11 @@ val finish : t -> Engine.outcome
 val bytes_fed : t -> int
 
 (** Bytes consumed by self-loop skip loops so far (0 when the engine was
-    built [~accel:false]). With [stats], each feed also adds its delta to
+    built [~accel:Off]). With [stats], each feed also adds its delta to
     the [accel_skipped_bytes] counter. *)
 val accel_skipped_bytes : t -> int
 
 (** Subset of {!accel_skipped_bytes} consumed by SWAR-classified skip
-    loops (0 when the engine was built [~swar:false]). With [stats], each
+    loops (0 when the engine was built [~accel:Bitmap]). With [stats], each
     feed also adds its delta to the [swar_skipped_bytes] counter. *)
 val swar_skipped_bytes : t -> int

@@ -39,12 +39,8 @@ type t = {
   mutable emit_rows : int64 array;  (* capacity × words *)
   mutable origin_rows : Bits.t array;  (* per state: extendable finals *)
   mutable sets : Bits.t array;  (* per state: the NFA powerset *)
-  mutable accel_known : Bytes.t;  (* capacity; nonzero = stop row computed *)
-  mutable accel_stops : int array;  (* capacity × 8: 256-bit stop bitmaps *)
-  mutable accel_kinds : Bytes.t;  (* capacity; per-row Dfa.accel_kind byte *)
-  mutable accel_masks : int64 array;  (* capacity × 3: SWAR broadcast masks *)
-  mutable accel_tbl : Bytes.t;  (* capacity × 256: 0/1 gather stop tables *)
-  mutable accel_rows : int;  (* stop rows computed so far (footprint) *)
+  accel : Accel.t;  (* skip rows, appended on first entry *)
+  mutable accel_row : int array;  (* per state: its row in [accel], or -1 *)
   tbl : int Set_tbl.t;
   (* NFA parameters *)
   m : int;
@@ -84,21 +80,9 @@ let grow t =
   let sets = Array.make cap (Bits.create 0) in
   Array.blit t.sets 0 sets 0 t.num_states;
   t.sets <- sets;
-  let accel_known = Bytes.make cap '\000' in
-  Bytes.blit t.accel_known 0 accel_known 0 t.num_states;
-  t.accel_known <- accel_known;
-  let accel_stops = Array.make (cap * 8) 0 in
-  Array.blit t.accel_stops 0 accel_stops 0 (t.num_states * 8);
-  t.accel_stops <- accel_stops;
-  let accel_kinds = Bytes.make cap '\000' in
-  Bytes.blit t.accel_kinds 0 accel_kinds 0 t.num_states;
-  t.accel_kinds <- accel_kinds;
-  let accel_masks = Array.make (cap * 3) 0L in
-  Array.blit t.accel_masks 0 accel_masks 0 (t.num_states * 3);
-  t.accel_masks <- accel_masks;
-  let accel_tbl = Bytes.make (cap * 256) '\000' in
-  Bytes.blit t.accel_tbl 0 accel_tbl 0 (t.num_states * 256);
-  t.accel_tbl <- accel_tbl;
+  let accel_row = Array.make cap (-1) in
+  Array.blit t.accel_row 0 accel_row 0 t.num_states;
+  t.accel_row <- accel_row;
   t.capacity <- cap
 
 (* intern a powerset, computing its origin set and emit-bit row *)
@@ -195,12 +179,8 @@ let build dfa ~k =
       emit_rows = Array.make (capacity * words) 0L;
       origin_rows = Array.make capacity (Bits.create 0);
       sets = Array.make capacity (Bits.create 0);
-      accel_known = Bytes.make capacity '\000';
-      accel_stops = Array.make (capacity * 8) 0;
-      accel_kinds = Bytes.make capacity '\000';
-      accel_masks = Array.make (capacity * 3) 0L;
-      accel_tbl = Bytes.make (capacity * 256) '\000';
-      accel_rows = 0;
+      accel = Accel.create (Accel.level dfa.Dfa.accel) ~capacity:0;
+      accel_row = Array.make capacity (-1);
       tbl = Set_tbl.create 64;
       m;
       active_count;
@@ -258,55 +238,37 @@ let emit_bit t s q =
 
 let num_states t = t.num_states
 
-(* Lazy per-powerstate stop bitmaps for the accelerated TE runners: bit b
-   set iff byte b moves powerstate [s] somewhere else. Computed the first
-   time a skip loop enters with [s] as the lookahead state, by forcing that
-   powerstate's real-symbol transitions (EOF excluded — the skip loop never
-   feeds it). [step_class] does its own locking, so the row is assembled
-   outside the mutex and only the publication (bitmap write + known flag) is
-   serialized; a racing reader that sees a stale known byte just recomputes
-   the same row. *)
-let compute_accel_row t s =
+(* A powerstate's skip row is derived the first time a skip loop enters
+   it as the lookahead state, from its real-symbol self-loop classes (EOF
+   excluded — the skip loop never feeds it). [step_class] does its own
+   locking, so the self-loop classes are found outside the mutex and only
+   the append and its publication are serialized; a racing reader that
+   sees a stale -1 just takes the lock and finds the row published. *)
+let derive_accel_row t s =
   let ncls = t.width - 1 in
-  let selfloop = Array.make ncls false in
+  let loops = Bytes.create ncls in
   for cls = 0 to ncls - 1 do
-    selfloop.(cls) <- step_class t s cls = s
+    Bytes.set loops cls (if step_class t s cls = s then '\001' else '\000')
   done;
-  let w = Array.make 8 0 in
-  for b = 0 to 255 do
-    if not selfloop.(Dfa.class_of_byte t.dfa b) then
-      w.(b lsr 5) <- w.(b lsr 5) lor (1 lsl (b land 31))
-  done;
-  (* classify the row for the SWAR tier, mirroring the DFA-side tables —
-     but only when the underlying build carries a SWAR classification, so
-     a ~swar:false engine stays pure-bitmap on the TE side too *)
-  let kind, masks, tbl =
-    if Dfa.accel_swar_enabled t.dfa then
-      let kind, masks = Dfa.swar_classify ~num_states:1 ~stops:w in
-      (kind, masks, Dfa.swar_byte_table ~num_states:1 ~stops:w)
-    else (Bytes.make 1 '\000', Array.make 3 0L, Bytes.make 256 '\000')
-  in
   Mutex.lock t.lock;
-  if Bytes.get t.accel_known s = '\000' then begin
-    Array.blit w 0 t.accel_stops (s * 8) 8;
-    Array.blit masks 0 t.accel_masks (s * 3) 3;
-    Bytes.blit tbl 0 t.accel_tbl (s * 256) 256;
-    Bytes.set t.accel_kinds s (Bytes.get kind 0);
-    Bytes.set t.accel_known s '\001';
-    t.accel_rows <- t.accel_rows + 1
-  end;
-  Mutex.unlock t.lock
+  let r =
+    match t.accel_row.(s) with
+    | r when r >= 0 -> r
+    | _ ->
+        let r = Accel.add_row t.accel ~classmap:t.dfa.Dfa.classmap ~loops in
+        t.accel_row.(s) <- r;
+        r
+  in
+  Mutex.unlock t.lock;
+  r
 
-let accel_stops t s =
-  if Bytes.unsafe_get t.accel_known s = '\000' then compute_accel_row t s;
-  t.accel_stops
+let accel t = t.accel
 
-let accel_kinds t = t.accel_kinds
-let accel_masks t = t.accel_masks
-let accel_tbl t = t.accel_tbl
+let accel_row t s =
+  let r = Array.unsafe_get t.accel_row s in
+  if r >= 0 then r else derive_accel_row t s
 
-let accel_bytes t =
-  (t.accel_rows * (32 + 24 + 256)) + (2 * t.num_states)
+let accel_bytes t = Accel.bytes t.accel + (8 * Array.length t.accel_row)
 
 let start _t = 0
 let k t = t.k

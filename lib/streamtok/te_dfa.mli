@@ -83,32 +83,17 @@ val extendable : t -> int -> int -> bool
     read; the engine's per-symbol check. *)
 val emit_bit : t -> int -> int -> bool
 
-(** [accel_stops te s] — the 256-bit stop-byte bitmap of powerstate [s]
-    (bit [b] set iff byte [b] moves [s] somewhere else), lazily computed on
-    first use and cached. Returns the whole packed array (8 words per
-    powerstate, row [s*8]), in the {!Dfa.skip_run2} layout; like {!Raw}
-    views, the array is replaced wholesale on growth, so re-fetch per use.
-    Computing a row also classifies it for the SWAR tier (see
-    {!accel_kinds}). *)
-val accel_stops : t -> int -> int array
+(** The powerstates' skip rows: an {!Accel.t} at the underlying DFA's
+    level, empty until a skip loop first enters a powerstate. *)
+val accel : t -> Accel.t
 
-(** Per-powerstate {!Dfa.type:t.accel_kind} bytes, valid for rows already
-    ensured via {!accel_stops} (all zero when the underlying DFA was built
-    [~swar:false]). Replaced wholesale on growth — re-fetch per use. *)
-val accel_kinds : t -> Bytes.t
+(** [accel_row te s]: the row of powerstate [s] in {!accel}, derived from
+    its self-loop classes and appended the first time it is asked for
+    (forcing [s]'s real-symbol transitions). *)
+val accel_row : t -> int -> int
 
-(** Per-powerstate SWAR broadcast masks (3 per row, [s*3]), paired with
-    {!accel_kinds}; same validity and growth caveats. *)
-val accel_masks : t -> int64 array
-
-(** Per-powerstate 256-byte 0/1 gather stop tables (row [s*256]), in the
-    {!Dfa.type:t.accel_tbl} layout, for {!Dfa.skip_run2}'s mixed-pair
-    loop; same validity and growth caveats as {!accel_kinds}. *)
-val accel_tbl : t -> Bytes.t
-
-(** Bytes held by the lazily materialized stop bitmaps, kind bytes, SWAR
-    masks and gather tables (monotone in use, for footprint
-    accounting). *)
+(** Bytes held by the skip rows and the per-powerstate row index, at
+    their allocated capacity (for footprint accounting). *)
 val accel_bytes : t -> int
 
 (**/**)

@@ -2,8 +2,8 @@
    against the transition function, build determinism, the skip-loop
    scanners' unit behaviour around the unroll boundaries, golden-corpus
    parity of accelerated vs. reference engines (batch and chunked), the
-   streaming skip counters, and the .stc v4 accel section (round-trip,
-   v2/v3 rejection, corruption). The SWAR tier itself (word-level oracle,
+   streaming skip counters, and the .stc v5 format (round trip to a fresh
+   build, v2/v3/v4 rejection). The SWAR tier itself (word-level oracle,
    endianness, random battery) lives in test_swar.ml. *)
 
 open Streamtok
@@ -15,8 +15,22 @@ let check_str = Alcotest.(check string)
 
 let golden_grammars = Formats.all @ Languages.all
 
-(* the build-time profitability threshold (Dfa.accel_min_loop_bytes) *)
+(* the build-time profitability threshold (Accel.min_loop_bytes) *)
 let min_loop_bytes = 4
+
+(* [table level sets]: one row per stop set, derived through the identity
+   classmap — the synthetic tables the scanner tests feed the hot loops *)
+let identity = String.init 256 Char.chr
+
+let table level sets =
+  let t = Accel.create level ~capacity:0 in
+  List.iter
+    (fun set ->
+      let loops = Bytes.make 256 '\001' in
+      List.iter (fun b -> Bytes.set loops b '\000') set;
+      ignore (Accel.add_row t ~classmap:identity ~loops))
+    sets;
+  t
 
 (* ---- bitmap soundness ---- *)
 
@@ -28,29 +42,34 @@ let test_bitmap_sound () =
     (fun g ->
       let name = g.Grammar.name in
       let d = Grammar.dfa g in
-      check (name ^ ": accel on by default") true (Dfa.accel_enabled d);
+      let acc = d.Dfa.accel in
+      check (name ^ ": SWAR level by default") true
+        (Accel.level acc = Accel.Swar);
+      (* flag 1 + bitmap 8 ints + kind 1 + masks 24 + gather table 256 *)
       check_int
-        (name ^ ": table bytes = 314/state")
-        (314 * Dfa.size d)
-        (Dfa.accel_table_bytes d);
+        (name ^ ": table bytes = 346/state")
+        (346 * Dfa.size d) (Accel.bytes acc);
+      check_int (name ^ ": one row per state") (Dfa.size d) (Accel.rows acc);
       let flagged = ref 0 in
       for q = 0 to Dfa.size d - 1 do
         let loop_bytes = ref 0 in
         for b = 0 to 255 do
           let self = Dfa.step d q (Char.chr b) = q in
           if self then incr loop_bytes;
-          if Dfa.accel_stop_byte d q b <> not self then
+          if Accel.is_stop acc q b <> not self then
             Alcotest.failf "%s: state %d byte %d: stop bit vs step disagree"
               name q b
         done;
-        let flag = Dfa.is_accel_state d q in
+        check_int (name ^ ": stop count") (256 - !loop_bytes)
+          (Accel.stop_count acc q);
+        let flag = Accel.is_flagged acc q in
         if flag then incr flagged;
         if flag <> (!loop_bytes >= min_loop_bytes) then
           Alcotest.failf "%s: state %d: flag %b but %d self-loop bytes" name q
             flag !loop_bytes
       done;
       check_int (name ^ ": flag count consistent") !flagged
-        (Dfa.accel_state_count d);
+        (Accel.flagged_count acc);
       (* every shipped grammar has a dominant run state (identifiers,
          strings, comments, whitespace...) — the analysis must find it *)
       check (name ^ ": finds at least one accel state") true (!flagged > 0))
@@ -59,93 +78,97 @@ let test_bitmap_sound () =
 let test_build_deterministic () =
   List.iter
     (fun g ->
+      let name = g.Grammar.name in
       let d1 = Grammar.dfa g in
       let d2 = Dfa.of_rules (Grammar.rules g) in
-      check (g.Grammar.name ^ ": rebuild identical") true (Dfa.equal d1 d2);
-      (* strip + re-derive round-trips: acceleration is pure derived data *)
-      let stripped = Dfa.attach_accel ~enabled:false d1 in
-      check (g.Grammar.name ^ ": stripped is off") false
-        (Dfa.accel_enabled stripped);
-      check_int (g.Grammar.name ^ ": stripped has no states") 0
-        (Dfa.accel_state_count stripped);
-      check (g.Grammar.name ^ ": re-derive identical") true
-        (Dfa.equal d1 (Dfa.attach_accel ~enabled:true stripped)))
+      check (name ^ ": rebuild identical") true (Dfa.equal d1 d2);
+      (* the accelerator is pure derived data: the unaccelerated build has
+         the same tables, and deriving from them gives the same DFA *)
+      let off = Dfa.of_rules ~accel:Accel.Off (Grammar.rules g) in
+      check (name ^ ": off build is off") true
+        (Accel.level off.Dfa.accel = Accel.Off);
+      check_int (name ^ ": off build has no states") 0
+        (Accel.flagged_count off.Dfa.accel);
+      check (name ^ ": same tables") true
+        (off.Dfa.trans = d1.Dfa.trans && off.Dfa.accept = d1.Dfa.accept);
+      let d3 =
+        Dfa.of_tables ~start:off.Dfa.start ~num_classes:off.Dfa.num_classes
+          ~classmap:off.Dfa.classmap ~trans:off.Dfa.trans
+          ~accept:off.Dfa.accept
+      in
+      check (name ^ ": re-derive identical") true (Dfa.equal d1 d3))
     golden_grammars
 
 let test_noaccel_reference_build () =
-  let d = Dfa.of_rules ~accel:false (Grammar.rules Formats.json) in
-  check "noaccel: disabled" false (Dfa.accel_enabled d);
-  check_int "noaccel: zero accel states" 0 (Dfa.accel_state_count d);
-  check "noaccel: no stop bytes reported" true
+  let d = Dfa.of_rules ~accel:Accel.Off (Grammar.rules Formats.json) in
+  let acc = d.Dfa.accel in
+  check "noaccel: disabled" true (Accel.level acc = Accel.Off);
+  check_int "noaccel: zero accel states" 0 (Accel.flagged_count acc);
+  check "noaccel: no stop bytes reported, nothing entered" true
     (let any = ref false in
      for q = 0 to Dfa.size d - 1 do
+       if Accel.enters acc q 0 || Accel.is_flagged acc q then any := true;
        for b = 0 to 255 do
-         if Dfa.accel_stop_byte d q b then any := true
+         if Accel.is_stop acc q b then any := true
        done
      done;
      not !any);
-  (* flags are still allocated (hot loops probe unconditionally), all 0 *)
-  check "noaccel: flags all zero" true
-    (Bytes.for_all (fun c -> c = '\000') d.Dfa.accel_flags);
-  check_int "noaccel: empty stop table" 0 (Array.length d.Dfa.accel_stops);
-  check "noaccel: kinds all zero" true
-    (Bytes.for_all (fun c -> c = '\000') d.Dfa.accel_kind);
-  check_int "noaccel: empty mask table" 0 (Array.length d.Dfa.accel_swar);
-  check_int "noaccel: zero swar states" 0 (Dfa.accel_swar_state_count d);
-  (* a swar-off build keeps the bitmap tier but classifies nothing *)
-  let ds = Dfa.of_rules ~swar:false (Grammar.rules Formats.json) in
-  check "swar-off: accel still on" true (Dfa.accel_enabled ds);
-  check "swar-off: accel states unchanged" true (Dfa.accel_state_count ds > 0);
-  check "swar-off: classification disabled" false (Dfa.accel_swar_enabled ds);
-  check_int "swar-off: zero swar states" 0 (Dfa.accel_swar_state_count ds);
-  check "swar-off: kinds all zero" true
-    (Bytes.for_all (fun c -> c = '\000') ds.Dfa.accel_kind)
+  (* flags are still allocated (hot loops probe unconditionally), nothing
+     else is *)
+  check_int "noaccel: flags only" (Dfa.size d) (Accel.bytes acc);
+  check_int "noaccel: zero swar states" 0 (Accel.swar_count acc);
+  (* a bitmap build keeps the bitmap tier but classifies nothing *)
+  let ds = Dfa.of_rules ~accel:Accel.Bitmap (Grammar.rules Formats.json) in
+  let acs = ds.Dfa.accel in
+  check "bitmap: accel still on" true (Accel.level acs = Accel.Bitmap);
+  check_int "bitmap: accel states unchanged" (Accel.flagged_count (Grammar.dfa Formats.json).Dfa.accel)
+    (Accel.flagged_count acs);
+  check_int "bitmap: zero swar states" 0 (Accel.swar_count acs);
+  check "bitmap: kinds all zero" true
+    (List.for_all
+       (fun q -> Accel.kind acs q = 0 && not (Accel.is_swar acs q))
+       (List.init (Dfa.size ds) Fun.id));
+  (* flag 1 + bitmap 8 ints + kind 1, no masks or gather tables *)
+  check_int "bitmap: 66 bytes/state" (66 * Dfa.size ds) (Accel.bytes acs)
 
 (* ---- skip-loop scanners ---- *)
 
-(* hand-built stop table: state 0 stops on 'x' only, state 1 on 'y' only *)
-let toy_stops =
-  let stops = Array.make 16 0 in
-  let set q b = stops.((q * 8) + (b lsr 5)) <- 1 lsl (b land 31) in
-  set 0 (Char.code 'x');
-  set 1 (Char.code 'y');
-  stops
+(* toy tables: row 0 stops on 'x' only, row 1 on 'y' only; rows 2 and 3
+   add three control bytes the inputs never hold, so they scan exactly like
+   rows 0 and 1 but take the bitmap kind. In the SWAR table rows 0-1 are
+   SWAR, rows 2-3 bitmap; the bitmap-level table exercises the bitmap
+   dispatch on the very same assertions *)
+let toy_sets =
+  [ [ Char.code 'x' ]; [ Char.code 'y' ]; [ Char.code 'x'; 0; 1; 2 ];
+    [ Char.code 'y'; 0; 1; 2 ] ]
 
-(* both toy states are single-stop, so classification puts them in the
-   SWAR tier; forcing the kinds to 0 exercises the bitmap dispatch on the
-   very same assertions *)
-let toy_kinds, toy_masks = Dfa.swar_classify ~num_states:2 ~stops:toy_stops
-let toy_tbl = Dfa.swar_byte_table ~num_states:2 ~stops:toy_stops
-let toy_bitmap_kinds = Bytes.make 2 '\000'
+let toy = table Accel.Swar toy_sets
+let toy_bitmap = table Accel.Bitmap toy_sets
 
 let skip q s pos limit =
-  let v = Dfa.skip_run toy_stops toy_kinds toy_masks q s pos limit in
-  check_int "bitmap dispatch agrees" v
-    (Dfa.skip_run toy_stops toy_bitmap_kinds [||] q s pos limit);
-  check_int "skip_run_bitmap agrees" v
-    (Dfa.skip_run_bitmap toy_stops q s pos limit);
+  let v = Accel.skip toy q s pos limit in
+  check_int "bitmap kind agrees" v (Accel.skip toy (q + 2) s pos limit);
+  check_int "bitmap level agrees" v (Accel.skip toy_bitmap q s pos limit);
+  check_int "skip_bitmap agrees" v (Accel.skip_bitmap toy q s pos limit);
   v
 
 let skip2 qa qb ~off s pos limit =
-  let v =
-    Dfa.skip_run2 toy_stops toy_kinds toy_masks toy_tbl qa toy_stops
-      toy_kinds toy_masks toy_tbl qb ~off s pos limit
-  in
-  (* forcing one side's kind to bitmap routes the same pair through each of
-     the two merged mixed loops; both must agree with the dual-SWAR path *)
+  let v = Accel.skip2 toy qa toy qb ~off s pos limit in
+  (* a bitmap-kind side routes the same pair through the mixed loop, once
+     from each cursor; both must agree with the dual-SWAR path *)
   check_int "mixed dispatch agrees (A bitmap)" v
-    (Dfa.skip_run2 toy_stops toy_bitmap_kinds [||] toy_tbl qa toy_stops
-       toy_kinds toy_masks toy_tbl qb ~off s pos limit);
+    (Accel.skip2 toy (qa + 2) toy qb ~off s pos limit);
   check_int "mixed dispatch agrees (B bitmap)" v
-    (Dfa.skip_run2 toy_stops toy_kinds toy_masks toy_tbl qa toy_stops
-       toy_bitmap_kinds [||] toy_tbl qb ~off s pos limit);
-  check_int "skip_run2_bitmap agrees" v
-    (Dfa.skip_run2_bitmap toy_stops qa toy_stops qb ~off s pos limit);
+    (Accel.skip2 toy qa toy (qb + 2) ~off s pos limit);
+  check_int "bitmap level agrees" v
+    (Accel.skip2 toy_bitmap qa toy_bitmap qb ~off s pos limit);
+  check_int "skip2_bitmap agrees" v
+    (Accel.skip2_bitmap toy qa toy qb ~off s pos limit);
   v
 
 let test_skip_run_unit () =
-  check "toy states are SWAR-classified" true
-    (Bytes.get toy_kinds 0 = '\001' && Bytes.get toy_kinds 1 = '\001');
+  check "toy rows classified" true
+    (List.init 4 (Accel.kind toy) = [ 1; 1; 0; 0 ]);
   (* stop at every distance 0..20 from pos: covers the scalar tail and the
      word-at-a-time body on both sides of its boundaries *)
   for r = 0 to 20 do
@@ -165,8 +188,8 @@ let test_skip_run_unit () =
   check_int "stop at pos" 2 (skip 0 "aax" 2 3)
 
 let test_skip_run2_unit () =
-  (* dual-cursor: cursor a reads s.[i] against state 0 ('x' stops), cursor b
-     reads s.[i+off] against state 1 ('y' stops); first stop wins *)
+  (* dual-cursor: cursor a reads s.[i] against row 0 ('x' stops), cursor b
+     reads s.[i+off] against row 1 ('y' stops); first stop wins *)
   let n = 24 in
   (* b-cursor stops first: 'y' at index 9, off 2 -> stop at i = 7 *)
   let s = Bytes.make n 'a' in
@@ -187,19 +210,18 @@ let test_skip_run2_unit () =
     check_int (Printf.sprintf "clean dual run %d" len) len
       (skip2 0 1 ~off:4 s 0 len)
   done;
-  (* mixed dispatch: one SWAR cursor against one bitmap cursor *)
+  (* mixed dispatch: one bitmap cursor against one SWAR cursor *)
   let s = Bytes.make n 'a' in
   Bytes.set s 9 'y';
   check_int "mixed swar/bitmap dual" 7
-    (Dfa.skip_run2 toy_stops toy_bitmap_kinds [||] toy_tbl 0 toy_stops
-       toy_kinds toy_masks toy_tbl 1 ~off:2 (Bytes.to_string s) 0 (n - 2))
+    (Accel.skip2 toy 2 toy 1 ~off:2 (Bytes.to_string s) 0 (n - 2))
 
 (* ---- golden corpus parity: accel vs noaccel, batch + chunked ---- *)
 
 let engines_of rules =
   match
     ( Engine.compile (Dfa.of_rules rules),
-      Engine.compile (Dfa.of_rules ~accel:false rules) )
+      Engine.compile (Dfa.of_rules ~accel:Accel.Off rules) )
   with
   | Ok accel, Ok plain -> Some (accel, plain)
   | Error Engine.Unbounded_tnd, Error Engine.Unbounded_tnd -> None
@@ -279,7 +301,7 @@ let test_streaming_skip_counters () =
   check_int "stats counter matches" skipped (Run_stats.accel_skipped stats);
   (* the noaccel engine never skips *)
   let ep =
-    match Engine.compile (Dfa.of_rules ~accel:false rules) with
+    match Engine.compile (Dfa.of_rules ~accel:Accel.Off rules) with
     | Ok e -> e
     | Error _ -> assert false
   in
@@ -288,7 +310,7 @@ let test_streaming_skip_counters () =
   ignore (Stream_tokenizer.finish st');
   check_int "noaccel skips nothing" 0 (Stream_tokenizer.accel_skipped_bytes st')
 
-(* ---- .stc v4 accel section ---- *)
+(* ---- .stc v5 ---- *)
 
 let compile_grammar g =
   match Engine.compile (Grammar.dfa g) with
@@ -311,38 +333,48 @@ let fix_checksum b =
 let tables_end d =
   281 + (4 * Dfa.size d) + (4 * Dfa.size d * Dfa.num_classes d)
 
-let test_stc_v4_roundtrip () =
+let test_stc_v5_roundtrip () =
   let e = compile_grammar Formats.json in
   let blob = Engine_io.to_string e in
-  check_int "v4 version byte" 4 (Char.code blob.[4]);
+  check_int "v5 version byte" 5 (Char.code blob.[4]);
+  check_int "no accelerator section" (tables_end (Engine.dfa e))
+    (String.length blob);
   (match Engine_io.of_string blob with
   | Ok e' ->
-      check "accel tables survive the round trip" true
-        (Dfa.equal (Engine.dfa e) (Engine.dfa e'));
-      check "swar classification survives" true
-        (Dfa.accel_swar_state_count (Engine.dfa e') > 0);
+      check "loads a DFA equal to a fresh build" true
+        (Dfa.equal (Dfa.of_rules (Grammar.rules Formats.json)) (Engine.dfa e'));
+      check "swar classification derived on load" true
+        (Accel.swar_count (Engine.dfa e').Dfa.accel > 0);
       check "round trip is bit-for-bit stable" true
         (String.equal blob (Engine_io.to_string e'))
-  | Error msg -> Alcotest.failf "v4 load failed: %s" msg);
-  (* an unaccelerated engine round-trips as unaccelerated *)
-  let ep =
-    match Engine.compile (Dfa.of_rules ~accel:false (Grammar.rules Formats.json)) with
+  | Error msg -> Alcotest.failf "v5 load failed: %s" msg);
+  (* the blob carries no accelerator, so a bitmap-only engine saves the
+     same bytes and loads as the default build *)
+  let eb =
+    match
+      Engine.compile
+        (Dfa.of_rules ~accel:Accel.Bitmap (Grammar.rules Formats.json))
+    with
     | Ok e -> e
     | Error _ -> assert false
   in
-  match Engine_io.of_string (Engine_io.to_string ep) with
-  | Ok ep' ->
-      check "noaccel stays off after round trip" false
-        (Dfa.accel_enabled (Engine.dfa ep'))
-  | Error msg -> Alcotest.failf "noaccel v4 load failed: %s" msg
+  check "bitmap build saves the same blob" true
+    (String.equal blob (Engine_io.to_string eb));
+  match Engine_io.of_string ~verify:false blob with
+  | Ok e' ->
+      check "unverified load derives the same accelerator" true
+        (Dfa.equal (Engine.dfa e) (Engine.dfa e'))
+  | Error msg -> Alcotest.failf "unverified v5 load failed: %s" msg
 
-(* a v2 blob is a v4 blob cut at the end of the transition tables, a v3
-   blob one with the per-state kind section cut off; each with its version
-   byte rewound and a valid checksum. Only v4 loads. *)
-let check_old_version_rejected ver cut =
+(* Older layouts: v2 ended at the transition tables (the v5 layout); v3
+   appended an accel section (enable byte, per-state flags, 32-byte stop
+   bitmaps) and v4 one SWAR kind byte per state on top. Each is built from
+   a v5 blob padded to its size, version byte rewound, checksum fixed. Only
+   v5 loads. *)
+let check_old_version_rejected ver extra =
   let e = compile_grammar Formats.json in
-  let v4 = Engine_io.to_string e in
-  let b = Bytes.of_string (String.sub v4 0 (cut (Engine.dfa e) v4)) in
+  let n = Dfa.size (Engine.dfa e) in
+  let b = Bytes.of_string (Engine_io.to_string e ^ String.make (extra n) '\000') in
   Bytes.set b 4 (Char.chr ver);
   fix_checksum b;
   match Engine_io.of_string (Bytes.to_string b) with
@@ -353,76 +385,9 @@ let check_old_version_rejected ver cut =
         (Printf.sprintf "Engine_io: unsupported version %d" ver)
         msg
 
-let test_stc_v2_rejected () =
-  check_old_version_rejected 2 (fun d _ -> tables_end d)
-
-let test_stc_v3_rejected () =
-  check_old_version_rejected 3 (fun d v4 -> String.length v4 - Dfa.size d)
-
-let test_stc_accel_corruption () =
-  let e = compile_grammar Formats.csv in
-  let d = Engine.dfa e in
-  let blob = Engine_io.to_string e in
-  let fbase = tables_end d + 1 in
-  (* a flag byte outside {0,1} is malformed *)
-  let b = Bytes.of_string blob in
-  Bytes.set b fbase '\002';
-  fix_checksum b;
-  check "flag byte > 1 rejected" true
-    (match Engine_io.of_string (Bytes.to_string b) with
-    | Error _ -> true
-    | Ok _ -> false);
-  (* a flipped (well-formed) flag contradicts the recomputed analysis *)
-  let b = Bytes.of_string blob in
-  Bytes.set b fbase (if Bytes.get b fbase = '\000' then '\001' else '\000');
-  fix_checksum b;
-  check "inconsistent accel tables rejected under verify" true
-    (match Engine_io.of_string (Bytes.to_string b) with
-    | Error _ -> true
-    | Ok _ -> false);
-  (* ... but accepted when the caller opts out of verification *)
-  check "unverified load trusts the tables" true
-    (match Engine_io.of_string ~verify:false (Bytes.to_string b) with
-    | Ok _ -> true
-    | Error _ -> false)
-
-let test_stc_swar_corruption () =
-  let e = compile_grammar Formats.json in
-  let d = Engine.dfa e in
-  let n = Dfa.size d in
-  let blob = Engine_io.to_string e in
-  let kbase = tables_end d + 1 + n + (n * 32) in
-  let reject what b =
-    match Engine_io.of_string (Bytes.to_string b) with
-    | Error msg ->
-        check (what ^ ": error mentions the accel section") true
-          (let has needle =
-             let nl = String.length needle and ml = String.length msg in
-             let rec go i = i + nl <= ml && (String.sub msg i nl = needle || go (i + 1)) in
-             go 0
-           in
-           has "kind" || has "table sizes")
-    | Ok _ -> Alcotest.failf "%s: corrupted blob accepted" what
-  in
-  (* a kind byte above 4 is malformed *)
-  let b = Bytes.of_string blob in
-  Bytes.set b kbase '\007';
-  fix_checksum b;
-  reject "kind byte > 4" b;
-  (* a well-formed but wrong kind contradicts the stop bitmaps; this is
-     structural validation, so it must hold even without verify *)
-  let b = Bytes.of_string blob in
-  Bytes.set b kbase (if Bytes.get b kbase = '\000' then '\001' else '\000');
-  fix_checksum b;
-  reject "kind inconsistent with bitmaps" b;
-  check "kind inconsistency rejected even unverified" true
-    (match Engine_io.of_string ~verify:false (Bytes.to_string b) with
-    | Error _ -> true
-    | Ok _ -> false);
-  (* a truncated kind section makes the blob the wrong length for v4 *)
-  let b = Bytes.of_string (String.sub blob 0 (String.length blob - 1)) in
-  fix_checksum b;
-  reject "truncated kind section" b
+let test_stc_v2_rejected () = check_old_version_rejected 2 (fun _ -> 0)
+let test_stc_v3_rejected () = check_old_version_rejected 3 (fun n -> 1 + (33 * n))
+let test_stc_v4_rejected () = check_old_version_rejected 4 (fun n -> 1 + (34 * n))
 
 let suite =
   [
@@ -435,9 +400,8 @@ let suite =
     Alcotest.test_case "golden grammars parity" `Quick test_golden_grammars;
     Alcotest.test_case "streaming skip counters" `Quick
       test_streaming_skip_counters;
-    Alcotest.test_case "stc v4 roundtrip" `Quick test_stc_v4_roundtrip;
+    Alcotest.test_case "stc v5 roundtrip" `Quick test_stc_v5_roundtrip;
     Alcotest.test_case "stc v2 rejected" `Quick test_stc_v2_rejected;
     Alcotest.test_case "stc v3 rejected" `Quick test_stc_v3_rejected;
-    Alcotest.test_case "stc accel corruption" `Quick test_stc_accel_corruption;
-    Alcotest.test_case "stc swar corruption" `Quick test_stc_swar_corruption;
+    Alcotest.test_case "stc v4 rejected" `Quick test_stc_v4_rejected;
   ]

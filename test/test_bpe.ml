@@ -165,6 +165,28 @@ let test_engine_matches_encoder () =
         (String.concat "," (List.map string_of_int expected))
   done
 
+(* TE skip rows are allocated when a skip loop first enters a powerstate,
+   not per materialized powerstate: a 4 KiB run over the mini vocabulary
+   materializes thousands of powerstates, and the skip storage (rows plus
+   the per-powerstate row index) stays small and fully counted. *)
+let test_te_skip_rows_on_demand () =
+  let v = load_mini () in
+  let d = match Bpe.Compiler.dfa ~audit:false v with
+    | Ok d -> d | Error e -> Alcotest.failf "dfa: %s" e
+  in
+  let e = match Engine.compile d with
+    | Ok e -> e | Error Engine.Unbounded_tnd -> Alcotest.fail "unbounded"
+  in
+  let text = Bpe.Trainer.gen_corpus (Prng.create 7L) 4096 in
+  ignore (Engine.run_string e text ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
+  let te = Option.get (Engine.Internal.te_dfa e) in
+  let acc = Te_dfa.accel te in
+  check "many powerstates materialized" true (Te_dfa.num_states te > 1000);
+  check "skip storage under 64 KiB" true (Te_dfa.accel_bytes te < 65536);
+  check "rows only for entered powerstates" true
+    (Accel.rows acc <= Te_dfa.num_states te
+    && Accel.bytes acc <= 346 * max 16 (2 * Accel.rows acc))
+
 let test_differential_battery () =
   (* the full battery — baselines, chunked streaming, serve-wire, and the
      bpe:ref / bpe:serve-ids subjects — on a tiny trained vocab *)
@@ -224,6 +246,8 @@ let suite =
     Alcotest.test_case "vendored = trainer" `Quick test_vendored_matches_trainer;
     Alcotest.test_case "mini analyzes finite" `Quick test_mini_analyzes;
     Alcotest.test_case "engine = merge loop" `Quick test_engine_matches_encoder;
+    Alcotest.test_case "te skip rows on demand" `Quick
+      test_te_skip_rows_on_demand;
     Alcotest.test_case "differential battery" `Quick test_differential_battery;
     Alcotest.test_case "repro vocab round-trip" `Quick
       test_repro_vocab_roundtrip;

@@ -304,7 +304,7 @@ let test_classed_dense_parity () =
   check "ran a spread of grammars" true (!grammars >= 100)
 
 (* Same battery against the self-loop acceleration: the skip-loop engine
-   must be byte-identical to the [~accel:false] reference build. *)
+   must be byte-identical to the [~accel:Off] reference build. *)
 let test_accel_noaccel_parity () =
   let rng = Prng.create 0xACCE17EDL in
   let cases = ref 0 in
@@ -319,8 +319,9 @@ let test_accel_noaccel_parity () =
           Grammar_corpus.mutate rng r
     in
     let da = Dfa.of_rules rules in
-    let dp = Dfa.of_rules ~accel:false rules in
-    check "reference build has accel off" false (Dfa.accel_enabled dp);
+    let dp = Dfa.of_rules ~accel:Accel.Off rules in
+    check "reference build has accel off" true
+      (Accel.level dp.Dfa.accel = Accel.Off);
     match (Engine.compile da, Engine.compile dp) with
     | Error Engine.Unbounded_tnd, Error Engine.Unbounded_tnd -> ()
     | Error _, Ok _ | Ok _, Error _ ->

@@ -442,9 +442,9 @@ let test_footprint_accounts_classmap () =
   let dfa_bytes =
     ((Array.length d.Dfa.trans + Array.length d.Dfa.accept) * 8)
     + 256
-    + Dfa.accel_table_bytes d
+    + Accel.bytes d.Dfa.accel
   in
-  check "accel tables accounted" true (Dfa.accel_table_bytes d > 0);
+  check "accel tables accounted" true (Accel.bytes d.Dfa.accel > 0);
   check_int "k1 footprint = tables + classmap + accel + buffers"
     (dfa_bytes + Engine.k1_table_bytes e + 1 + 64)
     (Engine.footprint_bytes e);

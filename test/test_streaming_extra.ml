@@ -195,7 +195,7 @@ let prop_random_chunk_plans =
 
 (* Chunked accel ≡ chunked noaccel (1k seeded cases): the kernel's skip
    loops — the K ≤ 1 skip held short of the chunk's last byte and the TE
-   dual-cursor skip with the K-symbol lead — against the [~accel:false] reference tokenizer under
+   dual-cursor skip with the K-symbol lead — against the [~accel:Off] reference tokenizer under
    random chunk plans, so skip entry and exit land on chunk boundaries in
    every alignment. *)
 let test_accel_chunked_parity () =
@@ -208,7 +208,7 @@ let test_accel_chunked_parity () =
       | _ -> Grammar_corpus.sample rng
     in
     let da = Dfa.of_rules rules in
-    let dp = Dfa.of_rules ~accel:false rules in
+    let dp = Dfa.of_rules ~accel:Accel.Off rules in
     match (Engine.compile da, Engine.compile dp) with
     | Error Engine.Unbounded_tnd, Error Engine.Unbounded_tnd -> ()
     | Error _, Ok _ | Ok _, Error _ ->
