@@ -5,9 +5,10 @@
    trainer's output, pass the munch-consistency audit, analyze to a small
    finite max-TND, and the DFA engine's token ids must be byte-identical
    to the reference encoder on every input — batch AND chunked through
-   Stream_tokenizer. Throughput mode then reports MB/s of both sides and
-   the table footprint. Scalars go via STREAMTOK_BENCH_STATS into
-   BENCH_bpe.json. *)
+   Stream_tokenizer, and a cold 4 KiB run must hold the TE DFA under
+   8 KiB per materialized powerstate. Throughput mode then reports MB/s
+   of both sides and the table footprint. Scalars go via
+   STREAMTOK_BENCH_STATS into BENCH_bpe.json. *)
 
 open Streamtok
 
@@ -63,6 +64,11 @@ let check_parity v e input =
       end)
     [ 1; 7; 4096 ];
   List.length expected
+
+(* A powerstate costs its transition and emit rows plus a few dozen
+   member ids, about 4 KB on the mini vocabulary; storing the powerset
+   densely would cost 85 KB on its own. *)
+let te_bytes_per_state_cap = 8192
 
 let record name v =
   Bench_common.record_result ~experiment:"bpe" ~name
@@ -138,6 +144,35 @@ let run ?(throughput = true) () =
     "  parity: %d inputs, %d tokens, engine == merge loop (batch + chunked)\n"
     (List.length inputs) tokens;
   record "parity_inputs" (float_of_int (List.length inputs));
+
+  (* TE memory gate: a cold 4 KiB corpus run on a fresh engine. Bytes per
+     powerstate is the TE DFA's own allocated-bytes count over the
+     powerstates the run materialized — a count, not a timing, so the gate
+     is free of timing noise. Warm-up is the cold run's time less a warm
+     re-run of the same text. *)
+  let cold = Engine.compile_trusted d ~k in
+  let text = Bpe.Trainer.gen_corpus (Prng.create 7L) 4096 in
+  let timed_run () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Engine.run_string cold text ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
+    Unix.gettimeofday () -. t0
+  in
+  let t_cold = timed_run () in
+  let t_warm = timed_run () in
+  let te = Option.get (Engine.Internal.te_dfa cold) in
+  let te_states = Te_dfa.num_states te in
+  let per_state = Te_dfa.bytes te / te_states in
+  Printf.printf
+    "  te dfa: cold 4 KiB run -> %d powerstates, %d bytes each, warm-up %.3fs\n"
+    te_states per_state (t_cold -. t_warm);
+  record "te_states" (float_of_int te_states);
+  record "te_warmup_s" (t_cold -. t_warm);
+  record "te_bytes_per_state" (float_of_int per_state);
+  if per_state > te_bytes_per_state_cap then begin
+    Printf.eprintf "bpe bench: %d TE bytes per powerstate, above the %d cap\n"
+      per_state te_bytes_per_state_cap;
+    exit 1
+  end;
 
   if throughput then begin
     let input = Bpe.Trainer.gen_corpus (Prng.create 0xfa57L) (4 * 1024 * 1024) in

@@ -61,11 +61,13 @@ if [ -z "$swar_states" ] || [ "$swar_states" -lt 1 ]; then
   exit 1
 fi
 
-echo "== bpe gate (vendored-vocab drift, audit, parity vs merge loop, bounded K)"
+echo "== bpe gate (vendored-vocab drift, audit, parity vs merge loop, bounded K, TE bytes)"
 # Hard checks live inside the bench: the vendored vocabulary must equal
 # Trainer.mini (), pass the munch-consistency audit, and the DFA engine's
 # token ids must equal the reference merge-loop encoder on every parity
-# input, batch and chunked. Throughput timing is skipped here.
+# input, batch and chunked. A cold 4 KiB corpus run must hold the TE DFA
+# to at most 8 KiB of allocated bytes per materialized powerstate (a
+# count, not a timing). Throughput timing is skipped here.
 dune exec bench/main.exe -- bpe-check
 
 echo "== perfbench selftest (the frozen benchmark still builds and runs)"

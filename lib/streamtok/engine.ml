@@ -36,11 +36,7 @@ let footprint_bytes e =
   let mode_bytes =
     match e.mode with
     | Table_k1 tbl -> Bytes.length tbl
-    | Te te ->
-        (* materialized powerstates: transition row + emit-bit row each *)
-        Te_dfa.num_states te
-        * ((Te_dfa.width te * 8) + (((Dfa.size e.dfa + 63) / 64) * 8) + 16)
-        + Te_dfa.accel_bytes te
+    | Te te -> Te_dfa.bytes te
   in
   dfa_bytes + mode_bytes + lookahead_buffer_bytes e + 64
 

@@ -81,10 +81,10 @@ val k1_table_bytes : t -> int
 
 (** Approximate resident size, in bytes, of all tables the engine consults
     at run time: DFA transition/accept tables, the Fig. 5 [k1_table] or the
-    materialized token-extension powerstates, and the max(K, 1) lookahead
-    bytes the streaming kernel carries across a chunk boundary. Monotone
-    in {!te_states}, so it grows as the lazy TE DFA materializes. Used by
-    the RQ6 memory experiment. *)
+    token-extension DFA as allocated ({!Te_dfa.bytes}), and the max(K, 1)
+    lookahead bytes the streaming kernel carries across a chunk boundary.
+    Monotone in {!te_states}, so it grows as the lazy TE DFA materializes.
+    Used by the RQ6 memory experiment. *)
 val footprint_bytes : t -> int
 
 (** How a run ended: the whole input was tokenized, or tokenization stopped

@@ -15,16 +15,39 @@ module Bits = St_util.Bits
    raw bytes: bytes the DFA cannot distinguish take identical extension
    paths, so the powerset step factors through the classmap. A row is
    [width = num_classes + 1] wide; the last column is the EOF
-   pseudo-symbol. *)
+   pseudo-symbol.
 
-module Set_key = struct
-  type t = Bits.t
+   Powerstates are sparse. The restart set [inject] — the F paths of
+   length 0, one per final state — is all-or-nothing in every powerstate:
+   the start state and every real-symbol successor contain all of it, and
+   an EOF successor contains no in-progress path at all. So a powerstate
+   is stored as one flag for [inject] plus the sorted NFA ids of its other
+   members (about 15 on a BPE vocabulary, against F·M·K + F·K possible
+   ids). The key is canonical — equal powersets, equal keys — so interning
+   on it numbers powerstates exactly as the dense powerset would. *)
 
-  let equal = Bits.equal
-  let hash = Bits.hash
+(* A powerstate: [inj] says it holds [inject]; the first [len] entries of
+   [mem] are its other members, sorted and distinct. Interned keys own
+   their [mem] ([len = Array.length mem]); a lookup probe points into the
+   materialization scratch buffer. *)
+module Key = struct
+  type t = { inj : bool; mem : int array; len : int }
+
+  let equal a b =
+    a.inj = b.inj && a.len = b.len
+    &&
+    let rec go i = i >= a.len || (a.mem.(i) = b.mem.(i) && go (i + 1)) in
+    go 0
+
+  let hash k =
+    let h = ref (Bool.to_int k.inj) in
+    for i = 0 to k.len - 1 do
+      h := (!h * 31) + k.mem.(i)
+    done;
+    !h lxor (!h lsr 29)
 end
 
-module Set_tbl = Hashtbl.Make (Set_key)
+module Key_tbl = Hashtbl.Make (Key)
 
 type t = {
   dfa : Dfa.t;
@@ -33,24 +56,26 @@ type t = {
   fidx : int array;
   num_finals : int;
   words : int;  (* int64 words per emit-bit row: ceil(|DFA|/64) *)
+  finals_row : int64 array;  (* emit-bit row with every final state set *)
+  mutable side_words : int;
+      (* heap words of the keys, the restart successors and the emit-row
+         words not shared with [finals_row] (a boxed int64 each) *)
   mutable num_states : int;
   mutable capacity : int;
   mutable trans : int array;  (* capacity × width; -1 = not yet built *)
   mutable emit_rows : int64 array;  (* capacity × words *)
-  mutable origin_rows : Bits.t array;  (* per state: extendable finals *)
-  mutable sets : Bits.t array;  (* per state: the NFA powerset *)
+  mutable keys : Key.t array;  (* per state: its powerstate *)
   accel : Accel.t;  (* skip rows, appended on first entry *)
   mutable accel_row : int array;  (* per state: its row in [accel], or -1 *)
-  tbl : int Set_tbl.t;
+  tbl : int Key_tbl.t;
+  injected : int array option array;
+      (* per real class: the sorted successors of [inject], on first use *)
+  mutable scratch : int array;  (* successor buffer for [step_set] *)
   (* NFA parameters *)
   m : int;
   active_count : int;
-  nfa_size : int;
-  inject : Bits.t;
   final_state : int array;  (* final index -> DFA state *)
   coacc : Bits.t;
-  scratch : Bits.t;
-  start : int;
   lock : Mutex.t;  (* guards materialization; reads are lock-free *)
 }
 
@@ -61,10 +86,101 @@ let eof_class t = t.width - 1
 (* NFA state encoding, given M = DFA size, F = number of finals, K:
    - Active (f0, q, j), j ∈ 0..K-1:  id = f0*M*K + q*K + j
    - Done (f0, j), j ∈ 1..K:         id = F*M*K + f0*K + (j-1)
-   Accepting states are Done (f0, K); Λ(Done (f0, _)) = f0. *)
+   Accepting states are Done (f0, K); Λ(Done (f0, _)) = f0. The Active
+   states with j = 0 are exactly [inject]: (f0, final_state f0, 0). *)
 
 let active t f0 q j = (f0 * t.m * t.k) + (q * t.k) + j
 let done_ t f0 j = t.active_count + (f0 * t.k) + (j - 1)
+
+(* EOF kills in-progress paths and advances the padding:
+   Done (f0, j) -> Done (f0, j+1), whose id is the next one. *)
+let succ_eof t id =
+  if id >= t.active_count && (id - t.active_count) mod t.k < t.k - 1 then
+    id + 1
+  else -1
+
+(* The successor of NFA state [id] on real class [cls], or -1 when the
+   path dies. In-progress paths through dead DFA states can never
+   complete, so they are pruned; padding advances as at EOF. *)
+let succ t id cls =
+  if id < t.active_count then begin
+    let f0 = id / (t.m * t.k) in
+    let rem = id mod (t.m * t.k) in
+    let q' = Dfa.step_class t.dfa (rem / t.k) cls and j' = (rem mod t.k) + 1 in
+    if Dfa.is_final t.dfa q' then done_ t f0 j'
+    else if j' < t.k && Bits.mem t.coacc q' then active t f0 q' j'
+    else -1
+  end
+  else succ_eof t id
+
+(* The successors of [inject] on real class [cls] are the same for every
+   powerstate that holds it: derived once per class (under the lock). *)
+let injected t cls =
+  match t.injected.(cls) with
+  | Some a -> a
+  | None ->
+      let l = ref [] in
+      for f0 = t.num_finals - 1 downto 0 do
+        let s = succ t (active t f0 t.final_state.(f0) 0) cls in
+        if s >= 0 then l := s :: !l
+      done;
+      let a = Array.of_list !l in
+      Array.sort Int.compare a;
+      t.injected.(cls) <- Some a;
+      t.side_words <- t.side_words + 2 + Array.length a + 1;
+      a
+
+(* In-place heapsort of [a.(0 .. n-1)]. *)
+let sort_prefix a n =
+  let swap i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  in
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        swap i c;
+        sift c n
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for e = n - 1 downto 1 do
+    swap 0 e;
+    sift 0 e
+  done
+
+(* One NFA step of the whole powerstate on a symbol class ([eof_class t]
+   for EOF), written into the scratch buffer and returned as a probe key:
+   restart injection applies to real symbols only. The successors need no
+   dedup: a member is fixed by its (f0, j) — the path injected at f0 j
+   symbols ago, walked by a deterministic DFA — and a step maps (f0, j) to
+   (f0, j+1), so distinct members have distinct successors, all with
+   j ≥ 2, apart from the injected ones (j = 1). *)
+let step_set t (key : Key.t) cls =
+  let is_eof = cls = eof_class t in
+  let inj = if key.inj && not is_eof then injected t cls else [||] in
+  let need = key.len + Array.length inj in
+  if Array.length t.scratch < need then
+    t.scratch <- Array.make (max need (2 * Array.length t.scratch)) 0;
+  let buf = t.scratch in
+  let n = ref 0 in
+  for i = 0 to key.len - 1 do
+    let s = if is_eof then succ_eof t key.mem.(i) else succ t key.mem.(i) cls in
+    if s >= 0 then begin
+      buf.(!n) <- s;
+      incr n
+    end
+  done;
+  Array.blit inj 0 buf !n (Array.length inj);
+  let len = !n + Array.length inj in
+  sort_prefix buf len;
+  { Key.inj = not is_eof; mem = buf; len }
 
 let grow t =
   let cap = 2 * t.capacity in
@@ -74,71 +190,38 @@ let grow t =
   let emit_rows = Array.make (cap * t.words) 0L in
   Array.blit t.emit_rows 0 emit_rows 0 (t.num_states * t.words);
   t.emit_rows <- emit_rows;
-  let origin_rows = Array.make cap (Bits.create 0) in
-  Array.blit t.origin_rows 0 origin_rows 0 t.num_states;
-  t.origin_rows <- origin_rows;
-  let sets = Array.make cap (Bits.create 0) in
-  Array.blit t.sets 0 sets 0 t.num_states;
-  t.sets <- sets;
+  let keys = Array.make cap t.keys.(0) in
+  Array.blit t.keys 0 keys 0 t.num_states;
+  t.keys <- keys;
   let accel_row = Array.make cap (-1) in
   Array.blit t.accel_row 0 accel_row 0 t.num_states;
   t.accel_row <- accel_row;
   t.capacity <- cap
 
-(* intern a powerset, computing its origin set and emit-bit row *)
-let intern t set =
-  match Set_tbl.find_opt t.tbl set with
-  | Some id -> id
-  | None ->
-      if t.num_states = t.capacity then grow t;
-      let id = t.num_states in
-      t.num_states <- id + 1;
-      Set_tbl.add t.tbl set id;
-      t.sets.(id) <- set;
-      let origin = Bits.create (max t.num_finals 1) in
-      for f0 = 0 to t.num_finals - 1 do
-        if Bits.mem set (done_ t f0 t.k) then Bits.add origin f0
-      done;
-      t.origin_rows.(id) <- origin;
-      (* emit bit for (id, q): q final and no completed extension path *)
-      for q = 0 to t.m - 1 do
-        if t.fidx.(q) >= 0 && not (Bits.mem origin t.fidx.(q)) then
-          t.emit_rows.((id * t.words) + (q lsr 6)) <-
-            Int64.logor
-              t.emit_rows.((id * t.words) + (q lsr 6))
-              (Int64.shift_left 1L (q land 63))
-      done;
-      id
-
-(* one NFA step of the whole powerset on a symbol class ([eof_class t] for
-   EOF); restart injection applied for real symbols only *)
-let step_set t set cls into =
-  Bits.clear into;
-  let dfa = t.dfa in
-  let is_eof = cls = eof_class t in
-  Bits.iter
-    (fun id ->
-      if id < t.active_count then begin
-        if not is_eof then begin
-          let f0 = id / (t.m * t.k) in
-          let rem = id mod (t.m * t.k) in
-          let q = rem / t.k and j = rem mod t.k in
-          let q = if j = 0 then t.final_state.(f0) else q in
-          let q' = Dfa.step_class dfa q cls in
-          let j' = j + 1 in
-          if Dfa.is_final dfa q' then Bits.add into (done_ t f0 j')
-          else if j' < t.k && Bits.mem t.coacc q' then
-            (* dead DFA states can never complete a path: prune *)
-            Bits.add into (active t f0 q' j')
-        end
-      end
-      else begin
-        let id' = id - t.active_count in
-        let f0 = id' / t.k and j = (id' mod t.k) + 1 in
-        if j < t.k then Bits.add into (done_ t f0 (j + 1))
+(* Intern an owned key as a new powerstate, writing its emit-bit row: the
+   bit of final q is set unless a completed extension path Done (f0, K)
+   starts at q = final_state f0. *)
+let intern t (key : Key.t) =
+  if t.num_states = t.capacity then grow t;
+  let id = t.num_states in
+  t.num_states <- id + 1;
+  Key_tbl.add t.tbl key id;
+  t.keys.(id) <- key;
+  t.side_words <- t.side_words + 4 + key.len + 1;
+  Array.blit t.finals_row 0 t.emit_rows (id * t.words) t.words;
+  Array.iter
+    (fun m ->
+      let x = m - t.active_count in
+      if x >= 0 && x mod t.k = t.k - 1 then begin
+        let q = t.final_state.(x / t.k) in
+        let i = (id * t.words) + (q lsr 6) in
+        let w = t.emit_rows.(i) in
+        if w == t.finals_row.(q lsr 6) then t.side_words <- t.side_words + 3;
+        t.emit_rows.(i) <-
+          Int64.logand w (Int64.lognot (Int64.shift_left 1L (q land 63)))
       end)
-    set;
-  if not is_eof then Bits.union_into ~dst:into t.inject
+    key.mem;
+  id
 
 let build dfa ~k =
   assert (k >= 1);
@@ -153,18 +236,19 @@ let build dfa ~k =
     end
   done;
   let f = !num_finals in
-  let active_count = f * m * k in
-  let nfa_size = active_count + (f * k) in
   let final_state = Array.make (max f 1) 0 in
   for q = 0 to m - 1 do
     if fidx.(q) >= 0 then final_state.(fidx.(q)) <- q
   done;
-  let inject = Bits.create nfa_size in
+  let words = (m + 63) / 64 in
+  let finals_row = Array.make words 0L in
   for q = 0 to m - 1 do
-    if fidx.(q) >= 0 then Bits.add inject ((fidx.(q) * m * k) + (q * k)) (* j = 0 *)
+    if fidx.(q) >= 0 then
+      finals_row.(q lsr 6) <-
+        Int64.logor finals_row.(q lsr 6) (Int64.shift_left 1L (q land 63))
   done;
   let capacity = 16 in
-  let words = (m + 63) / 64 in
+  let start_key = { Key.inj = true; mem = [||]; len = 0 } in
   let t =
     {
       dfa;
@@ -173,27 +257,26 @@ let build dfa ~k =
       fidx;
       num_finals = f;
       words;
+      finals_row;
+      side_words = 0;
       num_states = 0;
       capacity;
       trans = Array.make (capacity * width) (-1);
       emit_rows = Array.make (capacity * words) 0L;
-      origin_rows = Array.make capacity (Bits.create 0);
-      sets = Array.make capacity (Bits.create 0);
+      keys = Array.make capacity start_key;
       accel = Accel.create (Accel.level dfa.Dfa.accel) ~capacity:0;
       accel_row = Array.make capacity (-1);
-      tbl = Set_tbl.create 64;
+      tbl = Key_tbl.create 64;
+      injected = Array.make (width - 1) None;
+      scratch = Array.make 64 0;
       m;
-      active_count;
-      nfa_size;
-      inject;
+      active_count = f * m * k;
       final_state;
       coacc = Dfa.co_accessible dfa;
-      scratch = Bits.create nfa_size;
-      start = 0;
       lock = Mutex.create ();
     }
   in
-  let start = intern t (Bits.copy inject) in
+  let start = intern t start_key in
   assert (start = 0);
   t
 
@@ -206,8 +289,12 @@ let materialize t s cls =
     match t.trans.((s * t.width) + cls) with
     | tgt when tgt >= 0 -> tgt
     | _ ->
-        step_set t t.sets.(s) cls t.scratch;
-        let id = intern t (Bits.copy t.scratch) in
+        let probe = step_set t t.keys.(s) cls in
+        let id =
+          match Key_tbl.find_opt t.tbl probe with
+          | Some id -> id
+          | None -> intern t { probe with mem = Array.sub probe.mem 0 probe.len }
+        in
         (* t.trans may have been reallocated by intern/grow: write after *)
         t.trans.((s * t.width) + cls) <- id;
         id
@@ -224,9 +311,20 @@ let class_of_symbol t sym =
 
 let step t s sym = step_class t s (class_of_symbol t sym)
 
+(* Binary search for Done (f0, K) among the powerstate's sorted members. *)
 let extendable t s q =
   let f0 = t.fidx.(q) in
-  f0 >= 0 && Bits.mem t.origin_rows.(s) f0
+  f0 >= 0
+  &&
+  let key = t.keys.(s) and x = done_ t f0 t.k in
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let v = key.mem.(mid) in
+    v = x || if v < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 key.len
 
 let emit_bit t s q =
   Int64.logand
@@ -269,6 +367,31 @@ let accel_row t s =
   if r >= 0 then r else derive_accel_row t s
 
 let accel_bytes t = Accel.bytes t.accel + (8 * Array.length t.accel_row)
+
+(* Heap bytes as allocated: the arrays at capacity with their headers,
+   [side_words], the intern table's buckets and entries, and the fixed
+   per-DFA arrays (the finals row boxed word by word). *)
+let bytes t =
+  let arr n = 8 * (n + 1) in
+  Mutex.lock t.lock;
+  let st = Key_tbl.stats t.tbl in
+  let b =
+    arr (Array.length t.trans)
+    + arr (Array.length t.emit_rows)
+    + arr (Array.length t.keys)
+    + arr (Array.length t.injected)
+    + arr (Array.length t.scratch)
+    + (8 * t.side_words)
+    + arr st.Hashtbl.num_buckets
+    + (32 * st.Hashtbl.num_bindings)
+    + arr t.words + (24 * t.words)
+    + arr (Array.length t.fidx)
+    + arr (Array.length t.final_state)
+    + arr ((t.m / Sys.int_size) + 1)
+    + accel_bytes t
+  in
+  Mutex.unlock t.lock;
+  b
 
 let start _t = 0
 let k t = t.k

@@ -18,6 +18,15 @@
     implementation note. In-progress paths through non-co-accessible DFA
     states are pruned.
 
+    Powerstates are stored sparsely. The restart set — the [F] paths of
+    length 0, one per final state — is all-or-nothing in every powerstate
+    (every real-symbol successor contains it, no EOF successor holds any
+    in-progress path), so a powerstate is a flag for it plus the sorted
+    ids of its other members. That key is canonical, so powerstates are
+    numbered exactly as over the dense powerset. The successors of the
+    restart set depend only on the symbol class and are derived once per
+    class.
+
     The DFA itself is {e lazy}: powerstates and their transitions
     materialize the first time {!step} takes them (eager construction is
     exponential in [K] in the worst case; on a concrete stream only the
@@ -93,8 +102,14 @@ val accel : t -> Accel.t
 val accel_row : t -> int -> int
 
 (** Bytes held by the skip rows and the per-powerstate row index, at
-    their allocated capacity (for footprint accounting). *)
+    their allocated capacity. *)
 val accel_bytes : t -> int
+
+(** Heap bytes held by the automaton as allocated: transition and
+    emit-bit rows at capacity, the interned powerstates and their table,
+    the per-class restart successors, the skip storage ({!accel_bytes})
+    and the fixed per-DFA arrays. *)
+val bytes : t -> int
 
 (**/**)
 

@@ -8,8 +8,6 @@ let create n =
   assert (n >= 0);
   { n; words = Array.make (max 1 (words_for n)) 0 }
 
-let capacity t = t.n
-
 let mem t i =
   assert (i >= 0 && i < t.n);
   t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
@@ -57,12 +55,6 @@ let inter_empty a b =
     || (a.words.(i) land b.words.(i) = 0 && go (i + 1))
   in
   go 0
-
-let union_into ~dst src =
-  assert (dst.n = src.n);
-  for i = 0 to Array.length dst.words - 1 do
-    dst.words.(i) <- dst.words.(i) lor src.words.(i)
-  done
 
 let iter f t =
   for w = 0 to Array.length t.words - 1 do

@@ -1,14 +1,11 @@
 (** Fixed-width bitsets over [0, n), backed by an [int array].
 
-    Used for DFA state sets (co-accessibility, analysis frontiers,
-    token-extension powerstates) where dense membership tests dominate. *)
+    Used for DFA state sets (co-accessibility, analysis frontiers, subset
+    construction) where dense membership tests dominate. *)
 
 type t
 
 val create : int -> t
-
-(** Number of elements the set can hold (the [n] given to {!create}). *)
-val capacity : t -> int
 
 val mem : t -> int -> bool
 val add : t -> int -> unit
@@ -25,7 +22,6 @@ val hash : t -> int
 (** [inter_empty a b] is true iff the intersection of [a] and [b] is empty. *)
 val inter_empty : t -> t -> bool
 
-val union_into : dst:t -> t -> unit
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list

@@ -165,18 +165,30 @@ let test_engine_matches_encoder () =
         (String.concat "," (List.map string_of_int expected))
   done
 
+(* A fresh (cold) engine over the mini vocabulary: no TE powerstate
+   beyond the start state materialized yet. *)
+let mini_engine () =
+  let d = match Bpe.Compiler.dfa ~audit:false (load_mini ()) with
+    | Ok d -> d | Error e -> Alcotest.failf "dfa: %s" e
+  in
+  match Engine.compile d with
+  | Ok e -> e | Error Engine.Unbounded_tnd -> Alcotest.fail "unbounded"
+
+(* Runs [text] through [e] with an allocation-free emit callback and
+   returns the live-heap growth in bytes, measured across compactions. *)
+let heap_growth e text =
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  ignore (Engine.run_string e text ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
+  Gc.compact ();
+  ((Gc.stat ()).Gc.live_words - before) * (Sys.word_size / 8)
+
 (* TE skip rows are allocated when a skip loop first enters a powerstate,
    not per materialized powerstate: a 4 KiB run over the mini vocabulary
    materializes thousands of powerstates, and the skip storage (rows plus
    the per-powerstate row index) stays small and fully counted. *)
 let test_te_skip_rows_on_demand () =
-  let v = load_mini () in
-  let d = match Bpe.Compiler.dfa ~audit:false v with
-    | Ok d -> d | Error e -> Alcotest.failf "dfa: %s" e
-  in
-  let e = match Engine.compile d with
-    | Ok e -> e | Error Engine.Unbounded_tnd -> Alcotest.fail "unbounded"
-  in
+  let e = mini_engine () in
   let text = Bpe.Trainer.gen_corpus (Prng.create 7L) 4096 in
   ignore (Engine.run_string e text ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
   let te = Option.get (Engine.Internal.te_dfa e) in
@@ -186,6 +198,35 @@ let test_te_skip_rows_on_demand () =
   check "rows only for entered powerstates" true
     (Accel.rows acc <= Te_dfa.num_states te
     && Accel.bytes acc <= 346 * max 16 (2 * Accel.rows acc))
+
+(* Cold runs on the seed-7 corpus materialize exactly the powerstates the
+   dense powerset did (a key that split or merged powerstates would move
+   these counts), and [footprint_bytes] — which counts the TE DFA as
+   allocated — stays within 2x of the live-heap growth of the run. *)
+let test_te_cold_runs_pinned () =
+  List.iter
+    (fun (bytes, states) ->
+      let e = mini_engine () in
+      let text = Bpe.Trainer.gen_corpus (Prng.create 7L) bytes in
+      let growth = heap_growth e text in
+      let fp = Engine.footprint_bytes e in
+      check_int (Printf.sprintf "powerstates at %d bytes" bytes) states
+        (Engine.te_states e);
+      if fp > 2 * growth || growth > 2 * fp then
+        Alcotest.failf "%d bytes: footprint %d vs heap growth %d" bytes fp
+          growth)
+    [ (4096, 2281); (16384, 5522) ]
+
+(* The TE memory attack: 512 KiB of JSON through one mini-vocabulary
+   engine. Every powerstate it materializes stays resident for the
+   engine's life, so the live heap it adds is the bound that matters. *)
+let test_te_json_heap_bounded () =
+  let e = mini_engine () in
+  let text = Gen_data.json ~target_bytes:(512 * 1024) () in
+  let growth = heap_growth e text in
+  if growth >= 64 * 1024 * 1024 then
+    Alcotest.failf "512 KiB of json grew the heap by %d bytes (%d powerstates)"
+      growth (Engine.te_states e)
 
 let test_differential_battery () =
   (* the full battery — baselines, chunked streaming, serve-wire, and the
@@ -248,6 +289,8 @@ let suite =
     Alcotest.test_case "engine = merge loop" `Quick test_engine_matches_encoder;
     Alcotest.test_case "te skip rows on demand" `Quick
       test_te_skip_rows_on_demand;
+    Alcotest.test_case "te cold runs pinned" `Quick test_te_cold_runs_pinned;
+    Alcotest.test_case "te json heap bounded" `Quick test_te_json_heap_bounded;
     Alcotest.test_case "differential battery" `Quick test_differential_battery;
     Alcotest.test_case "repro vocab round-trip" `Quick
       test_repro_vocab_roundtrip;

@@ -145,6 +145,81 @@ let test_classed_step_parity_seeded () =
     incr cases
   done
 
+(* An independent oracle for [extendable], straight from the paper's
+   definition: after reading symbols w[0..n), a final state q is
+   extendable iff some k ≤ K makes δ(q, w[n-K .. n-K+k)) final with every
+   earlier intermediate state non-final — i.e. the walk from q over the
+   window hits a final state within its real symbols (an EOF pad ends the
+   walk). With fewer than K symbols read there is no window yet. Checked
+   for every DFA state after every prefix and after each of the K EOF
+   steps, over 1k seeded grammars with 1 ≤ K ≤ 4. Each grammar's automaton
+   reads two streams, as a daemon's sessions share one engine: one over
+   the grammar's own bytes, then one over all 256. *)
+let test_extendable_oracle_seeded () =
+  let rng = Prng.create 0x0AC1EL in
+  let checked = ref 0 and positive = ref 0 in
+  let check_stream case d k te input =
+    (* the symbols read so far; None is an EOF pad *)
+    let w =
+      Array.append
+        (Array.init (String.length input) (fun i -> Some input.[i]))
+        (Array.make k None)
+    in
+    let expected n q =
+      let rec walk q i =
+        i < n
+        &&
+        match w.(i) with
+        | None -> false
+        | Some c ->
+            let q' = Dfa.step d q c in
+            Dfa.is_final d q' || walk q' (i + 1)
+      in
+      Dfa.is_final d q && n >= k && walk q (n - k)
+    in
+    let s = ref (Te_dfa.start te) in
+    for n = 0 to Array.length w do
+      if n > 0 then
+        s :=
+          Te_dfa.step te !s
+            (match w.(n - 1) with
+            | Some c -> Char.code c
+            | None -> Te_dfa.eof_symbol);
+      for q = 0 to Dfa.size d - 1 do
+        if Te_dfa.extendable te !s q <> expected n q then
+          Alcotest.failf
+            "case %d (K=%d): extendable %d after %d of %S (+%d EOF) = %b" case
+            k q n input
+            (max 0 (n - String.length input))
+            (not (expected n q));
+        if expected n q then incr positive;
+        incr checked
+      done
+    done
+  in
+  for case = 1 to 1000 do
+    let rules =
+      match Prng.int rng 3 with
+      | 0 -> Fuzz.Gen.grammar rng ~cls:Fuzz.Gen.charset_small
+      | 1 -> Fuzz.Gen.grammar rng ~cls:Fuzz.Gen.charset_bytes
+      | _ -> Grammar_corpus.sample rng
+    in
+    let d = Dfa.of_rules rules in
+    match Tnd.max_tnd d with
+    | Tnd.Finite k when k >= 1 && k <= 4 ->
+        let te = Te_dfa.build d ~k in
+        check_stream case d k te
+          (if Prng.bool rng then Fuzz.Gen.token_dense rng d ~target_len:40
+           else
+             Fuzz.Gen.uniform rng
+               ~alphabet:(Fuzz.Gen.alphabet_of_rules rng rules)
+               ~max_len:40);
+        check_stream case d k te
+          (Fuzz.Gen.uniform rng ~alphabet:Fuzz.Gen.byte_alphabet ~max_len:40)
+    | _ -> ()
+  done;
+  check "oracle exercised" true (!checked > 100_000 && !positive > 10_000)
+
 let suite =
   [
     Alcotest.test_case "structure" `Quick test_structure;
@@ -157,4 +232,6 @@ let suite =
     Alcotest.test_case "restart powerset" `Quick test_restart_tracks_all_positions;
     Alcotest.test_case "non-final robustness" `Quick
       test_non_final_state_never_extendable;
+    Alcotest.test_case "extendable = path oracle (1k seeded)" `Quick
+      test_extendable_oracle_seeded;
   ]

@@ -41,10 +41,7 @@ let test_bits_set_ops () =
   let b = Bits.of_list 100 [ 5; 60 ] in
   check "inter not empty" false (Bits.inter_empty a b);
   let c = Bits.of_list 100 [ 2; 60 ] in
-  check "inter empty" true (Bits.inter_empty a c);
-  Bits.union_into ~dst:a b;
-  check "union member" true (Bits.mem a 60);
-  check_int "union cardinal" 5 (Bits.cardinal a)
+  check "inter empty" true (Bits.inter_empty a c)
 
 let test_bits_copy_equal_hash () =
   let a = Bits.of_list 70 [ 3; 68 ] in
