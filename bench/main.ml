@@ -4,12 +4,14 @@
 
    Experiments (see DESIGN.md for the per-experiment index):
      table1  fig7  fig8  fig9 (also prints fig10)  fig11  table2  rq6  micro
-   `quick` runs a reduced version of everything. *)
+   `quick` runs a reduced version of everything. `serve` (the sharded
+   pool's scaling sweep, not a paper experiment) and the check.sh gates
+   (`smoke`, `*-check`) run only by name. *)
 
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|fig7|fig8|fig9|fig11|table2|rq6|ablation|parallel|micro|fuzz|serve|trace|compress|compress-check|accel|accel-check|swar-check|bpe|bpe-check|smoke|quick|all]";
+     [table1|fig7|fig8|fig9|fig11|table2|rq6|ablation|parallel|micro|fuzz|serve|compress|compress-check|accel|accel-check|swar-check|bpe|bpe-check|smoke|quick|all]";
   exit 2
 
 let all ~quick =
@@ -25,8 +27,6 @@ let all ~quick =
   Rq6.run ?size_mb:(if quick then Some 8 else None) ();
   Ablation.run ();
   Parallel_bench.run ?size_mb:(if quick then Some 4 else None) ();
-  Serve_bench.run ?size_mb:(if quick then Some 2 else None) ();
-  Trace_bench.run ?size_mb:(if quick then Some 1 else None) ();
   Compress_bench.run ~throughput:(not quick) ();
   Accel_bench.run ~throughput:(not quick) ();
   Bpe_bench.run ~throughput:(not quick) ();
@@ -46,7 +46,6 @@ let () =
   | "micro" -> Micro.run ()
   | "fuzz" -> Fuzz_bench.run ()
   | "serve" -> Serve_bench.run ()
-  | "trace" -> Trace_bench.run ()
   | "compress" -> Compress_bench.run ()
   | "compress-check" -> Compress_bench.run ~throughput:false ()
   | "accel" -> Accel_bench.run ()

@@ -139,13 +139,14 @@ let run () =
         rows)
     results
 
-(* `main.exe smoke` — the bin/check.sh guardrail, ~2 s total. Verifies that
+(* `main.exe smoke` — the bin/check.sh guardrail, ~3 s total. Verifies that
    the instrumented runner variant (a) produces a byte-identical token
    stream and outcome, (b) reports bytes_in = input length, and (c) stays
    within the overhead budget on the hot loops (both the Fig. 6 TE path —
    json, K = 3 — and the Fig. 5 table path — csv, K = 1). The measured
    overhead, target ≤2%, is printed and recorded; the hard gate is 10% so
-   a noisy CI neighbor cannot fail the build spuriously. *)
+   a noisy CI neighbor cannot fail the build spuriously. Then the
+   disabled-tracer, streaming and enabled-tracer checks below. *)
 let rec smoke () =
   let check (g : Streamtok.Grammar.t) =
     let d = Grammar.dfa g in
@@ -231,7 +232,8 @@ let rec smoke () =
     exit 1
   end;
   disabled_tracer_check ();
-  stream_check ()
+  stream_check ();
+  trace_check ()
 
 (* The one-kernel contract, cheaply: streaming through the slice API at
    64 KiB chunks must stay near batch speed. The hard floor is 0.85x,
@@ -314,5 +316,177 @@ and disabled_tracer_check () =
   if overhead > 10.0 then begin
     Printf.eprintf
       "smoke: disabled-tracer overhead %.1f%% exceeds the 10%% gate\n" overhead;
+    exit 1
+  end
+
+(* The tracer recording. (1) A 4 MB words document fed through
+   Stream_tokenizer in 1 KiB chunks — one st.feed + engine.run span pair
+   per chunk, so per-span cost has every chance to show — with the tracer
+   off vs on, interleaved best of 7: token counts must match and the
+   enabled tracer may cost at most 15%. (2) A traced 2 MB loopback json
+   serve run, driven like production (coalesced FEED bursts in, zero-copy
+   reply views out), folded into the span-tree report: at least 90% of its
+   wall time must be attributed, and its token count must equal a direct
+   run's. Returns with the tracer disabled and its
+   rings reset. *)
+and trace_check () =
+  let module Tr = Streamtok.Trace in
+  let module W = Serve.Wire in
+  let module LB = Serve.Loopback in
+  Bench_common.pp_header
+    "Smoke: enabled-tracer parity + overhead (words, 4 MB, 1 KiB chunks), \
+     serve-span attribution + token parity (json, 2 MB loopback)";
+  Tr.configure ~capacity_events:65536;
+  (* realistic word-length mix (lengths 2..13), not one giant run *)
+  let rng = Prng.create Bench_common.seed_data in
+  let b = Buffer.create 4_194_304 in
+  while Buffer.length b < 4_194_304 do
+    for _ = 1 to 2 + Prng.int rng 12 do
+      Buffer.add_char b (Char.chr (Char.code 'a' + Prng.int rng 26))
+    done;
+    Buffer.add_char b ' '
+  done;
+  let input = Buffer.contents b in
+  let n = String.length input in
+  let engine =
+    match
+      Engine.compile_rules
+        (St_regex.Parser.parse_grammar "[a-z][a-z]*\n[ ][ ]*")
+    with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  let feed_all () =
+    let count = ref 0 in
+    let tok = Stream_tokenizer.create engine ~emit:(fun _ _ -> incr count) in
+    let (), dt =
+      Bench_common.time_once (fun () ->
+          let pos = ref 0 in
+          while !pos < n do
+            let len = min 1024 (n - !pos) in
+            Stream_tokenizer.feed tok input !pos len;
+            pos := !pos + len
+          done;
+          match Stream_tokenizer.finish tok with
+          | Engine.Finished -> ()
+          | Engine.Failed _ -> failwith "smoke: words must tokenize")
+    in
+    (dt, !count)
+  in
+  (* interleaved so drift hits both sides; the ring is reset per traced
+     round so the drop counter stays meaningful *)
+  let t_off = ref infinity and t_on = ref infinity and tokens = ref 0 in
+  for _ = 1 to 7 do
+    Tr.set_enabled false;
+    let dt, off = feed_all () in
+    t_off := Float.min !t_off dt;
+    Tr.reset ();
+    Tr.set_enabled true;
+    let dt, on = feed_all () in
+    Tr.set_enabled false;
+    t_on := Float.min !t_on dt;
+    if off <> on then begin
+      Printf.eprintf "smoke: token counts differ (tracer off %d, on %d)\n" off
+        on;
+      exit 1
+    end;
+    tokens := off
+  done;
+  let overhead = (!t_on /. !t_off -. 1.) *. 100. in
+  Printf.printf
+    "  words      off %7.1f MB/s  on %7.1f MB/s  (%d tokens, %d events)  \
+     enabled overhead %+5.2f%%  (gate 15%%)\n"
+    (Bench_common.throughput n !t_off)
+    (Bench_common.throughput n !t_on)
+    !tokens
+    (List.length (Tr.events ()))
+    overhead;
+  let record name workload v =
+    Bench_common.record_result ~experiment:"smoke" ~name
+      ~labels:[ ("workload", workload) ]
+      v
+  in
+  record "trace_tokens" "words" (float_of_int !tokens);
+  record "enabled_tracer_overhead_pct" "words" overhead;
+  if overhead > 15.0 then begin
+    Printf.eprintf
+      "smoke: enabled-tracer overhead %.1f%% exceeds the 15%% gate\n" overhead;
+    exit 1
+  end;
+  (* the client's walk over each reply's token records is the client
+     decode layer: a span of its own, so the report accounts for it *)
+  let p_walk = Tr.probe ~cat:"decode" "client.walk" in
+  let serve_input =
+    Gen_data.json ~seed:Bench_common.seed_data ~target_bytes:2_097_152 ()
+  in
+  let n = String.length serve_input in
+  Tr.reset ();
+  Tr.set_enabled true;
+  let lb = LB.create () in
+  let c = LB.connect lb in
+  let served = ref 0 in
+  let on_view v =
+    if v.W.Decoder.vtag = W.tag_tokens then
+      Tr.with_span p_walk (fun () ->
+          match
+            W.iter_tokens_view v (fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> ())
+          with
+          | Ok k -> served := !served + k
+          | Error msg -> failwith ("smoke: " ^ msg))
+    else if v.W.Decoder.vtag = W.tag_error then
+      failwith "smoke: server error reply"
+  in
+  LB.send c (W.Open "json");
+  let pos = ref 0 in
+  while !pos < n do
+    (* 4 FEED frames per round, as a socket read delivers them *)
+    let stop = min n (!pos + (4 * 65536)) in
+    while !pos < stop do
+      let len = min 65536 (stop - !pos) in
+      LB.send_feed_sub c serve_input ~pos:!pos ~len;
+      pos := !pos + len
+    done;
+    LB.run lb;
+    LB.drain_views c on_view
+  done;
+  LB.send c W.Flush;
+  LB.send c W.Close;
+  LB.run lb;
+  LB.drain_views c on_view;
+  Tr.set_enabled false;
+  let evs = Tr.events () in
+  Tr.reset ();
+  let report = Tr.Report.build evs in
+  print_string (Tr.Report.to_text ~max_depth:4 report);
+  let attributed = Tr.Report.attribution_pct report in
+  Printf.printf
+    "  json       loopback serve: %d events, %.1f%% of wall attributed \
+     (floor 90%%)\n"
+    (List.length evs) attributed;
+  record "trace_attributed_pct" "json" attributed;
+  (* large-frame loopback parity: the served token count must match a
+     direct run of the same grammar over the same bytes *)
+  let json =
+    match Engine.compile (Grammar.dfa Formats.json) with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  let direct = ref 0 in
+  (match
+     Engine.run_string json serve_input ~emit:(fun ~pos:_ ~len:_ ~rule:_ ->
+         incr direct)
+   with
+  | Engine.Finished -> ()
+  | Engine.Failed _ -> failwith "smoke: json must tokenize");
+  if !served <> !direct then begin
+    Printf.eprintf "smoke: loopback served %d json tokens, direct run %d\n"
+      !served !direct;
+    exit 1
+  end;
+  if attributed < 90.0 then begin
+    Printf.eprintf
+      "smoke: span tree attributes only %.1f%% of serve wall time (floor \
+       90%%)\n"
+      attributed;
     exit 1
   end

@@ -1,125 +1,38 @@
-(* Serving-layer throughput: the same document pushed through (a) a bare
-   Stream_tokenizer and (b) the full serve stack over the loopback
-   transport — FEED frame encode, server event loop, session dispatch,
-   TOKENS frame encode, client-side decode. The gap between the two is
-   the whole per-byte cost of daemon mode; the engine work is identical,
-   so the ratio is a stable regression signal (recorded via
-   STREAMTOK_BENCH_STATS into BENCH_serve.json). *)
+(* The sharded pool's scaling sweep: M concurrent clients against the
+   [Shard] worker pool at N=1,2,4 domains over socketpairs. Parity is
+   checked per connection with a rolling hash over every (rule, lexeme)
+   pair, against the batch engine's run — the sharded path must be
+   token-exact, not just count-exact. The ×1.6 @2 / ×2.8 @4 speedup floors
+   bind only when the machine has that many cores. Single-domain serving
+   throughput, loopback and real-socket, is measured by perfbench. *)
 
 open Streamtok
 module W = Serve.Wire
-module LB = Serve.Loopback
 
 let chunk = 65536
-
-(* Ratcheted from 550% after the data-plane rewrite (zero-copy decoder
-   views, FEED coalescing, batched TOKENS flushes): the measured overhead
-   dropped well under this gate, which leaves slack so only a real
-   regression in the wire/session/flush path — not scheduler noise — can
-   trip it. Measured 55-64% across runs after the sharding PR (gathered
-   feed_batch, deferred writev batches) — still not stably under 50%, so
-   the planned 150 -> 100 ratchet stays parked until it is
-   (ROADMAP stretch: <50%). *)
-let overhead_gate_pct = 150.0
-
-let direct engine input =
-  let count = ref 0 in
-  let tok = Stream_tokenizer.create engine ~emit:(fun _ _ -> incr count) in
-  let t0 = Unix.gettimeofday () in
-  let pos = ref 0 in
-  let n = String.length input in
-  while !pos < n do
-    let len = min chunk (n - !pos) in
-    Stream_tokenizer.feed tok input !pos len;
-    pos := !pos + len
-  done;
-  (match Stream_tokenizer.finish tok with
-  | Engine.Finished -> ()
-  | Engine.Failed _ -> failwith "serve bench: workload must tokenize");
-  (Unix.gettimeofday () -. t0, !count)
-
-(* Queue a few FEED frames per scheduling round (as a socket transport
-   delivers them: several frames per read) so the server's coalescing
-   path is what gets measured, and drain replies as zero-copy views. *)
-let feeds_per_round = 4
-
-let loopback input =
-  let lb = LB.create () in
-  let c = LB.connect lb in
-  let count = ref 0 in
-  let on_view v =
-    if v.W.Decoder.vtag = W.tag_tokens then
-      match W.iter_tokens_view v (fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> ()) with
-      | Ok n -> count := !count + n
-      | Error msg -> failwith ("serve bench: " ^ msg)
-    else if v.W.Decoder.vtag = W.tag_error then
-      failwith "serve bench: server error reply"
-  in
-  let t0 = Unix.gettimeofday () in
-  LB.send c (W.Open "json");
-  let pos = ref 0 in
-  let n = String.length input in
-  while !pos < n do
-    let stop = min n (!pos + (feeds_per_round * chunk)) in
-    while !pos < stop do
-      let len = min chunk (stop - !pos) in
-      LB.send_feed_sub c input ~pos:!pos ~len;
-      pos := !pos + len
-    done;
-    LB.run lb;
-    LB.drain_views c on_view
-  done;
-  LB.send c W.Flush;
-  LB.send c W.Close;
-  LB.run lb;
-  LB.drain_views c on_view;
-  (Unix.gettimeofday () -. t0, !count)
-
-let best_of rounds f x =
-  let best_dt = ref infinity and result = ref 0 in
-  for _ = 1 to rounds do
-    let dt, r = f x in
-    if dt < !best_dt then begin
-      best_dt := dt;
-      result := r
-    end
-  done;
-  (!best_dt, !result)
-
-(* ---------------------------------------------------------------- *)
-(* Sharded scaling: M concurrent clients against (a) the daemon      *)
-(* ([Shard.serve ~domains:1]) over a real listening socket and (b)   *)
-(* the Shard pool at N=1,2,4 over socketpairs. Parity is checked per *)
-(* connection with a rolling hash over every (rule, lexeme) pair,    *)
-(* against a direct Stream_tokenizer run — the sharded path must be  *)
-(* token-exact, not just count-exact.                                *)
-(* ---------------------------------------------------------------- *)
 
 let fnv_basis = 0x1545_28DC_4F88_ECD1 (* FNV-1a offset, truncated to 62b *)
 let fnv_prime = 0x100000001b3
 let hash_byte h b = (h lxor b) * fnv_prime
 
-let hash_rule h rule =
-  hash_byte (hash_byte h (rule land 0xff)) ((rule lsr 8) land 0xff)
+(* Fold one token — its rule and lexeme bytes — into a rolling hash. *)
+let hash_token h ~rule buf pos len =
+  let h = hash_byte (hash_byte h (rule land 0xff)) ((rule lsr 8) land 0xff) in
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := hash_byte !h (Char.code (Bytes.unsafe_get buf i))
+  done;
+  hash_byte !h 0x17
 
-(* Direct engine run producing the parity reference: (tokens, hash). *)
+(* The parity reference from the batch engine: (tokens, hash). *)
 let reference engine input =
   let count = ref 0 and h = ref fnv_basis in
-  let tok =
-    Stream_tokenizer.create engine ~emit:(fun lexeme rule ->
-        incr count;
-        let acc = ref (hash_rule !h rule) in
-        String.iter (fun c -> acc := hash_byte !acc (Char.code c)) lexeme;
-        h := hash_byte !acc 0x17)
-  in
-  let pos = ref 0 in
-  let n = String.length input in
-  while !pos < n do
-    let len = min chunk (n - !pos) in
-    Stream_tokenizer.feed tok input !pos len;
-    pos := !pos + len
-  done;
-  (match Stream_tokenizer.finish tok with
+  let buf = Bytes.unsafe_of_string input in
+  (match
+     Engine.run_string engine input ~emit:(fun ~pos ~len ~rule ->
+         incr count;
+         h := hash_token !h ~rule buf pos len)
+   with
   | Engine.Finished -> ()
   | Engine.Failed _ -> failwith "serve bench: workload must tokenize");
   (!count, !h)
@@ -185,11 +98,7 @@ let drive conns input =
   let rbuf = Bytes.create chunk in
   let on_token c ~rule ~buf ~pos ~len =
     c.tokens <- c.tokens + 1;
-    let h = ref (hash_rule c.hash rule) in
-    for i = pos to pos + len - 1 do
-      h := hash_byte !h (Char.code (Bytes.unsafe_get buf i))
-    done;
-    c.hash <- hash_byte !h 0x17
+    c.hash <- hash_token c.hash ~rule buf pos len
   in
   let drain c =
     let continue = ref true in
@@ -250,46 +159,6 @@ let drive conns input =
     end
   done
 
-let close_conns conns =
-  List.iter
-    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-    conns
-
-let results_of conns = List.map (fun c -> (c.tokens, c.hash)) conns
-
-(* The daemon as the CLI runs it by default: [Shard.serve ~domains:1]
-   (worker 0 with the listener, no worker domain) in a spawned domain,
-   clients over a real AF_UNIX socket. *)
-let bench_socket ~clients input =
-  let sock = Filename.temp_file "streamtok_bench" ".sock" in
-  Sys.remove sock;
-  let stopf = Atomic.make false in
-  let ready = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Serve.Shard.serve
-          ~on_listening:(fun () -> Atomic.set ready true)
-          ~should_stop:(fun () -> Atomic.get stopf)
-          ~domains:1 ~socket:sock ())
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.001
-  done;
-  let conns =
-    List.init clients (fun _ ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX sock);
-        mk_conn fd)
-  in
-  let t0 = Unix.gettimeofday () in
-  drive conns input;
-  let dt = Unix.gettimeofday () -. t0 in
-  close_conns conns;
-  Atomic.set stopf true;
-  Domain.join d;
-  (try Sys.remove sock with Sys_error _ -> ());
-  (dt, results_of conns)
-
 (* The sharded pool: no listener needed — each client side of a
    socketpair is driven here, the server side handed to a worker via
    the same [inject] path the acceptor uses. *)
@@ -304,10 +173,12 @@ let bench_pool ~domains ~clients input =
   let t0 = Unix.gettimeofday () in
   drive conns input;
   let dt = Unix.gettimeofday () -. t0 in
-  close_conns conns;
+  List.iter
+    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
+    conns;
   Serve.Shard.stop pool;
   Serve.Shard.join pool;
-  (dt, results_of conns)
+  (dt, List.map (fun c -> (c.tokens, c.hash)) conns)
 
 let best_of_runs rounds f =
   let best_dt = ref infinity and res = ref [] in
@@ -320,41 +191,18 @@ let best_of_runs rounds f =
   done;
   (!best_dt, !res)
 
-(* ---------------------------------------------------------------- *)
-(* The pool's one shared engine cache under a compile storm:         *)
-(* [domains] domains each resolving the same 4 built-in grammars     *)
-(* (distinct cache keys) concurrently must cost exactly 4 compiles   *)
-(* pool-wide.                                                        *)
-(* ---------------------------------------------------------------- *)
+let size_mb = 8
 
-let storm_grammars = [ Formats.json; Formats.csv; Formats.tsv; Formats.xml ]
-
-let cache_storm ~domains:n =
-  let cache = Engine_cache.create ~max_entries:16 () in
-  let started = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    List.init n (fun _ ->
-        Domain.spawn (fun () ->
-            Atomic.incr started;
-            while Atomic.get started < n do
-              Domain.cpu_relax ()
-            done;
-            List.iter
-              (fun g ->
-                match Engine_cache.find_or_compile cache (Grammar.rules g) with
-                | Ok _ -> ()
-                | Error _ -> failwith "serve bench: storm compile failed")
-              storm_grammars))
-  in
-  List.iter Domain.join doms;
-  (Unix.gettimeofday () -. t0, Engine_cache.compiles cache)
-
-let run ?(size_mb = 8) () =
+let run () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let clients = 4 in
+  let cores = Domain.recommended_domain_count () in
   Bench_common.pp_header
     (Printf.sprintf
-       "Serve: loopback daemon stack vs direct Stream_tokenizer (json, %d MB)"
-       size_mb);
+       "Serve: sharded scaling, %d clients x %d MB json (this machine: %d \
+        core%s)"
+       clients size_mb cores
+       (if cores = 1 then "" else "s"));
   let input =
     Gen_data.json ~seed:Bench_common.seed_data
       ~target_bytes:(size_mb * 1024 * 1024) ()
@@ -365,47 +213,6 @@ let run ?(size_mb = 8) () =
     | Error _ -> assert false
   in
   let mb = float_of_int (String.length input) /. (1024. *. 1024.) in
-  let direct_dt, direct_tokens = best_of 3 (direct engine) input in
-  let loop_dt, loop_tokens = best_of 3 loopback input in
-  if direct_tokens <> loop_tokens then begin
-    Printf.eprintf "serve bench: token counts differ (direct %d, loopback %d)\n"
-      direct_tokens loop_tokens;
-    exit 1
-  end;
-  let direct_mbps = mb /. direct_dt in
-  let loop_mbps = mb /. loop_dt in
-  let overhead = (direct_mbps /. loop_mbps -. 1.) *. 100. in
-  Printf.printf "  direct   %8.1f MB/s  (%d tokens)\n" direct_mbps
-    direct_tokens;
-  Printf.printf "  loopback %8.1f MB/s  (wire + event loop + session)\n"
-    loop_mbps;
-  Printf.printf "  serving overhead: %.1f%%\n" overhead;
-  let record name v =
-    Bench_common.record_result ~experiment:"serve" ~name
-      ~labels:[ ("grammar", "json") ]
-      v
-  in
-  record "direct_mb_s" direct_mbps;
-  record "loopback_mb_s" loop_mbps;
-  record "overhead_pct" overhead;
-  record "overhead_gate_pct" overhead_gate_pct;
-  record "tokens" (float_of_int direct_tokens);
-  if overhead > overhead_gate_pct then begin
-    Printf.eprintf
-      "serve bench: serving overhead %.1f%% exceeds the %.0f%% gate\n"
-      overhead overhead_gate_pct;
-    exit 1
-  end;
-
-  (* -------- sharded scaling curve (real sockets, M clients) -------- *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let clients = 4 in
-  let cores = Domain.recommended_domain_count () in
-  Bench_common.pp_header
-    (Printf.sprintf
-       "Serve: sharded scaling, %d clients x %d MB (this machine: %d core%s)"
-       clients size_mb cores
-       (if cores = 1 then "" else "s"));
   let ref_tokens, ref_hash = reference engine input in
   let check label results =
     if List.length results <> clients then begin
@@ -424,13 +231,6 @@ let run ?(size_mb = 8) () =
       results
   in
   let agg dt = float_of_int clients *. mb /. dt in
-  let socket_dt, socket_res =
-    best_of_runs 2 (fun () -> bench_socket ~clients input)
-  in
-  check "socket" socket_res;
-  let socket_mbps = agg socket_dt in
-  Printf.printf "  socket   %8.1f MB/s  (daemon, --domains 1, real listener)\n"
-    socket_mbps;
   let shard_mbps =
     List.map
       (fun n ->
@@ -446,19 +246,12 @@ let run ?(size_mb = 8) () =
   let mbps_at n = List.assoc n shard_mbps in
   let s1 = mbps_at 1 in
   let speedup n = mbps_at n /. s1 in
-  List.iter
-    (fun (n, mbps) ->
-      record (Printf.sprintf "shard%d_mb_s" n) mbps;
-      if n > 1 then record (Printf.sprintf "shard_speedup_%d" n) (speedup n))
-    shard_mbps;
-  record "socket_mb_s" socket_mbps;
-  record "cores" (float_of_int cores);
   Printf.printf "  speedups: x%.2f @2 domains, x%.2f @4 domains\n" (speedup 2)
     (speedup 4);
   (* Gates. Parity is absolute (checked above); the scaling floors only
      bind when the machine has the cores — on fewer cores the domains
      timeshare one CPU and the honest expectation is parity, not speedup
-     (recorded regardless). *)
+     (printed regardless). *)
   let floor_gate n floor =
     if cores >= n && speedup n < floor then begin
       Printf.eprintf
@@ -475,19 +268,5 @@ let run ?(size_mb = 8) () =
         (if cores = 1 then "" else "s")
   in
   floor_gate 2 1.6;
-  floor_gate 4 2.8;
+  floor_gate 4 2.8
 
-  (* -------- the shared engine cache under a 4-domain compile storm -- *)
-  Bench_common.pp_header
-    "Serve: engine cache under a 4-domain compile storm (4 built-in grammars)";
-  let storm_dt, storm_compiles = cache_storm ~domains:4 in
-  Printf.printf "  shared     %6.1f ms  %2d compiles\n" (storm_dt *. 1000.)
-    storm_compiles;
-  record "cache_storm_shared_ms" (storm_dt *. 1000.);
-  record "cache_storm_shared_compiles" (float_of_int storm_compiles);
-  if storm_compiles <> 4 then begin
-    Printf.eprintf
-      "serve bench: shared cache storm did %d compiles, want exactly 4\n"
-      storm_compiles;
-    exit 1
-  end

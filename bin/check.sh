@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 gate (see ROADMAP.md): full build, the whole test suite, the
-# ~2 s observability smoke check — instrumented-runner parity plus its
-# overhead budget (target <=2%, hard gate 10% to absorb CI timing noise) —
+# ~3 s observability smoke check — instrumented-runner and tracer parity
+# plus their overhead budgets (target <=2%, hard gate 10% to absorb CI
+# timing noise; the recording tracer <=15%) and serve-span attribution —
 # and the differential-fuzzing smoke gate: a seeded `streamtok fuzz --smoke`
 # must find zero mismatches, and an artificially injected engine bug must be
 # caught and shrunk to a <=64-byte repro (the find->shrink->repro pipeline
@@ -15,16 +16,14 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== bench smoke (instrumented-runner parity + overhead, disabled-tracer cost)"
+echo "== bench smoke (instrumented/tracer parity + overhead, stream/batch floor, serve-span attribution >=90% + loopback token parity)"
+# Hard checks live inside the bench: instrumented and disabled-tracer
+# token-stream parity with their overhead gates, the slice-API streaming
+# floor against batch, token-count parity with the tracer recording, the
+# enabled-tracer overhead gate on the chunked words workload, and >=90%
+# of a traced loopback serve run's wall time attributed by the span-tree
+# report, with its served token count equal to a direct engine run's.
 dune exec bench/main.exe -- smoke
-
-echo "== trace gate (enabled-tracer overhead <=15%, serve-span attribution >=90%)"
-# Hard checks live inside the bench: token-count parity with the tracer
-# recording, the enabled-tracer overhead gate on the chunked words
-# workload, a non-empty state-heat table from the instrumented heat
-# runner, and >=90% of a traced loopback serve run's wall time attributed
-# by the span-tree report.
-dune exec bench/main.exe -- trace
 
 echo "== compress gate (classed/dense parity + classed tables <= dense bytes)"
 # Hard checks live inside the bench: same minimal DFA size, byte-identical

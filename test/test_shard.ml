@@ -10,7 +10,6 @@ module W = Serve.Wire
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let json_rules = Grammar.rules Formats.json
 
 (* Spawn [n] domains, hold them at a barrier so the racy section really
    races, run [f], join. *)
@@ -30,23 +29,44 @@ let run_domains n f =
 (* ---- engine cache storms ---- *)
 
 let test_storm_one_compile () =
-  let cache = Engine_cache.create () in
-  let iters = 8 in
-  let engines = Array.make 4 [] in
-  run_domains 4 (fun i ->
-      for _ = 1 to iters do
-        match Engine_cache.find_or_compile cache json_rules with
-        | Ok e -> engines.(i) <- e :: engines.(i)
-        | Error _ -> assert false
-      done);
-  check_int "exactly one compile under a 4-domain storm" 1
-    (Engine_cache.compiles cache);
-  check_int "every other lookup hit" ((4 * iters) - 1)
-    (Engine_cache.hits cache);
-  let e0 = List.hd engines.(0) in
-  Array.iter
-    (List.iter (fun e -> check "all domains share one engine" true (e == e0)))
-    engines
+  (* 4 domains resolve the same keys at once: one key in a default cache,
+     then 4 distinct keys (built-in grammars) in a 16-entry cache. Each
+     key costs exactly one compile pool-wide, nothing is evicted, and
+     every domain gets the same engine per key. *)
+  let storm ?max_entries grammars =
+    let keys = Array.of_list (List.map Grammar.rules grammars) in
+    let k = Array.length keys in
+    let cache = Engine_cache.create ?max_entries () in
+    let iters = 8 in
+    let engines = Array.init 4 (fun _ -> Array.make k []) in
+    run_domains 4 (fun i ->
+        for _ = 1 to iters do
+          Array.iteri
+            (fun j rules ->
+              match Engine_cache.find_or_compile cache rules with
+              | Ok e -> engines.(i).(j) <- e :: engines.(i).(j)
+              | Error _ -> assert false)
+            keys
+        done);
+    check_int
+      (Printf.sprintf "exactly %d compile(s) under a 4-domain storm" k)
+      k
+      (Engine_cache.compiles cache);
+    check_int "every other lookup hit" ((4 * iters * k) - k)
+      (Engine_cache.hits cache);
+    check_int "no evictions" 0 (Engine_cache.evictions cache);
+    for j = 0 to k - 1 do
+      let e0 = List.hd engines.(0).(j) in
+      Array.iter
+        (fun per_key ->
+          List.iter
+            (fun e -> check "all domains share one engine" true (e == e0))
+            per_key.(j))
+        engines
+    done
+  in
+  storm [ Formats.json ];
+  storm ~max_entries:16 [ Formats.json; Formats.csv; Formats.tsv; Formats.xml ]
 
 let test_eviction_storm () =
   (* 4 distinct keys (built-in grammars) hammering a 2-entry cache from 4
