@@ -255,11 +255,15 @@ and stream_check () =
       end)
     [ Formats.json; Formats.csv ]
 
-(* The probe contract: with tracing disabled, the traced entry points cost
-   one bool load per call over the plain ones. Verified the same way as
-   the instrumented runner above — digest parity, then interleaved
-   best-of rounds. Target <=2%; the hard gate is 10% (the expected value
-   is ~0%, so only a broken fast path can reach the gate). *)
+(* The probe contract: with tracing disabled, a spanned entry point costs
+   one bool load and one closure per call over the plain path. Verified
+   the same way as the instrumented runner above — token parity, then
+   interleaved best-of rounds — at two call sites: one span per run
+   ([Engine.run_string_traced] against [Engine.run_string]) and one span
+   per 1 KiB chunk, the finest-grained spanned call ([Stream_tokenizer.feed]
+   against feeding [Engine.Kernel] directly). Target <=2%; the hard gate
+   is 10% (the expected value is ~0%, so only a broken fast path can reach
+   the gate). *)
 and disabled_tracer_check () =
   Streamtok.Trace.set_enabled false;
   let g = Formats.json in
@@ -269,55 +273,82 @@ and disabled_tracer_check () =
   in
   let gen = Option.get (Gen_data.by_name g.Grammar.name) in
   let input = gen ~seed:Bench_common.seed_data ~target_bytes:524_288 () in
-  let digest run =
-    let b = Buffer.create 65536 in
-    let outcome =
-      run ~emit:(fun ~pos ~len ~rule ->
-          Buffer.add_string b (Printf.sprintf "%d:%d:%d;" pos len rule))
+  let n = String.length input in
+  (* each side: [run emit] tokenizes [input], calling [emit len rule] *)
+  let leg ~call ~labels ~plain ~traced =
+    let digest run =
+      let b = Buffer.create 65536 in
+      let outcome =
+        run (fun len rule ->
+            Buffer.add_string b (Printf.sprintf "%d:%d;" len rule))
+      in
+      Buffer.add_string b
+        (match outcome with
+        | Engine.Finished -> "finished"
+        | Engine.Failed { offset; _ } -> Printf.sprintf "failed@%d" offset);
+      Digest.string (Buffer.contents b)
     in
-    Buffer.add_string b
-      (match outcome with
-      | Engine.Finished -> "finished"
-      | Engine.Failed { offset; _ } -> Printf.sprintf "failed@%d" offset);
-    Digest.string (Buffer.contents b)
+    if digest plain <> digest traced then begin
+      Printf.eprintf "smoke: %s token stream differs with tracing disabled\n"
+        call;
+      exit 1
+    end;
+    let live = ref 0 in
+    let sink len rule = live := !live lxor (len + rule) in
+    let t_plain = ref infinity and t_traced = ref infinity in
+    for _ = 1 to 15 do
+      let _, dt = Bench_common.time_once (fun () -> ignore (plain sink)) in
+      if dt < !t_plain then t_plain := dt;
+      let _, dt = Bench_common.time_once (fun () -> ignore (traced sink)) in
+      if dt < !t_traced then t_traced := dt
+    done;
+    let overhead = (!t_traced -. !t_plain) /. !t_plain *. 100.0 in
+    Printf.printf
+      "  %-10s %-16s plain %7.1f MB/s  traced-off %7.1f MB/s  overhead \
+       %+5.2f%%  (target <=2%%)\n"
+      g.Grammar.name call
+      (Bench_common.throughput n !t_plain)
+      (Bench_common.throughput n !t_traced)
+      overhead;
+    Bench_common.record_result ~experiment:"smoke"
+      ~name:"disabled_tracer_overhead_pct"
+      ~labels:(("grammar", g.Grammar.name) :: labels)
+      overhead;
+    if overhead > 10.0 then begin
+      Printf.eprintf
+        "smoke: disabled-tracer overhead %.1f%% on %s exceeds the 10%% gate\n"
+        overhead call;
+      exit 1
+    end
   in
-  let plain = digest (fun ~emit -> Engine.run_string engine input ~emit) in
-  let traced = digest (fun ~emit -> Engine.run_string_traced engine input ~emit) in
-  if plain <> traced then begin
-    prerr_endline "smoke: traced token stream differs with tracing disabled";
-    exit 1
-  end;
-  let t_plain = ref infinity and t_traced = ref infinity in
-  for _ = 1 to 15 do
-    let _, dt =
-      Bench_common.time_once (fun () ->
-          ignore (Engine.run_string engine input ~emit:Bench_common.emit_spans))
-    in
-    if dt < !t_plain then t_plain := dt;
-    let _, dt =
-      Bench_common.time_once (fun () ->
-          ignore
-            (Engine.run_string_traced engine input ~emit:Bench_common.emit_spans))
-    in
-    if dt < !t_traced then t_traced := dt
-  done;
-  let overhead = (!t_traced -. !t_plain) /. !t_plain *. 100.0 in
-  Printf.printf
-    "  %-10s plain %7.1f MB/s  traced-off    %7.1f MB/s  overhead %+5.2f%%  \
-     (target <=2%%)\n"
-    g.Grammar.name
-    (Bench_common.throughput (String.length input) !t_plain)
-    (Bench_common.throughput (String.length input) !t_traced)
-    overhead;
-  Bench_common.record_result ~experiment:"smoke"
-    ~name:"disabled_tracer_overhead_pct"
-    ~labels:[ ("grammar", g.Grammar.name) ]
-    overhead;
-  if overhead > 10.0 then begin
-    Printf.eprintf
-      "smoke: disabled-tracer overhead %.1f%% exceeds the 10%% gate\n" overhead;
-    exit 1
-  end
+  let run_with runner emit =
+    runner engine input ~emit:(fun ~pos:_ ~len ~rule -> emit len rule)
+  in
+  leg ~call:"engine.run" ~labels:[]
+    ~plain:(run_with (Engine.run_string ?from:None))
+    ~traced:(run_with (Engine.run_string_traced ?from:None));
+  let chunked feed finish =
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min 1024 (n - !pos) in
+      feed input !pos len;
+      pos := !pos + len
+    done;
+    finish ()
+  in
+  leg ~call:"st.feed@1KiB"
+    ~labels:[ ("call", "st.feed"); ("chunk", "1024") ]
+    ~plain:(fun emit ->
+      let c =
+        Engine.Kernel.create engine ~emit:(fun _ _ len rule -> emit len rule)
+      in
+      chunked (Engine.Kernel.feed c) (fun () -> Engine.Kernel.finish c))
+    ~traced:(fun emit ->
+      let t =
+        Stream_tokenizer.create_slices engine ~emit:(fun _ _ len rule ->
+            emit len rule)
+      in
+      chunked (Stream_tokenizer.feed t) (fun () -> Stream_tokenizer.finish t))
 
 (* The tracer recording. (1) A 4 MB words document fed through
    Stream_tokenizer in 1 KiB chunks — one st.feed + engine.run span pair

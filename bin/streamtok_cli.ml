@@ -1067,23 +1067,14 @@ let read_trace_file path =
       Printf.eprintf "error: %s\n" msg;
       exit 1
 
-let parse_trace data =
-  if Trace.Bin.is_binary data then Trace.Bin.of_string data
-  else Trace.Chrome.of_string data
-
 let write_trace_file ~out ~heat evs =
-  let data =
-    if Filename.check_suffix out ".bin" then Trace.Bin.to_string ~heat evs
-    else Trace.Chrome.to_string ~heat evs
-  in
-  (match open_out_bin out with
+  match open_out_bin out with
   | oc ->
-      output_string oc data;
+      output_string oc (Trace.Chrome.to_string ~heat evs);
       close_out oc
   | exception Sys_error msg ->
       Printf.eprintf "error: cannot write trace: %s\n" msg;
-      exit 1);
-  data
+      exit 1
 
 let top_arg =
   Arg.(
@@ -1097,10 +1088,7 @@ let trace_record_cmd =
       value
       & opt string "trace.json"
       & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:
-            "Output file. A $(b,.bin) extension selects the compact binary \
-             capture; anything else writes Chrome trace-event JSON \
-             (Perfetto-loadable).")
+          ~doc:"Output file: Chrome trace-event JSON (Perfetto-loadable).")
   in
   let heat_arg =
     Arg.(
@@ -1150,7 +1138,7 @@ let trace_record_cmd =
         Trace.set_enabled false;
         let evs = Trace.events () in
         let heat_tables = Trace.Heat.published () in
-        ignore (write_trace_file ~out ~heat:heat_tables evs);
+        write_trace_file ~out ~heat:heat_tables evs;
         Printf.eprintf "trace: %d events (%d dropped), %d heat table(s) -> %s\n%!"
           (List.length evs) (Trace.dropped ())
           (List.length heat_tables) out
@@ -1169,40 +1157,13 @@ let trace_record_cmd =
           recording")
     Term.(const run $ out_arg $ heat_arg $ capacity_arg $ rest_arg)
 
-let trace_convert_cmd =
-  let in_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"IN" ~doc:"Recording to convert (binary or JSON).")
-  in
-  let out_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"OUT"
-          ~doc:"Destination; format chosen by extension ($(b,.bin) = binary).")
-  in
-  let run in_file out_file =
-    match parse_trace (read_trace_file in_file) with
-    | Error msg ->
-        Printf.eprintf "error: %s: %s\n" in_file msg;
-        exit 1
-    | Ok (evs, heat) ->
-        ignore (write_trace_file ~out:out_file ~heat evs);
-        Printf.eprintf "trace: %d events -> %s\n" (List.length evs) out_file
-  in
-  Cmd.v
-    (Cmd.info "convert"
-       ~doc:"Convert a recording between binary and Chrome JSON")
-    Term.(const run $ in_arg $ out_arg)
-
 let trace_report_cmd =
   let file_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Recording to summarize (binary or JSON).")
+      & info [] ~docv:"FILE"
+          ~doc:"Recording to summarize (Chrome trace-event JSON).")
   in
   let depth_arg =
     Arg.(
@@ -1211,7 +1172,7 @@ let trace_report_cmd =
       & info [ "depth" ] ~docv:"N" ~doc:"Maximum span-tree depth printed.")
   in
   let run file top depth =
-    match parse_trace (read_trace_file file) with
+    match Trace.Chrome.of_string (read_trace_file file) with
     | Error msg ->
         Printf.eprintf "error: %s: %s\n" file msg;
         exit 1
@@ -1232,9 +1193,9 @@ let trace_cmd =
   Cmd.group
     (Cmd.info "trace"
        ~doc:
-         "Record ($(b,trace record -- <cmd>)), convert and report execution \
-          traces; see README §Tracing & profiling")
-    [ trace_record_cmd; trace_convert_cmd; trace_report_cmd ]
+         "Record ($(b,trace record -- <cmd>)) and report execution traces; \
+          see README §Tracing & profiling")
+    [ trace_record_cmd; trace_report_cmd ]
 
 let () =
   let doc = "StreamTok: static analysis for efficient streaming tokenization" in

@@ -106,7 +106,6 @@ module Grammar_corpus = St_workloads.Grammar_corpus
 
 module Source = St_stream.Source
 module Buffered = St_stream.Buffered
-module Sink = St_stream.Sink
 
 (** {1 Serving}
 

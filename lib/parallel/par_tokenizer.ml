@@ -31,7 +31,8 @@ let p_splice = St_trace.Trace.probe ~cat:"par" "par.splice"
 (* Speculatively tokenize [s] from [seg_start], recording spans until a
    token ends at or past [seg_limit] (that last spilling token is still
    recorded: the splice needs spans that cross the boundary). *)
-let speculate_untraced engine s seg_start seg_limit =
+let speculate engine s seg_start seg_limit =
+  St_trace.Trace.with_span p_speculate @@ fun () ->
   let seg =
     {
       seg_start;
@@ -50,12 +51,6 @@ let speculate_untraced engine s seg_start seg_limit =
             if pos + len >= seg_limit then raise Stop))
    with Stop -> ());
   seg
-
-let speculate engine s seg_start seg_limit =
-  if not !St_trace.Trace.on then speculate_untraced engine s seg_start seg_limit
-  else
-    St_trace.Trace.with_span p_speculate (fun () ->
-        speculate_untraced engine s seg_start seg_limit)
 
 (* Binary search for a span with start = target; spans starts are strictly
    increasing. *)
@@ -220,26 +215,3 @@ let tokenize ?num_domains ?(min_input_bytes = 4096) engine s ~emit =
         emitted_tokens = !emitted;
       } )
   end
-
-(* Instrumented wrapper: the splice pass already emits every token exactly
-   once and in order, so wrapping [emit] there is enough; the speculative
-   workers run the plain engine untouched. *)
-let tokenize_instrumented ?num_domains ?min_input_bytes engine s ~stats ~emit =
-  let emit ~pos ~len ~rule =
-    Run_stats.record_token stats ~rule ~len;
-    emit ~pos ~len ~rule
-  in
-  let (outcome, st), dt =
-    St_util.Timer.time_it (fun () ->
-        tokenize ?num_domains ?min_input_bytes engine s ~emit)
-  in
-  Run_stats.add_run_seconds stats dt;
-  Run_stats.add_chunk stats (String.length s);
-  Run_stats.set_lookahead stats (max (Engine.k engine) 1);
-  Run_stats.set_te_states stats (Engine.te_states engine);
-  Run_stats.record_parallel stats ~segments:st.segments
-    ~splice_retries:st.caught_up ~sync_tokens:st.sync_tokens;
-  (match outcome with
-  | Engine.Failed _ -> Run_stats.record_failure stats
-  | Engine.Finished -> ());
-  (outcome, st)

@@ -59,17 +59,3 @@ val tokenize :
   string ->
   emit:(pos:int -> len:int -> rule:int -> unit) ->
   Engine.outcome * stats
-
-(** Instrumented variant: same splice pass and token stream as {!tokenize},
-    additionally folded into [stats] — per-rule tallies from the (ordered)
-    splice-side emit, plus segments / splice retries ([caught_up] segments,
-    whose speculation was discarded) / re-synchronization tokens. Only the
-    sequential splice pass records; workers stay uninstrumented. *)
-val tokenize_instrumented :
-  ?num_domains:int ->
-  ?min_input_bytes:int ->
-  Engine.t ->
-  string ->
-  stats:Run_stats.t ->
-  emit:(pos:int -> len:int -> rule:int -> unit) ->
-  Engine.outcome * stats

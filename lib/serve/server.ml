@@ -174,8 +174,9 @@ let p_on_data = St_trace.Trace.probe ~cat:"decode" "serve.on_data"
    batch is one header poke plus one blit into the connection's out
    queue. Also clears a deferral: a pending batch must be framed before
    anything else is enqueued behind it, and before [out_view] exposes
-   the queue to single-buffer transports. *)
-let flush_tokens_untraced t c =
+   the queue to single-buffer transports. Unspanned: [enqueue] and
+   [out_view] call it inside their own span or none. *)
+let append_batch t c =
   match Session.batch c.session with
   | None -> c.deferred <- false
   | Some (enc, n) ->
@@ -188,30 +189,18 @@ let flush_tokens_untraced t c =
       Session.batch_clear c.session
 
 let flush_tokens t c =
-  if not !St_trace.Trace.on then flush_tokens_untraced t c
-  else begin
-    St_trace.Trace.begin_span p_enqueue;
-    flush_tokens_untraced t c;
-    St_trace.Trace.end_span p_enqueue
-  end
-
-let enqueue_untraced t c reply =
-  (* frame order: a deferred token batch precedes any later reply *)
-  flush_tokens_untraced t c;
-  Buffer.clear t.scratch;
-  Wire.encode_reply t.scratch reply;
-  Metrics.Counter.add t.bytes_out (Buffer.length t.scratch);
-  Outbuf.add_buffer c.out t.scratch
+  St_trace.Trace.with_span p_enqueue (fun () -> append_batch t c)
 
 (* Reply encode + out-queue append — the cold reply path. Token batches
    do not come through here (see [flush_tokens]). *)
 let enqueue t c reply =
-  if not !St_trace.Trace.on then enqueue_untraced t c reply
-  else begin
-    St_trace.Trace.begin_span p_enqueue;
-    enqueue_untraced t c reply;
-    St_trace.Trace.end_span p_enqueue
-  end
+  St_trace.Trace.with_span p_enqueue @@ fun () ->
+  (* frame order: a deferred token batch precedes any later reply *)
+  append_batch t c;
+  Buffer.clear t.scratch;
+  Wire.encode_reply t.scratch reply;
+  Metrics.Counter.add t.bytes_out (Buffer.length t.scratch);
+  Outbuf.add_buffer c.out t.scratch
 
 let resolve_spec spec = St_grammars.Registry.resolve spec
 
@@ -355,8 +344,15 @@ let protocol_failure t c msg =
    runs out is {e deferred}: the encoder keeps it and the transport
    writes it in place ([out_vectors]), skipping the out-queue blit. The
    batch is also the latency unit: two clock reads per batch, not per
-   frame. *)
-let on_data_untraced t id b ~pos ~len =
+   frame.
+
+   The [serve.on_data] span is the root of the server-side data plane:
+   everything from raw input bytes to enqueued reply bytes happens inside
+   one on_data call, so this span (with wire.decode / session.* /
+   serve.enqueue nested in it) carries the full decode-to-flush
+   attribution for a byte. *)
+let on_data t id b ~pos ~len =
+  St_trace.Trace.with_span p_on_data @@ fun () ->
   let c = conn t id in
   if c.phase = Active then begin
     c.last_activity <- t.cfg.clock ();
@@ -469,21 +465,6 @@ let on_data_untraced t id b ~pos ~len =
     end_batch ~defer:true
   end
 
-(* Root span of the server-side data plane: everything from raw input
-   bytes to enqueued reply bytes happens inside one on_data call, so this
-   span (with wire.decode / session.* / serve.enqueue nested in it)
-   carries the full decode-to-flush attribution for a byte. *)
-let on_data t id b ~pos ~len =
-  if not !St_trace.Trace.on then on_data_untraced t id b ~pos ~len
-  else begin
-    St_trace.Trace.begin_span p_on_data;
-    match on_data_untraced t id b ~pos ~len with
-    | () -> St_trace.Trace.end_span p_on_data
-    | exception exn ->
-        St_trace.Trace.end_span p_on_data;
-        raise exn
-  end
-
 let remove t id =
   if Hashtbl.mem t.conns id then begin
     Hashtbl.remove t.conns id;
@@ -532,7 +513,7 @@ let wants_read t id =
    materialized; only [out_vectors] keeps it in place. *)
 let out_view t id =
   let c = conn t id in
-  if c.deferred then flush_tokens_untraced t c;
+  if c.deferred then append_batch t c;
   Outbuf.view c.out
 
 let out_consume t id n = Outbuf.consume (conn t id).out n

@@ -145,7 +145,8 @@ let check_failed os =
   end
   else []
 
-let feed_untraced t s ~pos ~len =
+let feed t s ~pos ~len =
+  St_trace.Trace.with_span p_feed @@ fun () ->
   match t.state with
   | Awaiting_open -> protocol_error "FEED before OPEN"
   | Opened_ os -> (
@@ -155,11 +156,8 @@ let feed_untraced t s ~pos ~len =
           Stream_tokenizer.feed os.tok s pos len;
           check_failed os)
 
-let feed t s ~pos ~len =
-  if not !St_trace.Trace.on then feed_untraced t s ~pos ~len
-  else St_trace.Trace.with_span p_feed (fun () -> feed_untraced t s ~pos ~len)
-
-let feed_views_untraced t segs n =
+let feed_views t segs n =
+  St_trace.Trace.with_span p_feed @@ fun () ->
   match t.state with
   | Awaiting_open -> protocol_error "FEED before OPEN"
   | Opened_ os -> (
@@ -168,10 +166,6 @@ let feed_views_untraced t segs n =
       | None ->
           Stream_tokenizer.feed_batch os.tok segs n;
           check_failed os)
-
-let feed_views t segs n =
-  if not !St_trace.Trace.on then feed_views_untraced t segs n
-  else St_trace.Trace.with_span p_feed (fun () -> feed_views_untraced t segs n)
 
 let handle_flush t =
   match t.state with
@@ -198,20 +192,13 @@ let handle_flush t =
 let p_open = St_trace.Trace.probe ~cat:"session" "session.open"
 let p_flush = St_trace.Trace.probe ~cat:"session" "session.flush"
 
-let handle_untraced t = function
-  | Wire.Open spec -> handle_open t ~ids:false (fun () -> grammar_of_spec t spec)
+let handle t = function
+  | Wire.Open spec ->
+      St_trace.Trace.with_span p_open (fun () ->
+          handle_open t ~ids:false (fun () -> grammar_of_spec t spec))
   | Wire.Open_bpe { ids; vocab } ->
-      handle_open t ~ids (fun () -> grammar_of_vocab vocab)
-  | Wire.Feed bytes -> feed_untraced t bytes ~pos:0 ~len:(String.length bytes)
-  | Wire.Flush -> handle_flush t
+      St_trace.Trace.with_span p_open (fun () ->
+          handle_open t ~ids (fun () -> grammar_of_vocab vocab))
+  | Wire.Feed bytes -> feed t bytes ~pos:0 ~len:(String.length bytes)
+  | Wire.Flush -> St_trace.Trace.with_span p_flush (fun () -> handle_flush t)
   | Wire.Close | Wire.Stats _ -> []  (* handled by Server *)
-
-let handle t req =
-  if not !St_trace.Trace.on then handle_untraced t req
-  else
-    match req with
-    | Wire.Open _ | Wire.Open_bpe _ ->
-        St_trace.Trace.with_span p_open (fun () -> handle_untraced t req)
-    | Wire.Feed bytes -> feed t bytes ~pos:0 ~len:(String.length bytes)
-    | Wire.Flush -> St_trace.Trace.with_span p_flush (fun () -> handle_flush t)
-    | Wire.Close | Wire.Stats _ -> []

@@ -199,7 +199,12 @@ let request_of_frame { tag; payload } =
       | _ -> Result.Error "OPEN_BPE: unknown ids byte"
   else Result.Error (Printf.sprintf "unknown request tag 0x%02x" tag)
 
-let reply_of_frame_untraced { tag; payload } =
+(* Client-side payload parse: TOKENS frames carry the bulk of the reply
+   bytes, so this span is where a traced client spends its decode time. *)
+let p_parse_reply = St_trace.Trace.probe ~cat:"decode" "wire.parse_reply"
+
+let reply_of_frame { tag; payload } =
+  St_trace.Trace.with_span p_parse_reply @@ fun () ->
   let len = String.length payload in
   if tag = tag_opened then begin
     let grammar = ref "" and k = ref (-1) and cached = ref false in
@@ -289,19 +294,6 @@ let reply_of_frame_untraced { tag; payload } =
   end
   else Result.Error (Printf.sprintf "unknown reply tag 0x%02x" tag)
 
-(* Client-side payload parse: TOKENS frames carry the bulk of the reply
-   bytes, so this span is where a traced client spends its decode time. *)
-let p_parse_reply = St_trace.Trace.probe ~cat:"decode" "wire.parse_reply"
-
-let reply_of_frame f =
-  if not !St_trace.Trace.on then reply_of_frame_untraced f
-  else begin
-    St_trace.Trace.begin_span p_parse_reply;
-    let r = reply_of_frame_untraced f in
-    St_trace.Trace.end_span p_parse_reply;
-    r
-  end
-
 (* ---- incremental decoder ---- *)
 
 module Decoder = struct
@@ -370,7 +362,10 @@ module Decoder = struct
 
   let p_decode = St_trace.Trace.probe ~cat:"decode" "wire.decode"
 
-  let next_view_untraced t =
+  (* Span around one frame-extraction attempt: one per decoded frame in
+     steady state (View_need_more outcomes only occur on partial reads). *)
+  let next_view t =
+    St_trace.Trace.with_span p_decode @@ fun () ->
     match t.corrupt with
     | Some msg -> View_corrupt msg
     | None ->
@@ -404,17 +399,6 @@ module Decoder = struct
             View { vtag = tag; vbuf = b; voff = p + 5; vlen = plen }
           end
         end
-
-  (* Span around one frame-extraction attempt: one per decoded frame in
-     steady state (View_need_more outcomes only occur on partial reads). *)
-  let next_view t =
-    if not !St_trace.Trace.on then next_view_untraced t
-    else begin
-      St_trace.Trace.begin_span p_decode;
-      let r = next_view_untraced t in
-      St_trace.Trace.end_span p_decode;
-      r
-    end
 
   let view_string v = Bytes.sub_string v.vbuf v.voff v.vlen
 end

@@ -166,6 +166,8 @@ type cursor = {
   mutable clen : int;
   mutable skipped : int;  (* bytes consumed by skip loops *)
   mutable swar_skipped : int;  (* ... of which by SWAR-classified loops *)
+  state_skipped : int array;
+      (* per A state, bytes skipped from it; [||] unless heat is on *)
   mutable state : state;
 }
 
@@ -173,7 +175,7 @@ let carry_cap = 64
 
 let la_start e = match e.mode with Table_k1 _ -> 0 | Te te -> Te_dfa.start te
 
-let cursor e ~emit =
+let cursor ?(state_skipped = [||]) e ~emit =
   {
     eng = e;
     emit;
@@ -186,6 +188,7 @@ let cursor e ~emit =
     clen = 0;
     skipped = 0;
     swar_skipped = 0;
+    state_skipped;
     state = Running;
   }
 
@@ -266,6 +269,11 @@ let end_chunk c s pos finish startP =
   if Array.unsafe_get c.eng.reject c.q then
     c.state <- Failed_stream (fail_reject c)
 
+(* State heat, once per skip: a skipped byte self-loops A in [q]. *)
+let[@inline] count_skipped c q m =
+  let h = c.state_skipped in
+  if Array.length h > 0 then Array.unsafe_set h q (Array.unsafe_get h q + m)
+
 (* K ≤ 1: the carried last byte meets its lookahead class — the next
    chunk's first byte, or the EOF column. *)
 let k1_step_carried c tbl la =
@@ -320,6 +328,7 @@ let k1_chunk c tbl s pos len =
       let j = Accel.skip acc !q s !i last in
       c.skipped <- c.skipped + (j - !i);
       if Accel.is_swar acc !q then c.swar_skipped <- c.swar_skipped + (j - !i);
+      count_skipped c !q (j - !i);
       i := j
     end;
     prev2 := prev;
@@ -428,6 +437,7 @@ let te_chunk c te s pos len =
       c.skipped <- c.skipped + m;
       if Accel.is_swar acc !q || Accel.is_swar bacc r then
         c.swar_skipped <- c.swar_skipped + m;
+      count_skipped c !q m;
       j := j'
     end
     else incr j;
@@ -475,10 +485,10 @@ let rec kernel_finish c =
    input, so each one's position in [s] is the running sum of the lengths
    before it — which also covers the few tokens emitted from the carry.
    [tally], when given, counts tokens per rule in the same adapter. *)
-let run_cursor ?tally ~from e s ~emit =
+let run_cursor ?tally ?(state_skipped = [||]) ~from e s ~emit =
   let at = ref from in
   let c =
-    cursor e
+    cursor ~state_skipped e
       ~emit:
         (match tally with
         | None ->
@@ -512,137 +522,45 @@ let tokens e s =
   let outcome = run_string e s ~emit in
   (List.rev !acc, outcome)
 
-(* State heat, replayed off the hot path: the reference stepper walks A
-   (and, in TE mode, B) over [s] with the kernel's own skip-entry rules and
-   skip bounds for a single chunk [from, n) — K ≤ 1: no skip reaches the
-   last byte, which waits for its lookahead; TE: the skip stops K short of
-   the end — so the per-state visit and skip counts are the kernel's.
-   Token ends come from the real run; only maximality is not recomputed. *)
-type heat = {
-  h_s : string;
-  sv : int array;
-  ss : int array;
-  mutable hq : int;
-  mutable hst : int;
-  mutable hi : int;
-  mutable hprev2 : int;
-  mutable hprev2_st : int;
-}
-
-(* B's symbol at [i]: the byte's class, or EOF past the end. *)
-let te_class te d s i =
-  if i < String.length s then cls_of d (String.unsafe_get s i)
-  else Te_dfa.eof_class te
-
-let heat_create e s ~from sv ss =
-  let d = e.dfa in
-  let h =
-    {
-      h_s = s;
-      sv;
-      ss;
-      hq = d.Dfa.start;
-      hst = la_start e;
-      hi = from;
-      hprev2 = -1;
-      hprev2_st = -1;
-    }
-  in
-  (match e.mode with
-  | Table_k1 _ -> ()
-  | Te te ->
-      for i = from to from + Te_dfa.k te - 1 do
-        h.hst <- Te_dfa.step_class te h.hst (te_class te d s i)
-      done);
-  h
-
-(* Replay A up to [upto]; [token_end]: a token ends there (A resets). *)
-let heat_advance e h upto ~token_end =
-  let d = e.dfa in
-  let s = h.h_s in
-  let n = String.length s in
-  let step q i = step_byte d q (String.unsafe_get s i) in
-  let acc = d.Dfa.accel in
-  let run_entry q prev i =
-    q = prev && prev = h.hprev2
-    && Accel.enters acc q (Char.code (String.unsafe_get s i))
-  in
-  (match e.mode with
-  | Table_k1 _ ->
-      while h.hi < upto do
-        let prev = h.hq in
-        h.hq <- step h.hq h.hi;
-        h.sv.(h.hq) <- h.sv.(h.hq) + 1;
-        h.hi <- h.hi + 1;
-        if h.hi < n - 1 && run_entry h.hq prev h.hi then begin
-          let j = Accel.skip acc h.hq s h.hi (n - 1) in
-          h.ss.(h.hq) <- h.ss.(h.hq) + (j - h.hi);
-          h.hi <- j
-        end;
-        h.hprev2 <- prev
-      done
-  | Te te ->
-      let k = Te_dfa.k te in
-      while h.hi < upto do
-        let prev = h.hq and prev_st = h.hst in
-        h.hst <- Te_dfa.step_class te h.hst (te_class te d s (h.hi + k));
-        h.hq <- step h.hq h.hi;
-        h.sv.(h.hq) <- h.sv.(h.hq) + 1;
-        if
-          not (token_end && h.hi + 1 = upto)
-          && h.hst = prev_st && prev_st = h.hprev2_st
-          && h.hi + 1 < n - k
-          && run_entry h.hq prev (h.hi + 1)
-        then begin
-          let j =
-            Accel.skip2 acc h.hq (Te_dfa.accel te)
-              (Te_dfa.accel_row te h.hst)
-              ~off:k s (h.hi + 1) (n - k)
-          in
-          h.ss.(h.hq) <- h.ss.(h.hq) + (j - (h.hi + 1));
-          h.hi <- j
-        end
-        else h.hi <- h.hi + 1;
-        h.hprev2 <- prev;
-        h.hprev2_st <- prev_st
-      done);
-  if token_end then h.hq <- d.Dfa.start
-
 let num_rules e = 1 + Array.fold_left max (-1) e.dfa.Dfa.accept
 
 (* Trace probe around whole-string runs. The span wraps the plain runner
    (never a probe inside it), so the disabled-tracer cost is one bool
-   load per call — gated by `bench/main.exe smoke`. *)
+   load and one closure per call — gated by `bench/main.exe smoke`. *)
 let p_run = St_trace.Trace.probe ~cat:"engine" "engine.run"
+
+(* A's path through one token (or the failed tail) from the start
+   state: one arrival per byte at the state it lands in. *)
+let add_arrivals e arrivals s pos len =
+  let d = e.dfa in
+  let q = ref d.Dfa.start in
+  for i = pos to pos + len - 1 do
+    q := step_byte d !q (String.unsafe_get s i);
+    arrivals.(!q) <- arrivals.(!q) + 1
+  done
 
 (* The same kernel run as [run_string]; the per-rule tally is one
    unchecked increment per token in the position adapter, and the skip
-   counters are the cursor's own. *)
+   counters are the cursor's own. With state heat on, the kernel's skip
+   branches also count skipped bytes per state, and each token is
+   stepped once more through A to count arrivals per state. *)
 let run_string_instrumented ?(from = 0) e s ~stats ~emit =
-  let traced = !St_trace.Trace.on in
-  if traced then St_trace.Trace.begin_span p_run;
+  St_trace.Trace.with_span p_run @@ fun () ->
   let rc = Run_stats.rule_slots stats (num_rules e) in
-  let heat =
-    if not (Run_stats.heat_enabled stats) then None
-    else
-      let sv, ss = Run_stats.heat_slots stats (Dfa.size e.dfa) in
-      Some (heat_create e s ~from sv ss)
+  let heat = Run_stats.heat_enabled stats in
+  let arrivals, state_skipped =
+    if heat then Run_stats.heat_slots stats (Dfa.size e.dfa) else ([||], [||])
   in
   let emit =
-    match heat with
-    | None -> emit
-    | Some h ->
-        fun ~pos ~len ~rule ->
-          heat_advance e h (pos + len) ~token_end:true;
-          emit ~pos ~len ~rule
+    if not heat then emit
+    else fun ~pos ~len ~rule ->
+      add_arrivals e arrivals s pos len;
+      emit ~pos ~len ~rule
   in
   let (c, outcome), dt =
-    St_util.Timer.time_it (fun () -> run_cursor ~tally:rc ~from e s ~emit)
+    St_util.Timer.time_it (fun () ->
+        run_cursor ~tally:rc ~state_skipped ~from e s ~emit)
   in
-  (* the bytes after the last token (a failed tail) *)
-  Option.iter
-    (fun h -> heat_advance e h (String.length s) ~token_end:false)
-    heat;
   Run_stats.add_run_seconds stats dt;
   Run_stats.add_chunk stats (String.length s - from);
   Run_stats.add_accel_skipped stats c.skipped;
@@ -650,26 +568,18 @@ let run_string_instrumented ?(from = 0) e s ~stats ~emit =
   Run_stats.set_accel_states stats (accel_states e);
   Run_stats.set_accel_swar_states stats (accel_swar_states e);
   Run_stats.set_lookahead stats (max e.k 1);
-  Run_stats.observe_buffer stats (lookahead_buffer_bytes e);
+  (* the carry at end of input: what one chunk of this stream holds *)
+  Run_stats.observe_buffer stats c.clen;
   Run_stats.set_te_states stats (te_states e);
   (match outcome with
-  | Failed _ -> Run_stats.record_failure stats
+  | Failed { offset; _ } ->
+      if heat then add_arrivals e arrivals s offset (String.length s - offset);
+      Run_stats.record_failure stats
   | Finished -> ());
-  if traced then St_trace.Trace.end_span p_run;
   outcome
 
 let run_string_traced ?from e s ~emit =
-  if not !St_trace.Trace.on then run_string ?from e s ~emit
-  else begin
-    St_trace.Trace.begin_span p_run;
-    match run_string ?from e s ~emit with
-    | o ->
-        St_trace.Trace.end_span p_run;
-        o
-    | exception exn ->
-        St_trace.Trace.end_span p_run;
-        raise exn
-  end
+  St_trace.Trace.with_span p_run (fun () -> run_string ?from e s ~emit)
 
 let heat_table ?(label = "") e stats =
   let d = e.dfa in
@@ -700,7 +610,7 @@ let heat_table ?(label = "") e stats =
 module Kernel = struct
   type nonrec cursor = cursor
 
-  let create = cursor
+  let create e ~emit = cursor e ~emit
   let reset = reset
   let feed = kernel_feed
   let finish = kernel_finish

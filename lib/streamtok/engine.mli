@@ -122,10 +122,13 @@ val tokens : t -> string -> (string * int) list * outcome
     [stats] recording. The per-rule tally is one unchecked increment per
     token; the skip counters are the kernel's own (per skip, always on);
     bytes/chunk/lookahead/footprint numbers are recorded once per call.
-    With [Run_stats.enable_state_heat], per-state heat is counted by a
-    reference stepper that replays the input alongside the run with the
-    kernel's skip-entry rules, so the counts are exact while the kernel
-    itself never touches them. *)
+    The carry left at end of input is sampled into the buffer high-water
+    mark, as {!Stream_tokenizer} samples it after each chunk. With
+    [Run_stats.enable_state_heat], the kernel's two skip branches add each
+    skip's length to A's state (one test per skip, nothing per byte), and
+    each emitted token (and a failed tail) is stepped once more through A
+    to count arrivals per state; a skipped byte self-loops A, so visits =
+    arrivals − skipped, exactly. *)
 val run_string_instrumented :
   ?from:int ->
   t ->
@@ -134,10 +137,10 @@ val run_string_instrumented :
   emit:(pos:int -> len:int -> rule:int -> unit) ->
   outcome
 
-(** {!run_string} wrapped in a [Trace] span ([engine.run], category
+(** {!run_string} under [Trace.with_span] ([engine.run], category
     [engine]). The probe sits outside the hot loop: with tracing disabled
-    this is one bool load plus the plain runner, which the smoke check
-    gates at ≤2% (hard 10%) against {!run_string} itself. *)
+    this is one bool load and a closure plus the plain runner, which the
+    smoke check gates at ≤2% (hard 10%) against {!run_string} itself. *)
 val run_string_traced :
   ?from:int ->
   t ->

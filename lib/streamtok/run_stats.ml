@@ -7,15 +7,12 @@ type t = {
   mutable buffer_high_water : int;
   mutable lookahead : int;
   mutable te_states : int;
-  mutable segments : int;
-  mutable splice_retries : int;
-  mutable sync_tokens : int;
   mutable accel_states : int;
   mutable accel_skipped : int;
   mutable accel_swar_states : int;
   mutable swar_skipped : int;
   mutable rule_counts : int array;
-  mutable state_visits : int array;  (* [||] until state heat is enabled *)
+  mutable state_arrivals : int array;  (* [||] until state heat is enabled *)
   mutable state_skipped : int array;
   chunk_bytes : Metrics.Histogram.t;
   run_span : Metrics.Span.t;
@@ -29,15 +26,12 @@ let create () =
     buffer_high_water = 0;
     lookahead = 0;
     te_states = 0;
-    segments = 0;
-    splice_retries = 0;
-    sync_tokens = 0;
     accel_states = 0;
     accel_skipped = 0;
     accel_swar_states = 0;
     swar_skipped = 0;
     rule_counts = [||];
-    state_visits = [||];
+    state_arrivals = [||];
     state_skipped = [||];
     chunk_bytes = Metrics.Histogram.create ();
     run_span = Metrics.Span.create ();
@@ -61,17 +55,19 @@ let grow a n =
 
 let enable_state_heat t ~states =
   let n = max 1 states in
-  t.state_visits <- grow t.state_visits n;
+  t.state_arrivals <- grow t.state_arrivals n;
   t.state_skipped <- grow t.state_skipped n
 
-let heat_enabled t = Array.length t.state_visits > 0
+let heat_enabled t = Array.length t.state_arrivals > 0
 
 let heat_slots t n =
-  t.state_visits <- grow t.state_visits n;
+  t.state_arrivals <- grow t.state_arrivals n;
   t.state_skipped <- grow t.state_skipped n;
-  (t.state_visits, t.state_skipped)
+  (t.state_arrivals, t.state_skipped)
 
-let state_visits t = t.state_visits
+(* A skipped byte arrives in the state it self-loops in. *)
+let state_visits t =
+  Array.mapi (fun q a -> a - t.state_skipped.(q)) t.state_arrivals
 let state_skipped t = t.state_skipped
 
 let record_token t ~rule ~len =
@@ -97,11 +93,6 @@ let add_swar_skipped t n = t.swar_skipped <- t.swar_skipped + n
 let swar_skipped t = t.swar_skipped
 let record_failure t = t.failures <- t.failures + 1
 let add_run_seconds t dt = Metrics.Span.add t.run_span dt
-
-let record_parallel t ~segments ~splice_retries ~sync_tokens =
-  t.segments <- t.segments + segments;
-  t.splice_retries <- t.splice_retries + splice_retries;
-  t.sync_tokens <- t.sync_tokens + sync_tokens
 
 let bytes_in t = t.bytes_in
 let chunks t = t.chunks
@@ -156,13 +147,6 @@ let to_registry ?(rule_name = string_of_int) t =
          ~help:"fraction of input bytes consumed by skip loops"
          "accel_skip_ratio")
       (float_of_int t.accel_skipped /. float_of_int t.bytes_in);
-  if t.segments > 0 then begin
-    g "segments" "parallel tokenizer segments" t.segments;
-    c "splice_retries" "segments whose speculation was discarded"
-      t.splice_retries;
-    c "sync_tokens" "tokens re-tokenized to re-synchronize boundaries"
-      t.sync_tokens
-  end;
   add r
     {
       St_obs.Metrics.name = "run_seconds";

@@ -1,14 +1,14 @@
 (** Run-time observability for one tokenization run (the instrumented-runner
     pattern).
 
-    The plain runners ({!Engine.run_string}, {!Stream_tokenizer},
-    {!Par_tokenizer}) stay branch-free; callers who want stats pass a
-    [Run_stats.t] to the instrumented variants
-    ({!Engine.run_string_instrumented}, [Stream_tokenizer.create ~stats],
-    {!Par_tokenizer.tokenize_instrumented}). Everything here is updated
-    per chunk or per run except the per-rule token tally, which is a single
-    unchecked array increment per token — measured ≤2% overhead on the
-    [bench/micro.ml] hot loops (the `smoke` subcommand gates it).
+    The instrumented variants ({!Engine.run_string_instrumented},
+    [Stream_tokenizer.create ~stats]) run the same kernel as the plain
+    runners ({!Engine.run_string}, {!Stream_tokenizer}). Everything here
+    is updated per chunk or per run except the per-rule token tally, which
+    is a single unchecked array increment per token — measured ≤2%
+    overhead on the [bench/micro.ml] hot loops (the `smoke` subcommand
+    gates it) — and, only while state heat is on, the per-state counters
+    (one add per skip in the kernel, one A step per byte per token).
 
     Exported metric names (see README §Observability):
     - [bytes_in] (counter) — input bytes consumed
@@ -30,7 +30,6 @@
       SWAR (64-bit scan) tier, kinds 1–3
     - [swar_skipped_bytes] (counter) — bytes consumed by SWAR-classified
       skip loops (a subset of [accel_skipped_bytes])
-    - [segments], [splice_retries], [sync_tokens] (parallel tokenizer)
     - [run_seconds] (span) — wall-clock time inside instrumented runs *)
 
 type t
@@ -51,17 +50,21 @@ val record_token : t -> rule:int -> len:int -> unit
 
 (** [enable_state_heat t ~states] turns on per-DFA-state heat counters
     (visits = bytes consumed in the state; skipped = bytes the self-loop
-    accelerator skipped from it) for subsequent instrumented runs, counted
-    by a replay of the input beside the run. Off by default — the arrays
-    stay [[||]] and nothing is replayed. *)
+    accelerator skipped from it) for subsequent instrumented runs. The
+    kernel's skip branches count [skipped]; the instrumented runner steps
+    each token through A to count arrivals, and visits = arrivals −
+    skipped. Off by default — the arrays stay [[||]], the kernel's skip
+    branches count nothing and no token is stepped twice. *)
 val enable_state_heat : t -> states:int -> unit
 
 val heat_enabled : t -> bool
 
-(** [heat_slots t n] returns [(visits, skipped)] grown to at least [n]
-    slots, for the heat replay's increments (mirror of {!rule_slots}). *)
+(** [heat_slots t n] returns [(arrivals, skipped)] grown to at least [n]
+    slots, for the instrumented runner's and the kernel's increments
+    (mirror of {!rule_slots}). *)
 val heat_slots : t -> int -> int array * int array
 
+(** Per state, arrivals − skipped: a fresh array. *)
 val state_visits : t -> int array
 val state_skipped : t -> int array
 
@@ -75,7 +78,6 @@ val set_accel_swar_states : t -> int -> unit
 val add_swar_skipped : t -> int -> unit
 val record_failure : t -> unit
 val add_run_seconds : t -> float -> unit
-val record_parallel : t -> segments:int -> splice_retries:int -> sync_tokens:int -> unit
 
 (** {1 Reading} *)
 

@@ -44,7 +44,10 @@ let feed_chunk t st s pos len =
   if running && K.failed t.cur then Run_stats.record_failure st;
   Run_stats.observe_buffer st (K.carried t.cur)
 
-let feed_untraced t s pos len =
+(* Per-call trace spans; the probe never enters the chunk loop itself,
+   so the disabled cost is a single bool load (and a closure) per call. *)
+let feed t s pos len =
+  St_trace.Trace.with_span p_feed @@ fun () ->
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Stream_tokenizer.feed";
   match t.stats with
@@ -63,7 +66,8 @@ let feed_untraced t s pos len =
    stops at the segment that fails the stream: later segments are neither
    consumed nor counted, matching the serving layer's drop-after-failure
    contract ({!Session.feed} never feeds a failed stream). *)
-let feed_batch_untraced t segs n =
+let feed_batch t segs n =
+  St_trace.Trace.with_span p_feed @@ fun () ->
   if n < 0 || n > Array.length segs then
     invalid_arg "Stream_tokenizer.feed_batch";
   for j = 0 to n - 1 do
@@ -86,34 +90,10 @@ let feed_batch_untraced t segs n =
       Run_stats.add_swar_skipped st (K.swar_skipped t.cur - sw0)
   | None -> ()
 
-(* Per-call trace span; the probe never enters the chunk loop itself, so
-   the disabled cost is a single bool load per call. *)
-let traced p f =
-  if not !St_trace.Trace.on then f ()
-  else begin
-    St_trace.Trace.begin_span p;
-    match f () with
-    | r ->
-        St_trace.Trace.end_span p;
-        r
-    | exception exn ->
-        St_trace.Trace.end_span p;
-        raise exn
-  end
-
-let feed t s pos len =
-  if not !St_trace.Trace.on then feed_untraced t s pos len
-  else traced p_feed (fun () -> feed_untraced t s pos len)
-
 let feed_string t s = feed t s 0 (String.length s)
 
-(* One trace span per batch — the whole point: the span (and every other
-   per-call cost) amortizes over the coalesced segments. *)
-let feed_batch t segs n =
-  if not !St_trace.Trace.on then feed_batch_untraced t segs n
-  else traced p_feed (fun () -> feed_batch_untraced t segs n)
-
-let finish_untraced t =
+let finish t =
+  St_trace.Trace.with_span p_finish @@ fun () ->
   let running = K.running t.cur in
   let outcome = K.finish t.cur in
   (match t.stats with
@@ -125,4 +105,3 @@ let finish_untraced t =
   | _ -> ());
   outcome
 
-let finish t = traced p_finish (fun () -> finish_untraced t)

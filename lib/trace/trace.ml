@@ -430,165 +430,6 @@ module Chrome = struct
         | _ -> Error "chrome trace: missing traceEvents array")
 end
 
-(* ---- Binary capture ---- *)
-
-module Bin = struct
-  let magic = "STTRACE1"
-
-  let is_binary s =
-    String.length s >= String.length magic
-    && String.sub s 0 (String.length magic) = magic
-
-  let add_u16 b v =
-    Buffer.add_char b (Char.chr (v land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
-
-  let add_u32 b v =
-    add_u16 b (v land 0xffff);
-    add_u16 b ((v lsr 16) land 0xffff)
-
-  let add_i64 b v =
-    add_u32 b (v land 0xffffffff);
-    add_u32 b ((v asr 32) land 0xffffffff)
-
-  let add_str b s =
-    add_u16 b (String.length s);
-    Buffer.add_string b s
-
-  let to_string ?(heat = []) evs =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b magic;
-    (* intern name/cat strings *)
-    let strings = Hashtbl.create 64 in
-    let order = ref [] in
-    let intern s =
-      match Hashtbl.find_opt strings s with
-      | Some i -> i
-      | None ->
-          let i = Hashtbl.length strings in
-          Hashtbl.add strings s i;
-          order := s :: !order;
-          i
-    in
-    let encoded =
-      List.map
-        (fun (e : Ev.t) -> (e, intern e.name, intern e.cat))
-        evs
-    in
-    let table = List.rev !order in
-    add_u32 b (List.length table);
-    List.iter (add_str b) table;
-    add_u32 b (List.length encoded);
-    List.iter
-      (fun ((e : Ev.t), ni, ci) ->
-        Buffer.add_char b
-          (Char.chr
-             (match e.kind with
-             | Ev.Begin -> 0
-             | Ev.End -> 1
-             | Ev.Instant -> 2
-             | Ev.Counter -> 3));
-        add_u16 b ni;
-        add_u16 b ci;
-        add_u16 b (e.tid land 0xffff);
-        add_i64 b e.ts_ns;
-        add_i64 b e.arg)
-      encoded;
-    add_u32 b (List.length heat);
-    List.iter
-      (fun (t : Heat.table) ->
-        add_str b t.label;
-        add_u32 b t.states;
-        add_i64 b t.bytes;
-        add_u32 b (List.length t.rows);
-        List.iter
-          (fun (r : Heat.row) ->
-            add_u32 b r.state;
-            add_i64 b r.visits;
-            add_i64 b r.skipped;
-            add_u16 b r.stop_bytes;
-            add_i64 b r.rule;
-            Buffer.add_char b (if r.accel then '\001' else '\000'))
-          t.rows)
-      heat;
-    Buffer.contents b
-
-  exception Bad of string
-
-  let of_string s =
-    let pos = ref 0 in
-    let n = String.length s in
-    let need k = if !pos + k > n then raise (Bad "truncated") in
-    let u8 () =
-      need 1;
-      let v = Char.code s.[!pos] in
-      incr pos;
-      v
-    in
-    let u16 () =
-      let a = u8 () in
-      let b = u8 () in
-      a lor (b lsl 8)
-    in
-    let u32 () =
-      let a = u16 () in
-      let b = u16 () in
-      a lor (b lsl 16)
-    in
-    let i64 () =
-      let a = u32 () in
-      let b = u32 () in
-      a lor (b lsl 32)
-    in
-    let str () =
-      let l = u16 () in
-      need l;
-      let v = String.sub s !pos l in
-      pos := !pos + l;
-      v
-    in
-    try
-      need (String.length magic);
-      if String.sub s 0 (String.length magic) <> magic then
-        raise (Bad "bad magic");
-      pos := String.length magic;
-      let nstr = u32 () in
-      let table = Array.init nstr (fun _ -> str ()) in
-      let lookup i = if i < nstr then table.(i) else "?" in
-      let nev = u32 () in
-      let evs =
-        List.init nev (fun _ ->
-            let kind = kind_of_int (u8 ()) in
-            let name = lookup (u16 ()) in
-            let cat = lookup (u16 ()) in
-            let tid = u16 () in
-            let ts_ns = i64 () in
-            let arg = i64 () in
-            { Ev.name; cat; kind; ts_ns; arg; tid })
-      in
-      let ntab = u32 () in
-      let heat =
-        List.init ntab (fun _ ->
-            let label = str () in
-            let states = u32 () in
-            let bytes = i64 () in
-            let nrows = u32 () in
-            let rows =
-              List.init nrows (fun _ ->
-                  let state = u32 () in
-                  let visits = i64 () in
-                  let skipped = i64 () in
-                  let stop_bytes = u16 () in
-                  let rule = i64 () in
-                  let accel = u8 () <> 0 in
-                  { Heat.state; visits; skipped; stop_bytes; rule; accel })
-            in
-            { Heat.label; states; bytes; rows })
-      in
-      Ok (evs, heat)
-    with Bad msg -> Error ("binary trace: " ^ msg)
-end
-
 (* ---- Aggregated span-tree report ---- *)
 
 module Report = struct

@@ -15,8 +15,8 @@
     chunk/frame/run granularity (see DESIGN.md).
 
     A recording is snapshotted with {!events} and exported as Chrome
-    trace-event JSON ({!Chrome}, loadable in Perfetto), a compact binary
-    file ({!Bin}), or folded into an aggregated span tree ({!Report}).
+    trace-event JSON ({!Chrome}, loadable in Perfetto) — the one on-disk
+    trace format — or folded into an aggregated span tree ({!Report}).
     {!Heat} carries DFA state-heat tables (per-state visit/skip counts)
     alongside the event stream. *)
 
@@ -141,19 +141,6 @@ module Chrome : sig
   val to_json : ?heat:Heat.table list -> Ev.t list -> St_obs.Json.t
   val to_string : ?heat:Heat.table list -> Ev.t list -> string
   val of_string : string -> (Ev.t list * Heat.table list, string) result
-end
-
-module Bin : sig
-  (** Compact binary capture ("STTRACE1" magic, interned string table,
-      fixed 23-byte event records) for recordings too big to serialize as
-      JSON on the fly; [streamtok trace convert] turns it into Chrome
-      JSON. *)
-
-  val to_string : ?heat:Heat.table list -> Ev.t list -> string
-  val of_string : string -> (Ev.t list * Heat.table list, string) result
-
-  (** Magic sniff, for auto-detecting the input format of a file. *)
-  val is_binary : string -> bool
 end
 
 (* ---- Aggregated report ---- *)

@@ -243,29 +243,59 @@ let test_reset_reuse () =
     ];
   check_int "bytes_fed restarts" 0 (Stream_tokenizer.bytes_fed t)
 
-(* The replayed state heat is exact: its skipped bytes are the kernel's
-   own skip counter, and visits + skipped cover every byte. *)
+(* The state heat is exact: its skipped bytes are the kernel's own skip
+   counter, visits + skipped cover every byte, and per state they equal
+   the visits of an unaccelerated build of the same DFA (it skips
+   nothing and has identical tables), on inputs that skip, fail, or start
+   past offset 0. *)
 let test_heat_replay_exact () =
+  let heat e ~from input =
+    let stats = Run_stats.create () in
+    Run_stats.enable_state_heat stats ~states:(Dfa.size (Engine.dfa e));
+    ignore
+      (Engine.run_string_instrumented ~from e input ~stats
+         ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
+    stats
+  in
+  let json = Gen_data.json ~seed:51L ~target_bytes:65536 () in
   List.iter
-    (fun (g, input) ->
+    (fun (label, g, from, input) ->
+      let grammar = Option.get (Registry.find g) in
       let e = engine_of g in
-      let stats = Run_stats.create () in
-      Run_stats.enable_state_heat stats ~states:(Dfa.size (Engine.dfa e));
-      ignore
-        (Engine.run_string_instrumented e input ~stats
-           ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
+      let e_off =
+        match
+          Engine.compile (Dfa.of_rules ~accel:Accel.Off (Grammar.rules grammar))
+        with
+        | Ok e -> e
+        | Error _ -> assert false
+      in
+      check (label ^ ": off build has the same tables") true
+        ((Engine.dfa e).Dfa.trans = (Engine.dfa e_off).Dfa.trans
+        && (Engine.dfa e).Dfa.accept = (Engine.dfa e_off).Dfa.accept);
+      let stats = heat e ~from input and off = heat e_off ~from input in
+      let visits = Run_stats.state_visits stats in
+      let skipped = Run_stats.state_skipped stats in
       let sum = Array.fold_left ( + ) 0 in
-      let visits = sum (Run_stats.state_visits stats) in
-      let skipped = sum (Run_stats.state_skipped stats) in
-      check_int (g ^ ": heat skipped = kernel skipped")
-        (Run_stats.accel_skipped stats) skipped;
-      check_int (g ^ ": every byte counted once") (String.length input)
-        (visits + skipped);
-      check (g ^ ": skips happened") true (skipped > 0))
+      check_int (label ^ ": heat skipped = kernel skipped")
+        (Run_stats.accel_skipped stats) (sum skipped);
+      check_int (label ^ ": every byte counted once")
+        (String.length input - from)
+        (sum visits + sum skipped);
+      check (label ^ ": skips happened") true (sum skipped > 0);
+      check (label ^ ": off build skips nothing") true
+        (sum (Run_stats.state_skipped off) = 0);
+      check (label ^ ": visits + skipped = off-build visits, per state") true
+        (Array.mapi (fun q v -> v + skipped.(q)) visits
+        = Run_stats.state_visits off))
     [
-      ("json", Gen_data.json ~seed:51L ~target_bytes:65536 ());
-      ("csv", Gen_data.csv ~seed:52L ~target_bytes:65536 ());
-      ("xml", Gen_data.xml ~seed:53L ~target_bytes:65536 ());
+      ("json", "json", 0, json);
+      ("csv", "csv", 0, Gen_data.csv ~seed:52L ~target_bytes:65536 ());
+      ("xml", "xml", 0, Gen_data.xml ~seed:53L ~target_bytes:65536 ());
+      ( "json lexical error",
+        "json",
+        0,
+        String.sub json 0 30000 ^ "@@ trux" ^ String.sub json 30000 5000 );
+      ("json from 1", "json", 1, json);
     ]
 
 let suite =

@@ -302,7 +302,6 @@ let test_json_validates () =
   Run_stats.record_token st ~rule:0 ~len:3;
   Run_stats.record_token st ~rule:2 ~len:1;
   Run_stats.record_failure st;
-  Run_stats.record_parallel st ~segments:4 ~splice_retries:1 ~sync_tokens:9;
   check "run-stats JSON validates" true (json_valid (Run_stats.to_json_string st))
 
 let contains ~sub s =
@@ -423,6 +422,30 @@ let test_stream_tokenizer_stats () =
   check_int "chunks" 3 (Run_stats.chunks st);
   check_int "tokens" (List.length !plain) (Run_stats.tokens_out st)
 
+(* A one-shot run carries what one chunk of the same bytes carries: an
+   input ending inside a long token keeps that token's prefix. *)
+let test_one_shot_buffer_high_water () =
+  let e =
+    match Engine.compile (Grammar.dfa Formats.json) with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  let input = "[1, \"" ^ String.make 5_000 'a' ^ "\"]" in
+  let high_water st =
+    int_of_float (gauge_of (Run_stats.to_registry st) "buffer_high_water_bytes")
+  in
+  let one_shot = Run_stats.create () in
+  ignore
+    (Engine.run_string_instrumented e input ~stats:one_shot
+       ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
+  let chunked = Run_stats.create () in
+  let t = Stream_tokenizer.create ~stats:chunked e ~emit:(fun _ _ -> ()) in
+  Stream_tokenizer.feed_string t input;
+  ignore (Stream_tokenizer.finish t);
+  check_int "one chunk carries the open string token" 5_003
+    (high_water chunked);
+  check_int "one-shot = one chunk" (high_water chunked) (high_water one_shot)
+
 (* ---- memory footprint under alphabet compression ---- *)
 
 let compile_exn ?classes src =
@@ -520,6 +543,8 @@ let suite =
     Alcotest.test_case "instrumented ≡ plain" `Quick test_instrumented_identical;
     Alcotest.test_case "per-rule tallies" `Quick test_rule_tallies;
     Alcotest.test_case "stream tokenizer stats" `Quick test_stream_tokenizer_stats;
+    Alcotest.test_case "one-shot buffer high water" `Quick
+      test_one_shot_buffer_high_water;
     Alcotest.test_case "footprint accounts classmap" `Quick
       test_footprint_accounts_classmap;
     Alcotest.test_case "footprint monotone in te states" `Quick

@@ -113,65 +113,6 @@ let test_source_of_fd_nonblocking () =
   Thread.join writer;
   check "nonblocking content intact" true (got = fd_payload)
 
-let test_sink_of_fd_nonblocking () =
-  (* Slow reader + non-blocking writer: Sink.write must complete partial
-     writes across EAGAIN (a socketpair buffer is far smaller than the
-     512 KiB written). *)
-  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let total_bytes = 8 * 65536 in
-  let total = ref 0 in
-  let reader =
-    Thread.create
-      (fun () ->
-        let buf = Bytes.create 4096 in
-        let rec slurp () =
-          let n = Unix.read rd buf 0 4096 in
-          if n > 0 then begin
-            total := !total + n;
-            Thread.delay 0.0005;
-            slurp ()
-          end
-        in
-        slurp ();
-        Unix.close rd)
-      ()
-  in
-  Unix.set_nonblock wr;
-  let sink = Sink.of_fd wr in
-  let chunk = String.make 65536 'z' in
-  for _ = 1 to 8 do
-    Sink.write_string sink chunk
-  done;
-  check_int "bytes_written" total_bytes (Sink.bytes_written sink);
-  Unix.shutdown wr Unix.SHUTDOWN_SEND;
-  Thread.join reader;
-  Unix.close wr;
-  check_int "reader saw every byte" total_bytes !total
-
-let test_counter_sink () =
-  let c = Sink.counter ~num_rules:3 in
-  Sink.count_emit c "a" 0;
-  Sink.count_emit c "b" 2;
-  Sink.count_emit c "c" 2;
-  check_int "total" 3 (Sink.total c);
-  check "per rule" true (Sink.per_rule c = [| 1; 0; 2 |])
-
-let test_collector_sink () =
-  let c = Sink.collector () in
-  Sink.collect_emit c "x" 1;
-  Sink.collect_emit c "y" 0;
-  check "order preserved" true (Sink.collected c = [ ("x", 1); ("y", 0) ])
-
-let test_blackhole_sink () =
-  let b = Sink.blackhole () in
-  Sink.blackhole_emit b "abc" 1;
-  Sink.blackhole_emit b "" 0;
-  (* value is deterministic for fixed inputs *)
-  let b2 = Sink.blackhole () in
-  Sink.blackhole_emit b2 "abc" 1;
-  Sink.blackhole_emit b2 "" 0;
-  check_int "deterministic" (Sink.blackhole_value b) (Sink.blackhole_value b2)
-
 let suite =
   [
     Alcotest.test_case "source of string" `Quick test_source_of_string;
@@ -181,9 +122,4 @@ let suite =
     Alcotest.test_case "source of_fd pipe" `Quick test_source_of_fd_pipe;
     Alcotest.test_case "source of_fd nonblocking" `Quick
       test_source_of_fd_nonblocking;
-    Alcotest.test_case "sink of_fd nonblocking" `Quick
-      test_sink_of_fd_nonblocking;
-    Alcotest.test_case "counter sink" `Quick test_counter_sink;
-    Alcotest.test_case "collector sink" `Quick test_collector_sink;
-    Alcotest.test_case "blackhole sink" `Quick test_blackhole_sink;
   ]

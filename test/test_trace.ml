@@ -228,33 +228,6 @@ let test_chrome_parse_errors () =
   check "garbage rejected" true (Result.is_error (T.Chrome.of_string "nope"));
   check "non-object rejected" true (Result.is_error (T.Chrome.of_string "[1,2]"))
 
-(* ---- binary capture ---- *)
-
-let test_bin_roundtrip () =
-  let heat =
-    [
-      {
-        T.Heat.label = "words";
-        states = 1;
-        bytes = 64;
-        rows = [ { T.Heat.state = 0; visits = 64; skipped = 0; stop_bytes = 3; rule = 1; accel = true } ];
-      };
-    ]
-  in
-  let s = T.Bin.to_string ~heat golden_events in
-  check "magic sniff" true (T.Bin.is_binary s);
-  check "json is not binary" false (T.Bin.is_binary (T.Chrome.to_string golden_events));
-  match T.Bin.of_string s with
-  | Error msg -> Alcotest.failf "bin parse: %s" msg
-  | Ok (evs, heat') ->
-      check "events roundtrip exactly" true (evs = golden_events);
-      check "heat roundtrips" true (heat' = heat)
-
-let test_bin_truncated () =
-  let s = T.Bin.to_string golden_events in
-  check "truncation detected" true
-    (Result.is_error (T.Bin.of_string (String.sub s 0 (String.length s - 3))))
-
 (* ---- state heat ---- *)
 
 let words_engine () =
@@ -345,8 +318,6 @@ let suite =
     Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
     Alcotest.test_case "chrome roundtrip" `Quick test_chrome_roundtrip;
     Alcotest.test_case "chrome parse errors" `Quick test_chrome_parse_errors;
-    Alcotest.test_case "bin roundtrip" `Quick test_bin_roundtrip;
-    Alcotest.test_case "bin truncated" `Quick test_bin_truncated;
     Alcotest.test_case "heat top-N deterministic" `Quick
       test_heat_topn_deterministic;
     Alcotest.test_case "heat parity" `Quick test_heat_instrumented_parity;
