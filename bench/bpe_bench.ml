@@ -150,7 +150,9 @@ let run ?(throughput = true) () =
      powerstates the run materialized — a count, not a timing, so the gate
      is free of timing noise. Warm-up is the cold run's time less a warm
      re-run of the same text. *)
-  let cold = Engine.compile_trusted d ~k in
+  let cold =
+    match Engine.compile d with Ok e -> e | Error _ -> assert false
+  in
   let text = Bpe.Trainer.gen_corpus (Prng.create 7L) 4096 in
   let timed_run () =
     let t0 = Unix.gettimeofday () in

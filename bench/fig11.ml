@@ -24,7 +24,7 @@ let with_file_source input f =
         (fun () ->
           f (fun () ->
               ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-              Source.of_fun (fun buf ~pos ~len -> Unix.read fd buf pos len))))
+              Source.of_fd fd)))
 
 let run_flex_buffered fm ~capacity fresh_source =
   let source = fresh_source () in

@@ -233,6 +233,7 @@ let rec smoke () =
   end;
   disabled_tracer_check ();
   stream_check ();
+  alloc_check ();
   trace_check ()
 
 (* The one-kernel contract, cheaply: streaming through the slice API at
@@ -349,6 +350,129 @@ and disabled_tracer_check () =
             emit len rule)
       in
       chunked (Stream_tokenizer.feed t) (fun () -> Stream_tokenizer.finish t))
+
+(* The allocation contract: the hot paths allocate per chunk or per
+   document, never per token or byte. Eight seeded 64 KiB documents (json,
+   then csv) go, after a warm-up pass that grows the buffers, through the
+   batch engine, the slice-API tokenizer in 1 KiB chunks and a serve
+   session in 1 KiB FEEDs with a FLUSH per document; each path must
+   allocate at most 0.1 minor-heap words per input byte. One 2-word box per
+   token would cost >= 0.46 words/byte on csv and >= 0.78 on json. A word
+   count does not depend on the host's speed, so the gate cannot flake.
+   The three paths must agree on the token count and every FLUSH must
+   report a clean stream, so a path that stopped early cannot pass. *)
+and alloc_check () =
+  Streamtok.Trace.set_enabled false;
+  let module W = Serve.Wire in
+  let module S = Serve.Session in
+  Bench_common.pp_header
+    "Smoke: minor-heap words per input byte (8 x 64 KB documents, bound 0.1)";
+  let bound = 0.1 in
+  let deps = { S.cache = Engine_cache.create (); resolve = Registry.resolve } in
+  List.iter
+    (fun (g : Grammar.t) ->
+      let engine =
+        match Engine.compile (Grammar.dfa g) with
+        | Ok e -> e
+        | Error _ -> assert false
+      in
+      let gen = Option.get (Gen_data.by_name g.Grammar.name) in
+      let docs =
+        List.init 8 (fun i ->
+            gen
+              ~seed:(Int64.add Bench_common.seed_data (Int64.of_int i))
+              ~target_bytes:65_536 ())
+      in
+      let bytes = List.fold_left (fun n d -> n + String.length d) 0 docs in
+      let tokens = ref 0 in
+      let slices doc f =
+        let n = String.length doc in
+        let pos = ref 0 in
+        while !pos < n do
+          let len = min 1024 (n - !pos) in
+          f !pos len;
+          pos := !pos + len
+        done
+      in
+      let finished call ok =
+        if not ok then begin
+          Printf.eprintf "smoke: %s: a %s document did not tokenize\n" call
+            g.Grammar.name;
+          exit 1
+        end
+      in
+      let tok =
+        Stream_tokenizer.create_slices engine ~emit:(fun _ _ _ _ ->
+            incr tokens)
+      in
+      let session = S.create deps in
+      ignore (S.handle session (W.Open g.Grammar.name));
+      let drain () =
+        match S.batch session with
+        | Some (_, k) ->
+            tokens := !tokens + k;
+            S.batch_clear session
+        | None -> ()
+      in
+      let paths =
+        [
+          ( "engine.run",
+            fun doc ->
+              finished "engine.run"
+                (Engine.run_string engine doc ~emit:(fun ~pos:_ ~len:_ ~rule:_ ->
+                     incr tokens)
+                = Engine.Finished) );
+          ( "st.feed@1KiB",
+            fun doc ->
+              Stream_tokenizer.reset tok;
+              slices doc (Stream_tokenizer.feed tok doc);
+              finished "st.feed" (Stream_tokenizer.finish tok = Engine.Finished)
+          );
+          ( "session@1KiB",
+            fun doc ->
+              slices doc (fun pos len ->
+                  ignore (S.feed session doc ~pos ~len);
+                  drain ());
+              let replies = S.handle session W.Flush in
+              drain ();
+              finished "session"
+                (List.exists
+                   (function W.Pending { ok; _ } -> ok | _ -> false)
+                   replies) );
+        ]
+      in
+      let counts =
+        List.map
+          (fun (call, run) ->
+            List.iter run docs;
+            tokens := 0;
+            let w0 = Gc.minor_words () in
+            List.iter run docs;
+            let per_byte = (Gc.minor_words () -. w0) /. float_of_int bytes in
+            Printf.printf
+              "  %-10s %-13s %8.5f words/byte  (%d tokens, bound %.1f)\n"
+              g.Grammar.name call per_byte !tokens bound;
+            Bench_common.record_result ~experiment:"smoke"
+              ~name:"minor_words_per_byte"
+              ~labels:[ ("grammar", g.Grammar.name); ("call", call) ]
+              per_byte;
+            if per_byte > bound then begin
+              Printf.eprintf
+                "smoke: %s allocates %.4f minor words per byte on %s (bound \
+                 %.1f)\n"
+                call per_byte g.Grammar.name bound;
+              exit 1
+            end;
+            !tokens)
+          paths
+      in
+      if List.exists (( <> ) (List.hd counts)) counts then begin
+        Printf.eprintf "smoke: %s token counts differ across paths: %s\n"
+          g.Grammar.name
+          (String.concat ", " (List.map string_of_int counts));
+        exit 1
+      end)
+    [ Formats.json; Formats.csv ]
 
 (* The tracer recording. (1) A 4 MB words document fed through
    Stream_tokenizer in 1 KiB chunks — one st.feed + engine.run span pair

@@ -16,10 +16,12 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== bench smoke (instrumented/tracer parity + overhead, stream/batch floor, serve-span attribution >=90% + loopback token parity)"
+echo "== bench smoke (instrumented/tracer parity + overhead, stream/batch floor, minor words/byte, serve-span attribution >=90% + loopback token parity)"
 # Hard checks live inside the bench: instrumented and disabled-tracer
 # token-stream parity with their overhead gates, the slice-API streaming
-# floor against batch, token-count parity with the tracer recording, the
+# floor against batch, at most 0.1 minor-heap words per input byte on the
+# batch engine, the 1 KiB slice stream and a 1 KiB-FEED serve session
+# (json and csv), token-count parity with the tracer recording, the
 # enabled-tracer overhead gate on the chunked words workload, and >=90%
 # of a traced loopback serve run's wall time attributed by the span-tree
 # report, with its served token count equal to a direct engine run's.

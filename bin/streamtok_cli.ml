@@ -530,37 +530,6 @@ let bpe_cmd =
           analysis, deterministic training")
     [ bpe_analyze_cmd; bpe_train_cmd ]
 
-(* ---- compile ---- *)
-
-let compile_cmd =
-  let out =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file for the compiled engine.")
-  in
-  let run g out =
-    let d = Grammar.dfa g in
-    match Engine.compile d with
-    | Error Engine.Unbounded_tnd ->
-        prerr_endline "error: grammar has unbounded max-TND; cannot compile a streaming engine";
-        exit 2
-    | Ok e ->
-        let blob = Engine_io.to_string e in
-        let oc = open_out_bin out in
-        output_string oc blob;
-        close_out oc;
-        Printf.printf "compiled %s: K = %d, %d DFA states, %d bytes -> %s
-"
-          g.Grammar.name (Engine.k e)
-          (Dfa.size (Engine.dfa e))
-          (String.length blob) out
-  in
-  Cmd.v
-    (Cmd.info "compile"
-       ~doc:"Analyze a grammar and save the compiled engine tables")
-    Term.(const run $ grammar_arg $ out)
-
 (* ---- validate ---- *)
 
 let validate_cmd =
@@ -1203,7 +1172,7 @@ let () =
   let group =
     Cmd.group info
       [
-        list_cmd; analyze_cmd; stats_cmd; tokenize_cmd; bpe_cmd; compile_cmd;
+        list_cmd; analyze_cmd; stats_cmd; tokenize_cmd; bpe_cmd;
         validate_cmd; gen_cmd; fuzz_cmd; serve_cmd; client_cmd;
         convert_cmd; trace_cmd;
       ]

@@ -59,9 +59,6 @@ let attach (level : Accel.level) d =
     done;
     { d with accel }
 
-let of_tables ~start ~num_classes ~classmap ~trans ~accept =
-  attach Accel.Swar (bare ~start ~num_classes ~classmap ~trans ~accept)
-
 (* The coarsest partition of 0–255 that every charset label of the NFA
    respects: two bytes land in the same class iff every labeled edge either
    contains both or neither, so they are indistinguishable to the subset

@@ -90,14 +90,6 @@ val of_grammar :
   ?minimize:bool -> ?classes:bool -> ?accel:Accel.level ->
   ?max_states:int -> string -> t
 
-(** [of_tables ~start ~num_classes ~classmap ~trans ~accept]: a DFA from
-    stored tables (deserialization), with the default ({!Accel.Swar})
-    accelerator derived from [trans]. The tables are taken as they are;
-    the caller validates them. *)
-val of_tables :
-  start:int -> num_classes:int -> classmap:string -> trans:int array ->
-  accept:int array -> t
-
 (** States from which some final state is reachable (co-accessible,
     paper §4). The complement is the set of reject/failure states. *)
 val co_accessible : t -> St_util.Bits.t

@@ -11,12 +11,6 @@ let outcome_equal a b =
       o1 = o2 && String.equal p1 p2
   | _ -> false
 
-let outcome_to_string = function
-  | Finished -> "finished"
-  | Failed { offset; pending } ->
-      Printf.sprintf "failed at %d (%d pending bytes)" offset
-        (String.length pending)
-
 let fail s startP =
   Failed
     { offset = startP; pending = String.sub s startP (String.length s - startP) }

@@ -17,9 +17,6 @@ type outcome = Finished | Failed of { offset : int; pending : string }
     suites compare failure positions byte-for-byte. *)
 val outcome_equal : outcome -> outcome -> bool
 
-(** Compact rendering for mismatch reports. *)
-val outcome_to_string : outcome -> string
-
 (** [run dfa s ~emit] tokenizes [s], calling [emit ~pos ~len ~rule] per
     token. Also returns the total number of DFA steps taken, which measures
     backtracking overhead (steps / length ≥ 1; equality means no re-reads). *)

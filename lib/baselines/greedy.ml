@@ -10,8 +10,6 @@ let compile rules =
   let coacc = Array.map Dfa.co_accessible dfas in
   { dfas; coacc }
 
-let compile_dfas t = t.dfas
-
 (* Longest match of a single rule starting at [startp]; returns length ≥ 1
    or 0, plus the number of DFA steps taken. *)
 let longest_of_rule t rule s startp =

@@ -10,7 +10,6 @@
     divergence cases. *)
 
 open St_regex
-open St_automata
 
 type t
 
@@ -26,6 +25,3 @@ val run :
     is where its slowdown comes from). *)
 
 val tokens : t -> string -> (string * int) list * Backtracking.outcome
-
-(** For convenience in differential tests. *)
-val compile_dfas : t -> Dfa.t array

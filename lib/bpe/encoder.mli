@@ -10,6 +10,3 @@
 (** Token ids, in input order. Total for any input because vocabularies
     are byte-complete. *)
 val encode : Vocab.t -> string -> int list
-
-(** Like {!encode} but returns (id, lexeme) pairs. *)
-val encode_tokens : Vocab.t -> string -> (int * string) list

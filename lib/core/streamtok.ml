@@ -39,7 +39,6 @@ module Engine = St_streamtok.Engine
 module Par_tokenizer = St_parallel.Par_tokenizer
 module Stream_tokenizer = St_streamtok.Stream_tokenizer
 module Engine_cache = St_streamtok.Engine_cache
-module Engine_io = St_streamtok.Engine_io
 module Te_dfa = St_streamtok.Te_dfa
 
 (** {1 Observability}

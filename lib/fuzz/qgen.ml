@@ -45,7 +45,6 @@ let input_gen =
 let print_grammar rules =
   String.concat " | " (List.map Regex.to_string rules)
 
-let regex_arb = QCheck.make regex_gen ~print:Regex.to_string
 let grammar_arb = QCheck.make grammar_gen ~print:print_grammar
 
 let grammar_input_arb =
@@ -54,29 +53,11 @@ let grammar_input_arb =
     ~print:(fun (rules, s) ->
       Printf.sprintf "grammar: %s\ninput: %S" (print_grammar rules) s)
 
-(* Full-byte / corpus generators reuse the seeded Gen machinery: draw a
-   fresh Prng from qcheck's random state so qcheck still controls
-   reproduction via its own seed. *)
+(* Chunk partitions reuse the seeded Chunking machinery: draw a fresh Prng
+   from qcheck's random state so qcheck still controls reproduction via its
+   own seed. *)
 let prng_gen =
   QCheck.Gen.(map (fun i -> Prng.create (Int64.of_int i)) (int_bound 0x3FFFFFFF))
-
-let byte_grammar_gen =
-  QCheck.Gen.map (fun rng -> Gen.grammar rng ~cls:Gen.charset_bytes) prng_gen
-
-let byte_grammar_arb = QCheck.make byte_grammar_gen ~print:print_grammar
-
-let corpus_grammar_gen =
-  QCheck.Gen.map
-    (fun rng ->
-      let rules = ref (St_workloads.Grammar_corpus.sample rng) in
-      for _ = 1 to Prng.int rng 4 do
-        rules := St_workloads.Grammar_corpus.mutate rng !rules
-      done;
-      nonempty !rules)
-    prng_gen
-
-let chunking_gen n =
-  QCheck.Gen.map (fun rng -> Chunking.random rng n) prng_gen
 
 let grammar_input_chunks_arb =
   let gen =
@@ -93,6 +74,3 @@ let grammar_input_chunks_arb =
 let same_tokens a b =
   List.length a = List.length b
   && List.for_all2 (fun (x, i) (y, j) -> x = y && i = j) a b
-
-let show_tokens toks =
-  String.concat ";" (List.map (fun (s, r) -> Printf.sprintf "%S/%d" s r) toks)

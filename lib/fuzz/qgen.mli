@@ -2,10 +2,10 @@
 
     This module preserves the names and types of the historical
     [test/gen.ml] (which is now a thin shim over it), so the existing
-    differential suites keep compiling unchanged, and adds full-byte and
-    corpus-mutation variants plus a chunk-partition generator for the
-    streaming-equivalence property. Seeded {!Gen} is what the fuzz driver
-    uses; these wrappers exist for [dune runtest] properties only. *)
+    differential suites keep compiling unchanged, and adds the
+    grammar–input–chunking arbitrary for the streaming-equivalence
+    property. Seeded {!Gen} is what the fuzz driver uses; these wrappers
+    exist for [dune runtest] properties only. *)
 
 open St_regex
 
@@ -13,43 +13,16 @@ open St_regex
     compatibility with callers passing it as [~alphabet]. *)
 val small_alphabet : char list
 
-val charset_gen : Charset.t QCheck.Gen.t
-val regex_gen : Regex.t QCheck.Gen.t
-
 (** 1–4 non-empty-language rules over [{a,b,c}]. *)
-val grammar_gen : Regex.t list QCheck.Gen.t
-
-val input_gen : string QCheck.Gen.t
-val regex_arb : Regex.t QCheck.arbitrary
 val grammar_arb : Regex.t list QCheck.arbitrary
+
+(** Such a grammar and an input of 0–24 bytes over [{a,b,c}]. *)
 val grammar_input_arb : (Regex.t list * string) QCheck.arbitrary
-
-(** {1 Full-byte / corpus variants} *)
-
-(** Grammars over the full byte alphabet (ranges, named classes, negated
-    singletons), via {!Gen.charset_bytes}. *)
-val byte_grammar_gen : Regex.t list QCheck.Gen.t
-
-val byte_grammar_arb : Regex.t list QCheck.arbitrary
-
-(** A corpus grammar ({!St_workloads.Grammar_corpus.sample}) pushed through
-    0–3 {!St_workloads.Grammar_corpus.mutate} steps. *)
-val corpus_grammar_gen : Regex.t list QCheck.Gen.t
-
-(** {1 Chunkings} *)
-
-(** [chunking_gen n] is a random partition of [n] bytes (including the
-    occasional zero-length chunk), valid for {!Chunking.apply}. *)
-val chunking_gen : int -> Chunking.t QCheck.Gen.t
 
 (** Grammar, input over the grammar's own alphabet, and a random partition
     of that input — the streaming-equivalence property's domain. *)
 val grammar_input_chunks_arb :
   (Regex.t list * string * Chunking.t) QCheck.arbitrary
 
-(** {1 Helpers} *)
-
 (** Tokens-equality: (lexeme, rule) lists. *)
 val same_tokens : (string * int) list -> (string * int) list -> bool
-
-val show_tokens : (string * int) list -> string

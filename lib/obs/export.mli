@@ -22,8 +22,6 @@
     [namespace ^ "_"] prefix (default ["streamtok"]) and are sanitized to
     the Prometheus grammar. *)
 
-val metric_to_json : Metrics.metric -> Json.t
-
 (** The bare metrics array (embed it under your own top-level fields). *)
 val registry_to_json : Metrics.Registry.t -> Json.t
 

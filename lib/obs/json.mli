@@ -2,7 +2,7 @@
 
     Compact output; non-finite floats serialize as [null] so the output is
     always valid RFC 8259 JSON. The parser exists so downstream tools
-    ([streamtok trace report/convert]) can read documents this library
+    ([streamtok trace report]) can read documents this library
     wrote — it accepts full RFC 8259, mapping integral numerals to [Int]
     and everything else to [Float]. *)
 
@@ -15,7 +15,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 (** [of_string s] parses one JSON document spanning the whole string. *)

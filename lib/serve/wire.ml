@@ -19,13 +19,6 @@ let error_code_of_int = function
   | 5 -> Some Shutting_down
   | _ -> None
 
-let error_code_to_string = function
-  | Protocol -> "protocol"
-  | Bad_grammar -> "bad-grammar"
-  | Capacity -> "capacity"
-  | Lexical -> "lexical"
-  | Shutting_down -> "shutting-down"
-
 type request =
   | Open of string
   | Feed of string

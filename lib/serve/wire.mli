@@ -45,17 +45,9 @@ val max_payload : int
 (** Frame tags, for code that works on raw frames/views without going
     through {!request_of_frame} / {!reply_of_frame}. *)
 
-val tag_open : int
 val tag_feed : int
-val tag_flush : int
-val tag_close : int
-val tag_stats : int
-val tag_open_bpe : int
-val tag_opened : int
 val tag_tokens : int
-val tag_pending : int
 val tag_error : int
-val tag_metrics : int
 val tag_ids : int
 
 type format = Json | Prom
@@ -66,10 +58,6 @@ type error_code =
   | Capacity  (** session table full; retryable *)
   | Lexical  (** the stream stopped tokenizing; FLUSH for the outcome *)
   | Shutting_down  (** server drain (SIGTERM) or idle eviction *)
-
-val error_code_to_int : error_code -> int
-val error_code_of_int : int -> error_code option
-val error_code_to_string : error_code -> string
 
 type request =
   | Open of string
@@ -91,9 +79,6 @@ type reply =
 
 type frame = { tag : int; payload : string }
 
-val encode_frame : Buffer.t -> frame -> unit
-val request_to_frame : request -> frame
-val reply_to_frame : reply -> frame
 val encode_request : Buffer.t -> request -> unit
 val encode_reply : Buffer.t -> reply -> unit
 

@@ -10,7 +10,6 @@ let ewouldblock = errno_const 1
 let eintr = errno_const 2
 let epipe = errno_const 3
 let econnreset = errno_const 4
-let max_iovs = 8
 
 type result = Written of int | Retry | Closed | Error of int
 
@@ -22,33 +21,4 @@ let classify r =
     else if e = epipe || e = econnreset then Closed
     else Error e
 
-let force_fallback = ref false
-
-(* One Unix.write of the first non-empty segment. Correctness never
-   depends on gathering — the caller consumes whatever prefix was
-   written and retries — so degrading to a single-segment write is a
-   complete fallback, just with more syscalls per flush. *)
-let fallback fd iovs n =
-  let rec first i =
-    if i >= n then None
-    else
-      let (_, _, len) = iovs.(i) in
-      if len > 0 then Some i else first (i + 1)
-  in
-  match first 0 with
-  | None -> Written 0
-  | Some i -> (
-      let buf, pos, len = iovs.(i) in
-      match Unix.write fd buf pos len with
-      | w -> Written w
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          Retry
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          Closed
-      | exception Unix.Unix_error (_, _, _) -> Error 0)
-
-let write fd iovs n =
-  if !force_fallback then fallback fd iovs n
-  else classify (writev_stub fd iovs n)
+let write fd iovs n = classify (writev_stub fd iovs n)

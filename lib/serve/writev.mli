@@ -4,14 +4,9 @@
     deferred token batch (frame header + the session encoder's bytes)
     without first blitting them into one buffer — see
     {!Server.out_vectors}. The C stub is [@@noalloc] (non-blocking fds,
-    no heap allocation, errors returned in-band as [-errno]); a pure
-    [Unix.write] fallback ({!force_fallback}, also exercised by the test
-    suite) writes the first non-empty segment per call, which is always
-    correct — just one syscall per segment instead of per flush. *)
-
-(** Most segments one {!write} accepts (the C stub truncates beyond it;
-    callers never need more than 3: out queue, frame header, encoder). *)
-val max_iovs : int
+    no heap allocation, errors returned in-band as [-errno]) and gathers
+    at most 8 segments; callers never pass more than 3 (out queue, frame
+    header, encoder). *)
 
 type result =
   | Written of int  (** bytes written across the segments, in order *)
@@ -22,7 +17,3 @@ type result =
 (** [write fd iovs n] gathers the first [n] [(bytes, pos, len)] segments
     of [iovs] into one write on non-blocking [fd]. *)
 val write : Unix.file_descr -> (Bytes.t * int * int) array -> int -> result
-
-(** Test hook: route {!write} through the single-segment [Unix.write]
-    fallback instead of the C stub. *)
-val force_fallback : bool ref

@@ -24,8 +24,6 @@ let of_string ?max_per_read s =
         n
       end)
 
-let of_channel ic = of_fun (fun buf ~pos ~len -> input ic buf pos len)
-
 let rec wait_readable fd =
   match Unix.select [ fd ] [] [] (-1.0) with
   | _ -> ()

@@ -14,9 +14,6 @@ val read : t -> bytes -> pos:int -> len:int -> int
     returns at most [max_per_read] bytes (default: unlimited). *)
 val of_string : ?max_per_read:int -> string -> t
 
-(** Reads from an input channel. *)
-val of_channel : in_channel -> t
-
 (** Reads from a file descriptor with [read(2)]. [EINTR] is retried and
     [EAGAIN]/[EWOULDBLOCK] waits for readability with [select] before
     retrying, so the source behaves identically over blocking and

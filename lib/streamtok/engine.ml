@@ -103,13 +103,6 @@ let compile_timed ?(force_te = false) d =
 
 let compile ?force_te d = Result.map fst (compile_timed ?force_te d)
 
-(* Deserialization fast path: the caller asserts the max-TND. Correct as
-   long as k is ≥ the true (finite) max-TND of the DFA — the engine's
-   lookahead only needs to be at least the real distance. *)
-let compile_trusted d ~k =
-  if k < 0 then invalid_arg "Engine.compile_trusted: negative k";
-  build d ~k ~force_te:false
-
 let compile_rules ?max_states rules = compile (Dfa.of_rules ?max_states rules)
 
 let compile_grammar src = compile (Dfa.of_grammar src)
@@ -125,12 +118,6 @@ let outcome_equal a b =
     ->
       o1 = o2 && String.equal p1 p2
   | _ -> false
-
-let outcome_to_string = function
-  | Finished -> "finished"
-  | Failed { offset; pending } ->
-      Printf.sprintf "failed at %d (%d pending bytes)" offset
-        (String.length pending)
 
 (* ---- The kernel: one Fig. 5 loop and one Fig. 6 loop ----
 

@@ -39,14 +39,6 @@ type compile_stats = {
 (** {!compile}, also returning the recorded {!compile_stats}. *)
 val compile_timed : ?force_te:bool -> Dfa.t -> (t * compile_stats, error) result
 
-(** Deserialization fast path ({!Engine_io}): builds the engine tables
-    exactly as {!compile} does, taking the given [k] as the grammar's
-    max-TND without running the analysis.
-    {b Unsafe} if [k] is smaller than the true max-TND (tokens would be
-    emitted too eagerly) or if the true max-TND is unbounded; sound
-    whenever [k] is ≥ the true finite distance. *)
-val compile_trusted : Dfa.t -> k:int -> t
-
 (** Convenience wrappers: build the default (classed, accelerated)
     minimized tokenization DFA first. [max_states] caps the subset
     construction (raising [Failure]), as in {!Dfa.of_rules}. Reference
@@ -96,9 +88,6 @@ type outcome = Finished | Failed of { offset : int; pending : string }
 (** Structural equality, including the pending tail — the fuzz harness and
     the differential suites compare failure positions byte-for-byte. *)
 val outcome_equal : outcome -> outcome -> bool
-
-(** Compact rendering for mismatch reports. *)
-val outcome_to_string : outcome -> string
 
 (** [run_string e s ~emit] tokenizes an in-memory string, calling
     [emit ~pos ~len ~rule] for every maximal token, in order. Single

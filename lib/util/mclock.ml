@@ -1,4 +1,1 @@
 external now_ns : unit -> int = "st_mclock_now_ns" [@@noalloc]
-
-let elapsed_ns t0 = now_ns () - t0
-let ns_to_s ns = float_of_int ns /. 1e9

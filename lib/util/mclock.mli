@@ -8,9 +8,3 @@
 
 (** Nanoseconds since an arbitrary fixed origin; strictly non-decreasing. *)
 external now_ns : unit -> int = "st_mclock_now_ns" [@@noalloc]
-
-(** [elapsed_ns t0] is [now_ns () - t0]. *)
-val elapsed_ns : int -> int
-
-(** [ns_to_s ns] converts nanoseconds to seconds. *)
-val ns_to_s : int -> float

@@ -1,9 +1,8 @@
 (* Self-loop run acceleration: soundness of the per-state stop-byte bitmaps
    against the transition function, build determinism, the skip-loop
    scanners' unit behaviour around the unroll boundaries, golden-corpus
-   parity of accelerated vs. reference engines (batch and chunked), the
-   streaming skip counters, and the .stc v5 format (round trip to a fresh
-   build, v2/v3/v4 rejection). The SWAR tier itself (word-level oracle,
+   parity of accelerated vs. reference engines (batch and chunked) and the
+   streaming skip counters. The SWAR tier itself (word-level oracle,
    endianness, random battery) lives in test_swar.ml. *)
 
 open Streamtok
@@ -11,7 +10,6 @@ module Chunking = Fuzz.Chunking
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
 
 let golden_grammars = Formats.all @ Languages.all
 
@@ -82,21 +80,23 @@ let test_build_deterministic () =
       let d1 = Grammar.dfa g in
       let d2 = Dfa.of_rules (Grammar.rules g) in
       check (name ^ ": rebuild identical") true (Dfa.equal d1 d2);
-      (* the accelerator is pure derived data: the unaccelerated build has
-         the same tables, and deriving from them gives the same DFA *)
       let off = Dfa.of_rules ~accel:Accel.Off (Grammar.rules g) in
       check (name ^ ": off build is off") true
         (Accel.level off.Dfa.accel = Accel.Off);
       check_int (name ^ ": off build has no states") 0
         (Accel.flagged_count off.Dfa.accel);
-      check (name ^ ": same tables") true
-        (off.Dfa.trans = d1.Dfa.trans && off.Dfa.accept = d1.Dfa.accept);
-      let d3 =
-        Dfa.of_tables ~start:off.Dfa.start ~num_classes:off.Dfa.num_classes
-          ~classmap:off.Dfa.classmap ~trans:off.Dfa.trans
-          ~accept:off.Dfa.accept
-      in
-      check (name ^ ": re-derive identical") true (Dfa.equal d1 d3))
+      (* the accelerator is pure derived data: the unaccelerated and the
+         bitmap-only builds have the default build's tables *)
+      let bitmap = Dfa.of_rules ~accel:Accel.Bitmap (Grammar.rules g) in
+      List.iter
+        (fun (level, d) ->
+          check
+            (Printf.sprintf "%s: %s build has the same tables" name level)
+            true
+            (d.Dfa.trans = d1.Dfa.trans
+            && d.Dfa.accept = d1.Dfa.accept
+            && String.equal d.Dfa.classmap d1.Dfa.classmap))
+        [ ("off", off); ("bitmap", bitmap) ])
     golden_grammars
 
 let test_noaccel_reference_build () =
@@ -310,85 +310,6 @@ let test_streaming_skip_counters () =
   ignore (Stream_tokenizer.finish st');
   check_int "noaccel skips nothing" 0 (Stream_tokenizer.accel_skipped_bytes st')
 
-(* ---- .stc v5 ---- *)
-
-let compile_grammar g =
-  match Engine.compile (Grammar.dfa g) with
-  | Ok e -> e
-  | Error _ -> assert false
-
-(* the same Fletcher sum Engine_io uses, for blob surgery *)
-let fix_checksum b =
-  let a = ref 1 and s = ref 0 in
-  for i = 9 to Bytes.length b - 1 do
-    a := (!a + Char.code (Bytes.get b i)) mod 65521;
-    s := (!s + !a) mod 65521
-  done;
-  let c = (!s lsl 16) lor !a in
-  Bytes.set b 5 (Char.chr (c land 0xff));
-  Bytes.set b 6 (Char.chr ((c lsr 8) land 0xff));
-  Bytes.set b 7 (Char.chr ((c lsr 16) land 0xff));
-  Bytes.set b 8 (Char.chr ((c lsr 24) land 0xff))
-
-let tables_end d =
-  281 + (4 * Dfa.size d) + (4 * Dfa.size d * Dfa.num_classes d)
-
-let test_stc_v5_roundtrip () =
-  let e = compile_grammar Formats.json in
-  let blob = Engine_io.to_string e in
-  check_int "v5 version byte" 5 (Char.code blob.[4]);
-  check_int "no accelerator section" (tables_end (Engine.dfa e))
-    (String.length blob);
-  (match Engine_io.of_string blob with
-  | Ok e' ->
-      check "loads a DFA equal to a fresh build" true
-        (Dfa.equal (Dfa.of_rules (Grammar.rules Formats.json)) (Engine.dfa e'));
-      check "swar classification derived on load" true
-        (Accel.swar_count (Engine.dfa e').Dfa.accel > 0);
-      check "round trip is bit-for-bit stable" true
-        (String.equal blob (Engine_io.to_string e'))
-  | Error msg -> Alcotest.failf "v5 load failed: %s" msg);
-  (* the blob carries no accelerator, so a bitmap-only engine saves the
-     same bytes and loads as the default build *)
-  let eb =
-    match
-      Engine.compile
-        (Dfa.of_rules ~accel:Accel.Bitmap (Grammar.rules Formats.json))
-    with
-    | Ok e -> e
-    | Error _ -> assert false
-  in
-  check "bitmap build saves the same blob" true
-    (String.equal blob (Engine_io.to_string eb));
-  match Engine_io.of_string ~verify:false blob with
-  | Ok e' ->
-      check "unverified load derives the same accelerator" true
-        (Dfa.equal (Engine.dfa e) (Engine.dfa e'))
-  | Error msg -> Alcotest.failf "unverified v5 load failed: %s" msg
-
-(* Older layouts: v2 ended at the transition tables (the v5 layout); v3
-   appended an accel section (enable byte, per-state flags, 32-byte stop
-   bitmaps) and v4 one SWAR kind byte per state on top. Each is built from
-   a v5 blob padded to its size, version byte rewound, checksum fixed. Only
-   v5 loads. *)
-let check_old_version_rejected ver extra =
-  let e = compile_grammar Formats.json in
-  let n = Dfa.size (Engine.dfa e) in
-  let b = Bytes.of_string (Engine_io.to_string e ^ String.make (extra n) '\000') in
-  Bytes.set b 4 (Char.chr ver);
-  fix_checksum b;
-  match Engine_io.of_string (Bytes.to_string b) with
-  | Ok _ -> Alcotest.failf "v%d blob loaded" ver
-  | Error msg ->
-      check_str
-        (Printf.sprintf "v%d rejected" ver)
-        (Printf.sprintf "Engine_io: unsupported version %d" ver)
-        msg
-
-let test_stc_v2_rejected () = check_old_version_rejected 2 (fun _ -> 0)
-let test_stc_v3_rejected () = check_old_version_rejected 3 (fun n -> 1 + (33 * n))
-let test_stc_v4_rejected () = check_old_version_rejected 4 (fun n -> 1 + (34 * n))
-
 let suite =
   [
     Alcotest.test_case "stop bitmaps sound" `Quick test_bitmap_sound;
@@ -400,8 +321,4 @@ let suite =
     Alcotest.test_case "golden grammars parity" `Quick test_golden_grammars;
     Alcotest.test_case "streaming skip counters" `Quick
       test_streaming_skip_counters;
-    Alcotest.test_case "stc v5 roundtrip" `Quick test_stc_v5_roundtrip;
-    Alcotest.test_case "stc v2 rejected" `Quick test_stc_v2_rejected;
-    Alcotest.test_case "stc v3 rejected" `Quick test_stc_v3_rejected;
-    Alcotest.test_case "stc v4 rejected" `Quick test_stc_v4_rejected;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the library extensions: location resolution, engine
-   serialization, and the streaming JSON validator. *)
+(* Tests for the library extensions: location resolution and the
+   streaming JSON validator. *)
 
 open Streamtok
 
@@ -65,93 +65,6 @@ let prop_location_matches_scan =
       !ok
       && Location.resolve loc (String.length doc)
          = { Location.line = !line; column = !col })
-
-(* ---- Engine_io ---- *)
-
-let roundtrip_engine g =
-  let e = match Engine.compile (Grammar.dfa g) with Ok e -> e | Error _ -> assert false in
-  let blob = Engine_io.to_string e in
-  let e' =
-    match Engine_io.of_string blob with
-    | Ok e' -> e'
-    | Error msg -> Alcotest.failf "load failed: %s" msg
-  in
-  (e, e', blob)
-
-let test_engine_io_roundtrip () =
-  List.iter
-    (fun (g : Grammar.t) ->
-      let e, e', _ = roundtrip_engine g in
-      check_int (g.Grammar.name ^ " k preserved") (Engine.k e) (Engine.k e');
-      let gen = Option.get (Gen_data.by_name g.Grammar.name) in
-      let input = gen ~seed:77L ~target_bytes:20_000 () in
-      let a, oa = Engine.tokens e input in
-      let b, ob = Engine.tokens e' input in
-      check (g.Grammar.name ^ " same tokens") true (Gen.same_tokens a b);
-      check (g.Grammar.name ^ " same outcome") true (oa = ob))
-    [ Formats.csv; Formats.json; Formats.xml ]
-
-let test_engine_io_no_verify () =
-  let _, _, blob = roundtrip_engine Formats.json in
-  match Engine_io.of_string ~verify:false blob with
-  | Ok e ->
-      let input = Gen_data.json ~seed:78L ~target_bytes:5_000 () in
-      let _, o = Engine.tokens e input in
-      check "works unverified" true (o = Engine.Finished)
-  | Error msg -> Alcotest.failf "unverified load failed: %s" msg
-
-let test_engine_io_corruption () =
-  let _, _, blob = roundtrip_engine Formats.csv in
-  let flip i =
-    let b = Bytes.of_string blob in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
-    Bytes.to_string b
-  in
-  (* header corruption *)
-  check "bad magic rejected" true
-    (match Engine_io.of_string (flip 0) with Error _ -> true | Ok _ -> false);
-  check "bad version rejected" true
-    (match Engine_io.of_string (flip 4) with Error _ -> true | Ok _ -> false);
-  (* payload corruption must be caught by the checksum *)
-  check "payload corruption rejected" true
-    (match Engine_io.of_string (flip (String.length blob - 3)) with
-    | Error _ -> true
-    | Ok _ -> false);
-  check "truncation rejected" true
-    (match Engine_io.of_string (String.sub blob 0 40) with
-    | Error _ -> true
-    | Ok _ -> false);
-  check "empty rejected" true
-    (match Engine_io.of_string "" with Error _ -> true | Ok _ -> false)
-
-let test_engine_io_wrong_k_detected () =
-  (* verify mode must reject a blob whose stored k disagrees with the
-     analysis of the stored DFA *)
-  let _, _, blob = roundtrip_engine Formats.json in
-  let b = Bytes.of_string blob in
-  (* k field lives at offset 9; bump it *)
-  Bytes.set b 9 (Char.chr (Char.code (Bytes.get b 9) + 1));
-  (* fix the checksum so only the semantic check can complain *)
-  let payload = Bytes.to_string b in
-  let reencoded =
-    (* recompute checksum exactly as the writer does *)
-    let a = ref 1 and acc = ref 0 in
-    for i = 9 to String.length payload - 1 do
-      a := (!a + Char.code payload.[i]) mod 65521;
-      acc := (!acc + !a) mod 65521
-    done;
-    let c = (!acc lsl 16) lor !a in
-    let b2 = Bytes.of_string payload in
-    Bytes.set b2 5 (Char.chr (c land 0xff));
-    Bytes.set b2 6 (Char.chr ((c lsr 8) land 0xff));
-    Bytes.set b2 7 (Char.chr ((c lsr 16) land 0xff));
-    Bytes.set b2 8 (Char.chr ((c lsr 24) land 0xff));
-    Bytes.to_string b2
-  in
-  check "k mismatch detected" true
-    (match Engine_io.of_string reencoded with
-    | Error msg -> String.length msg > 0
-    | Ok _ -> false)
 
 (* ---- Json_validate ---- *)
 
@@ -231,10 +144,6 @@ let suite =
       test_location_no_trailing_newline;
     Alcotest.test_case "location empty" `Quick test_location_empty;
     QCheck_alcotest.to_alcotest prop_location_matches_scan;
-    Alcotest.test_case "engine_io roundtrip" `Quick test_engine_io_roundtrip;
-    Alcotest.test_case "engine_io unverified" `Quick test_engine_io_no_verify;
-    Alcotest.test_case "engine_io corruption" `Quick test_engine_io_corruption;
-    Alcotest.test_case "engine_io wrong k" `Quick test_engine_io_wrong_k_detected;
     Alcotest.test_case "json valid docs" `Quick test_json_valid_documents;
     Alcotest.test_case "json invalid docs" `Quick test_json_invalid_documents;
     Alcotest.test_case "json generated docs" `Quick test_json_validate_generated;
