@@ -407,6 +407,8 @@ and alloc_check () =
       in
       let session = S.create deps in
       ignore (S.handle session (W.Open g.Grammar.name));
+      (* the daemon's FEED path: a one-segment gathered run *)
+      let segs = [| ("", 0, 0) |] in
       let drain () =
         match S.batch session with
         | Some (_, k) ->
@@ -431,7 +433,8 @@ and alloc_check () =
           ( "session@1KiB",
             fun doc ->
               slices doc (fun pos len ->
-                  ignore (S.feed session doc ~pos ~len);
+                  segs.(0) <- (doc, pos, len);
+                  ignore (S.feed_views session segs 1);
                   drain ());
               let replies = S.handle session W.Flush in
               drain ();

@@ -8,7 +8,8 @@ open Streamtok
 let time_tokenize backend g input ts =
   let p = Tokenizer_backend.prepare backend g in
   Bench_common.time_best ~repeats:2 (fun () ->
-      if not (Token_stream.fill p input ts) then failwith "tokenization failed")
+      if Result.is_error (Token_stream.fill p input ts) then
+        failwith "tokenization failed")
 
 let row name g input rest_of ts =
   let flex_t = time_tokenize Tokenizer_backend.Flex g input ts in

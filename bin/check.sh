@@ -10,6 +10,33 @@
 set -e
 cd "$(dirname "$0")/.."
 
+# fail MESSAGE [FILE]: print MESSAGE (and FILE), remove the leg's scratch
+# directory $tmpd, exit 1.
+fail() {
+  echo "$1"
+  if [ -n "${2:-}" ]; then cat "$2"; fi
+  if [ -n "${tmpd:-}" ]; then rm -rf "$tmpd"; fi
+  exit 1
+}
+
+# start_daemon MESSAGE CMD...: run the daemon CMD in the background,
+# logging to $tmpd/serve.log, with its pid in $srv; fail with MESSAGE
+# unless it listens on $sock within 10 s.
+start_daemon() {
+  msg=$1
+  shift
+  "$@" > "$tmpd/serve.log" 2>&1 &
+  srv=$!
+  i=0
+  while [ ! -S "$sock" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      fail "$msg" "$tmpd/serve.log"
+    fi
+    sleep 0.1
+  done
+}
+
 echo "== dune build"
 dune build
 
@@ -95,16 +122,12 @@ echo "== fuzz self-test (injected engine bug must be caught and shrunk)"
 tmpd=$(mktemp -d)
 if dune exec -- streamtok fuzz --iters 2 --seconds 0 --seed 7 --inject-bug \
     --corpus-dir "$tmpd" > /dev/null 2>&1; then
-  echo "fuzz self-test FAILED: injected bug not caught"
-  rm -rf "$tmpd"
-  exit 1
+  fail "fuzz self-test FAILED: injected bug not caught"
 fi
 for f in "$tmpd"/*.repro; do
   hex=$(grep 'input-hex:' "$f" | awk '{print $2}')
   if [ "${#hex}" -gt 128 ]; then
-    echo "fuzz self-test FAILED: repro not shrunk to <=64 bytes: $f"
-    rm -rf "$tmpd"
-    exit 1
+    fail "fuzz self-test FAILED: repro not shrunk to <=64 bytes: $f"
   fi
 done
 rm -rf "$tmpd"
@@ -116,19 +139,8 @@ echo "== serve smoke (daemon parity, zero-copy decode, engine cache, client abor
 BIN=_build/install/default/bin/streamtok
 tmpd=$(mktemp -d)
 sock="$tmpd/st.sock"
-"$BIN" serve --socket "$sock" --idle-timeout 30 > "$tmpd/serve.log" 2>&1 &
-srv=$!
-i=0
-while [ ! -S "$sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "serve smoke FAILED: daemon did not come up"
-    cat "$tmpd/serve.log"
-    rm -rf "$tmpd"
-    exit 1
-  fi
-  sleep 0.1
-done
+start_daemon "serve smoke FAILED: daemon did not come up" \
+  "$BIN" serve --socket "$sock" --idle-timeout 30
 
 # first contact: a small straddle-free run must record zero decoder
 # copies — every frame fits the fresh decoder buffer whole, so the
@@ -141,10 +153,7 @@ done
   > /dev/null 2> "$tmpd/stats0.json"
 if ! grep -q '"name":"decoder_copies","type":"counter","value":0[,}]' \
   "$tmpd/stats0.json"; then
-  echo "serve smoke FAILED: decoder copied bytes on a straddle-free run"
-  cat "$tmpd/stats0.json"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: decoder copied bytes on a straddle-free run" "$tmpd/stats0.json"
 fi
 
 "$BIN" gen json --bytes 200000 --seed 9 > "$tmpd/in.json"
@@ -163,15 +172,11 @@ for job in "$c1" "$c2" "$c3"; do
   wait "$job" || clients_failed=1
 done
 if [ "$clients_failed" -ne 0 ]; then
-  echo "serve smoke FAILED: a client exited non-zero"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: a client exited non-zero"
 fi
 for n in 1 2 3; do
   if ! cmp -s "$tmpd/ref.out" "$tmpd/out.$n"; then
-    echo "serve smoke FAILED: client $n output differs from tokenize"
-    rm -rf "$tmpd"
-    exit 1
+    fail "serve smoke FAILED: client $n output differs from tokenize"
   fi
 done
 
@@ -188,9 +193,7 @@ exec 9>&-
 wait "$cpid" 2> /dev/null || true
 sleep 0.3
 if ! kill -0 "$srv" 2> /dev/null; then
-  echo "serve smoke FAILED: daemon died after client abort"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: daemon died after client abort"
 fi
 
 # one STATS probe: the aborted session must be evicted (only the probe's
@@ -200,17 +203,11 @@ fi
   > /dev/null 2> "$tmpd/stats.json"
 if ! grep -q '"name":"engine_cache_compiles","type":"counter","value":1[,}]' \
   "$tmpd/stats.json"; then
-  echo "serve smoke FAILED: expected exactly one engine compile"
-  cat "$tmpd/stats.json"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: expected exactly one engine compile" "$tmpd/stats.json"
 fi
 if ! grep -q '"name":"sessions","type":"gauge","value":1[,}]' \
   "$tmpd/stats.json"; then
-  echo "serve smoke FAILED: aborted session not evicted"
-  cat "$tmpd/stats.json"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: aborted session not evicted" "$tmpd/stats.json"
 fi
 
 # BPE token-id session: OPEN_BPE + IDS frames through the daemon must
@@ -221,9 +218,7 @@ fi
 "$BIN" client --socket "$sock" bpe:test/vocab/mini.tiktoken \
   "$tmpd/small.json" --ids > "$tmpd/ids.out"
 if ! cmp -s "$tmpd/ids.ref" "$tmpd/ids.out"; then
-  echo "serve smoke FAILED: BPE ids over the wire differ from tokenize --ids"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: BPE ids over the wire differ from tokenize --ids"
 fi
 
 # over-cap inline grammar: every OPEN compiles under the subset-
@@ -232,39 +227,26 @@ fi
 # the next client is still byte-identical to tokenize
 if "$BIN" client --socket "$sock" '@[ab]*a[ab]{16}c' "$tmpd/small.json" \
   > /dev/null 2> "$tmpd/cap.err"; then
-  echo "serve smoke FAILED: over-cap grammar OPEN was accepted"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: over-cap grammar OPEN was accepted"
 fi
 if ! grep -q "exceeded 65536 states (max_states cap)" "$tmpd/cap.err"; then
-  echo "serve smoke FAILED: over-cap OPEN did not name the state cap"
-  cat "$tmpd/cap.err"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: over-cap OPEN did not name the state cap" "$tmpd/cap.err"
 fi
 if ! kill -0 "$srv" 2> /dev/null; then
-  echo "serve smoke FAILED: daemon died after an over-cap OPEN"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: daemon died after an over-cap OPEN"
 fi
 "$BIN" client --socket "$sock" json "$tmpd/in.json" > "$tmpd/out.cap"
 if ! cmp -s "$tmpd/ref.out" "$tmpd/out.cap"; then
-  echo "serve smoke FAILED: client after an over-cap OPEN differs from tokenize"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: client after an over-cap OPEN differs from tokenize"
 fi
 
 # SIGTERM: drain and exit 0, unlinking the socket
 kill -TERM "$srv"
 if ! wait "$srv"; then
-  echo "serve smoke FAILED: daemon did not exit 0 on SIGTERM"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: daemon did not exit 0 on SIGTERM"
 fi
 if [ -e "$sock" ]; then
-  echo "serve smoke FAILED: socket file left behind"
-  rm -rf "$tmpd"
-  exit 1
+  fail "serve smoke FAILED: socket file left behind"
 fi
 rm -rf "$tmpd"
 
@@ -277,20 +259,9 @@ echo "== fd-bound check (ulimit -n 24: overflow refused, daemon lives)"
 # (EMFILE at accept), and the daemon must stay up and serve afterwards.
 tmpd=$(mktemp -d)
 sock="$tmpd/st.sock"
-(ulimit -n 24 && exec "$BIN" serve --socket "$sock" --idle-timeout 30) \
-  > "$tmpd/serve.log" 2>&1 &
-srv=$!
-i=0
-while [ ! -S "$sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "fd-bound check FAILED: daemon did not come up"
-    cat "$tmpd/serve.log"
-    rm -rf "$tmpd"
-    exit 1
-  fi
-  sleep 0.1
-done
+start_daemon "fd-bound check FAILED: daemon did not come up" \
+  sh -c 'ulimit -n 24 && exec "$@"' sh \
+  "$BIN" serve --socket "$sock" --idle-timeout 30
 "$BIN" gen json --bytes 50000 --seed 9 > "$tmpd/in.json"
 "$BIN" tokenize json "$tmpd/in.json" > "$tmpd/ref.out"
 pids=""
@@ -310,36 +281,24 @@ for n in $(seq 1 30); do
   elif grep -q 'out of fds.*(retryable)' "$tmpd/err.$n"; then
     refused=$((refused + 1))
   else
-    echo "fd-bound check FAILED: client $n: no tokenize match, no refusal"
-    cat "$tmpd/err.$n"
-    rm -rf "$tmpd"
-    exit 1
+    fail "fd-bound check FAILED: client $n: no tokenize match, no refusal" "$tmpd/err.$n"
   fi
 done
 echo "admitted $admitted, refused $refused"
 if [ "$admitted" -eq 0 ] || [ "$refused" -eq 0 ]; then
-  echo "fd-bound check FAILED: expected both admitted and refused clients"
-  rm -rf "$tmpd"
-  exit 1
+  fail "fd-bound check FAILED: expected both admitted and refused clients"
 fi
 if ! kill -0 "$srv" 2> /dev/null; then
-  echo "fd-bound check FAILED: daemon died at its fd limit"
-  cat "$tmpd/serve.log"
-  rm -rf "$tmpd"
-  exit 1
+  fail "fd-bound check FAILED: daemon died at its fd limit" "$tmpd/serve.log"
 fi
 # the reserve fd is back: a client after the burst is served
 "$BIN" client --socket "$sock" json "$tmpd/in.json" > "$tmpd/after.out"
 if ! cmp -s "$tmpd/ref.out" "$tmpd/after.out"; then
-  echo "fd-bound check FAILED: client after the burst differs from tokenize"
-  rm -rf "$tmpd"
-  exit 1
+  fail "fd-bound check FAILED: client after the burst differs from tokenize"
 fi
 kill -TERM "$srv"
 if ! wait "$srv"; then
-  echo "fd-bound check FAILED: daemon did not exit 0 on SIGTERM"
-  rm -rf "$tmpd"
-  exit 1
+  fail "fd-bound check FAILED: daemon did not exit 0 on SIGTERM"
 fi
 rm -rf "$tmpd"
 
@@ -351,25 +310,10 @@ echo "== shard check (--domains 2: parity, pool stats, client abort, SIGTERM dra
 # client takes down neither its worker domain nor worker 0 and its listener.
 tmpd=$(mktemp -d)
 sock="$tmpd/st.sock"
-"$BIN" serve --socket "$sock" --domains 2 --idle-timeout 30 \
-  > "$tmpd/serve.log" 2>&1 &
-srv=$!
-i=0
-while [ ! -S "$sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "shard check FAILED: sharded daemon did not come up"
-    cat "$tmpd/serve.log"
-    rm -rf "$tmpd"
-    exit 1
-  fi
-  sleep 0.1
-done
+start_daemon "shard check FAILED: sharded daemon did not come up" \
+  "$BIN" serve --socket "$sock" --domains 2 --idle-timeout 30
 if ! grep -q "2 domains" "$tmpd/serve.log"; then
-  echo "shard check FAILED: daemon did not report 2 domains"
-  cat "$tmpd/serve.log"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: daemon did not report 2 domains" "$tmpd/serve.log"
 fi
 
 "$BIN" gen json --bytes 200000 --seed 9 > "$tmpd/in.json"
@@ -385,15 +329,11 @@ for job in "$c1" "$c2" "$c3" "$c4"; do
   wait "$job" || clients_failed=1
 done
 if [ "$clients_failed" -ne 0 ]; then
-  echo "shard check FAILED: a client exited non-zero"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: a client exited non-zero"
 fi
 for n in 1 2 3 4; do
   if ! cmp -s "$tmpd/ref.out" "$tmpd/out.$n"; then
-    echo "shard check FAILED: client $n output differs from tokenize"
-    rm -rf "$tmpd"
-    exit 1
+    fail "shard check FAILED: client $n output differs from tokenize"
   fi
 done
 
@@ -410,10 +350,7 @@ exec 9>&-
 wait "$cpid" 2> /dev/null || true
 sleep 0.3
 if ! kill -0 "$srv" 2> /dev/null; then
-  echo "shard check FAILED: sharded daemon died after client abort"
-  cat "$tmpd/serve.log"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: sharded daemon died after client abort" "$tmpd/serve.log"
 fi
 
 # pool-wide STATS from any worker: 4 same-grammar sessions across both
@@ -423,30 +360,20 @@ fi
   > /dev/null 2> "$tmpd/stats.json"
 if ! grep -q '"name":"engine_cache_compiles","type":"counter","value":1[,}]' \
   "$tmpd/stats.json"; then
-  echo "shard check FAILED: expected exactly one compile pool-wide"
-  cat "$tmpd/stats.json"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: expected exactly one compile pool-wide" "$tmpd/stats.json"
 fi
 if grep -q '"name":"writevs","type":"counter","value":0[,}]' \
   "$tmpd/stats.json"; then
-  echo "shard check FAILED: vectored write path never used"
-  cat "$tmpd/stats.json"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: vectored write path never used" "$tmpd/stats.json"
 fi
 
 # SIGTERM: stop accepting, drain both workers, exit 0, unlink the socket
 kill -TERM "$srv"
 if ! wait "$srv"; then
-  echo "shard check FAILED: sharded daemon did not exit 0 on SIGTERM"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: sharded daemon did not exit 0 on SIGTERM"
 fi
 if [ -e "$sock" ]; then
-  echo "shard check FAILED: socket file left behind"
-  rm -rf "$tmpd"
-  exit 1
+  fail "shard check FAILED: socket file left behind"
 fi
 rm -rf "$tmpd"
 

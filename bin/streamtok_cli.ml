@@ -540,23 +540,14 @@ let validate_cmd =
     let input = read_input file in
     let p = Tokenizer_backend.prepare Tokenizer_backend.Streamtok Formats.json in
     let ts = Token_stream.create () in
-    if not (Token_stream.fill p input ts) then begin
-      (* find the offset for a useful message *)
-      let e =
-        match Engine.compile (Grammar.dfa Formats.json) with
-        | Ok e -> e
-        | Error _ -> assert false
-      in
-      (match Engine.run_string e input ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()) with
-      | Engine.Failed { offset; _ } ->
-          let loc = St_util.Location.resolve (St_util.Location.of_string input) offset in
-          Printf.printf "invalid: lexical error at %s (offset %d)
-"
-            (Format.asprintf "%a" St_util.Location.pp loc)
-            offset
-      | Engine.Finished -> print_endline "invalid: lexical error");
-      exit 1
-    end;
+    (match Token_stream.fill p input ts with
+    | Ok () -> ()
+    | Error offset ->
+        let loc = St_util.Location.resolve (St_util.Location.of_string input) offset in
+        Printf.printf "invalid: lexical error at %s (offset %d)\n"
+          (Format.asprintf "%a" St_util.Location.pp loc)
+          offset;
+        exit 1);
     let v = Json_validate.create () in
     match Json_validate.validate v ts with
     | Json_validate.Valid ->
@@ -932,25 +923,15 @@ let convert_cmd =
       let p = Tokenizer_backend.prepare Tokenizer_backend.Streamtok g in
       let ts = Token_stream.create () in
       let filled, dt = Timer.time_it (fun () -> Token_stream.fill p input ts) in
-      if not filled then begin
-        (match stats with
-        | Some st -> Run_stats.record_failure st
-        | None -> ());
-        (* the backend reports only success; re-run the engine for a
-           positioned diagnostic *)
-        (match Engine.compile (Tokenizer_backend.dfa p) with
-        | Ok e -> (
-            match
-              Engine.run_string e input ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ())
-            with
-            | Engine.Failed { offset; pending } ->
-                report_failure input offset pending
-            | Engine.Finished ->
-                prerr_endline "error: input does not tokenize under the grammar")
-        | Error _ ->
-            prerr_endline "error: input does not tokenize under the grammar");
-        exit 1
-      end;
+      (match filled with
+      | Ok () -> ()
+      | Error offset ->
+          (match stats with
+          | Some st -> Run_stats.record_failure st
+          | None -> ());
+          report_failure input offset
+            (String.sub input offset (String.length input - offset));
+          exit 1);
       (match stats with
       | Some st ->
           Run_stats.add_chunk st (String.length input);

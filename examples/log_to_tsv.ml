@@ -27,9 +27,9 @@ let () =
     let p = Tokenizer_backend.prepare backend grammar in
     let ts = Token_stream.create () in
     let t0 = Unix.gettimeofday () in
-    let ok = Token_stream.fill p input ts in
+    let filled = Token_stream.fill p input ts in
     let t_tok = Unix.gettimeofday () -. t0 in
-    assert ok;
+    assert (filled = Ok ());
     let out = Buffer.create (String.length input) in
     let t1 = Unix.gettimeofday () in
     let records = Log_to_tsv.process app input ts out in

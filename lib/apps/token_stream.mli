@@ -20,5 +20,7 @@ val rule : t -> int -> int
 (** [lexeme input t i]. *)
 val lexeme : string -> t -> int -> string
 
-(** [fill backend input t] clears [t], tokenizes, returns success. *)
-val fill : Tokenizer_backend.prepared -> string -> t -> bool
+(** [fill backend input t] clears [t] and tokenizes into it: [Ok ()], or
+    [Error offset] at the first untokenizable byte (the tokens before it
+    are kept). *)
+val fill : Tokenizer_backend.prepared -> string -> t -> (unit, int) result

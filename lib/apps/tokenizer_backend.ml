@@ -1,4 +1,3 @@
-open St_automata
 open St_grammars
 
 type t = Streamtok | Flex
@@ -7,7 +6,7 @@ let name = function Streamtok -> "streamtok" | Flex -> "flex"
 
 type prepared =
   | P_streamtok of St_streamtok.Engine.t
-  | P_flex of St_baselines.Flex_model.t * Dfa.t
+  | P_flex of St_baselines.Flex_model.t
 
 let prepare backend grammar =
   let d = Grammar.dfa grammar in
@@ -20,19 +19,15 @@ let prepare backend grammar =
             (Printf.sprintf
                "Tokenizer_backend.prepare: grammar %s has unbounded max-TND"
                grammar.Grammar.name))
-  | Flex -> P_flex (St_baselines.Flex_model.compile d, d)
+  | Flex -> P_flex (St_baselines.Flex_model.compile d)
 
 let run p input ~emit =
   match p with
   | P_streamtok e -> (
       match St_streamtok.Engine.run_string e input ~emit with
-      | St_streamtok.Engine.Finished -> true
-      | St_streamtok.Engine.Failed _ -> false)
-  | P_flex (fm, _) -> (
+      | St_streamtok.Engine.Finished -> Ok ()
+      | St_streamtok.Engine.Failed { offset; _ } -> Error offset)
+  | P_flex fm -> (
       match St_baselines.Flex_model.run fm input ~emit with
-      | St_baselines.Backtracking.Finished, _ -> true
-      | St_baselines.Backtracking.Failed _, _ -> false)
-
-let dfa = function
-  | P_streamtok e -> St_streamtok.Engine.dfa e
-  | P_flex (_, d) -> d
+      | St_baselines.Backtracking.Finished, _ -> Ok ()
+      | St_baselines.Backtracking.Failed { offset; _ }, _ -> Error offset)

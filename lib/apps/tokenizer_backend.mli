@@ -3,9 +3,9 @@
     can time the same pipeline with flex-style backtracking vs StreamTok.
 
     [run] tokenizes the whole input, invoking [emit ~pos ~len ~rule] in
-    stream order, and returns true iff the entire input was tokenized. *)
+    stream order, and returns [Ok ()] iff the entire input was tokenized,
+    [Error offset] — the first byte no token covers — otherwise. *)
 
-open St_automata
 open St_grammars
 
 type t = Streamtok | Flex
@@ -22,7 +22,4 @@ val run :
   prepared ->
   string ->
   emit:(pos:int -> len:int -> rule:int -> unit) ->
-  bool
-
-(** The underlying tokenization DFA (shared by both backends). *)
-val dfa : prepared -> Dfa.t
+  (unit, int) result

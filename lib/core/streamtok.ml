@@ -52,7 +52,7 @@ module Run_stats = St_streamtok.Run_stats
 
 (** [Trace] is the event tracer: per-domain binary ring buffers, span /
     instant / counter probes on the serve and engine hot paths, Chrome
-    trace-event (Perfetto) + binary exporters, an aggregated span-tree
+    trace-event (Perfetto) JSON export, an aggregated span-tree
     report, and DFA state-heat tables (see README §Tracing & profiling). *)
 
 module Trace = St_trace.Trace

@@ -137,14 +137,20 @@ let check ?(on_subject = fun _ -> ()) spec =
   let reference = of_bt (Backtracking.tokens d input) in
   let mismatches = ref [] in
   let subjects = ref 0 in
-  let record ~equal name got =
-    if not (equal reference got) then
-      mismatches := { subject = name; expected = reference; got } :: !mismatches
+  let count name =
+    incr subjects;
+    on_subject name
+  in
+  let mismatch name got =
+    mismatches := { subject = name; expected = reference; got } :: !mismatches
   in
   let expect ?(equal = behaviour_equal) name got =
-    incr subjects;
-    on_subject name;
-    record ~equal name got
+    count name;
+    if not (equal reference got) then mismatch name got
+  in
+  let fail_subject name msg =
+    count name;
+    mismatch name { tokens = []; failure = Some (0, msg) }
   in
   expect "ext-oracle" (of_bt (Ext_oracle.tokens d input));
   expect "reps" (of_bt (Reps.tokens d input));
@@ -156,8 +162,7 @@ let check ?(on_subject = fun _ -> ()) spec =
       (* multi-rule greedy legitimately diverges from maximal munch; check
          the invariant it does promise: emitted lexemes reconstruct exactly
          the consumed prefix *)
-      incr subjects;
-      on_subject "greedy-invariant";
+      count "greedy-invariant";
       let toks, o = Greedy.tokens (Greedy.compile spec.rules) input in
       let consumed = String.concat "" (List.map fst toks) in
       let ok =
@@ -169,10 +174,14 @@ let check ?(on_subject = fun _ -> ()) spec =
             && String.equal pending
                  (String.sub input offset (String.length input - offset))
       in
-      if not ok then
-        mismatches :=
-          { subject = "greedy-invariant"; expected = reference; got = of_bt (toks, o) }
-          :: !mismatches);
+      if not ok then mismatch "greedy-invariant" (of_bt (toks, o)));
+  let streams prefix e =
+    List.iter
+      (fun (name, ch) ->
+        expect ~equal:behaviour_equal_streaming (prefix ^ ":" ^ name)
+          (of_engine (Chunking.apply e input ch)))
+      spec.chunkings
+  in
   let streaming =
     match Engine.compile d with
     | Error Engine.Unbounded_tnd -> false
@@ -180,71 +189,30 @@ let check ?(on_subject = fun _ -> ()) spec =
         let batch = of_engine (Engine.tokens e input) in
         let batch = if spec.inject_bug then inject batch else batch in
         expect "engine" batch;
-        (* the dense 256-column reference build: the classed hot path the
-           "engine" subject just ran must be byte-identical to it — the
-           alphabet-compression cross-engine arm *)
-        (match Engine.compile (Dfa.of_rules ~classes:false spec.rules) with
-        | Error Engine.Unbounded_tnd ->
-            incr subjects;
-            on_subject "engine-dense";
-            mismatches :=
-              {
-                subject = "engine-dense";
-                expected = reference;
-                got = { tokens = []; failure = Some (0, "dense compile failed") };
-              }
-              :: !mismatches
-        | Ok ed -> expect "engine-dense" (of_engine (Engine.tokens ed input)));
-        (* the reference build without self-loop acceleration: the skip
-           loops the "engine" subject ran must be behaviour-preserving *)
-        (match Engine.compile (Dfa.of_rules ~accel:Accel.Off spec.rules) with
-        | Error Engine.Unbounded_tnd ->
-            incr subjects;
-            on_subject "engine-noaccel";
-            mismatches :=
-              {
-                subject = "engine-noaccel";
-                expected = reference;
-                got =
-                  { tokens = []; failure = Some (0, "noaccel compile failed") };
-              }
-              :: !mismatches
-        | Ok ena ->
-            expect "engine-noaccel" (of_engine (Engine.tokens ena input));
-            List.iter
-              (fun (name, ch) ->
-                expect ~equal:behaviour_equal_streaming
-                  ("stream-noaccel:" ^ name)
-                  (of_engine (Chunking.apply ena input ch)))
-              spec.chunkings);
-        (* the reference build with acceleration but without the SWAR
-           tier: the word-at-a-time scanners the "engine" subject ran
-           must agree with the pure bitmap skip loops *)
-        (match Engine.compile (Dfa.of_rules ~accel:Accel.Bitmap spec.rules) with
-        | Error Engine.Unbounded_tnd ->
-            incr subjects;
-            on_subject "engine-swar-off";
-            mismatches :=
-              {
-                subject = "engine-swar-off";
-                expected = reference;
-                got =
-                  { tokens = []; failure = Some (0, "swar-off compile failed") };
-              }
-              :: !mismatches
-        | Ok eso ->
-            expect "engine-swar-off" (of_engine (Engine.tokens eso input));
-            List.iter
-              (fun (name, ch) ->
-                expect ~equal:behaviour_equal_streaming
-                  ("stream-swar-off:" ^ name)
-                  (of_engine (Chunking.apply eso input ch)))
-              spec.chunkings);
+        (* reference builds of the same rules: the classed, accelerated,
+           SWAR hot path the "engine" subject ran must be byte-identical
+           to the dense 256-column tables (the alphabet-compression arm),
+           to the build without self-loop acceleration, and to the pure
+           bitmap skip loops without the SWAR tier — batch, and where a
+           stream prefix is given, under every chunking *)
         List.iter
-          (fun (name, ch) ->
-            expect ~equal:behaviour_equal_streaming ("stream:" ^ name)
-              (of_engine (Chunking.apply e input ch)))
-          spec.chunkings;
+          (fun (name, stream_prefix, build) ->
+            match Engine.compile (build spec.rules) with
+            | Error Engine.Unbounded_tnd ->
+                fail_subject name (name ^ ": compile failed")
+            | Ok e' ->
+                expect name (of_engine (Engine.tokens e' input));
+                Option.iter (fun prefix -> streams prefix e') stream_prefix)
+          [
+            ("engine-dense", None, fun r -> Dfa.of_rules ~classes:false r);
+            ( "engine-noaccel",
+              Some "stream-noaccel",
+              fun r -> Dfa.of_rules ~accel:Accel.Off r );
+            ( "engine-swar-off",
+              Some "stream-swar-off",
+              fun r -> Dfa.of_rules ~accel:Accel.Bitmap r );
+          ];
+        streams "stream" e;
         List.iter
           (fun p ->
             let acc = ref [] in
@@ -257,14 +225,47 @@ let check ?(on_subject = fun _ -> ()) spec =
               (Printf.sprintf "parallel:p%d" p)
               (of_engine (List.rev !acc, o)))
           spec.domain_counts;
-        (* serve-wire: the full serving data plane — zero-copy decode,
-           FEED coalescing, batched flushes — driven over the loopback
-           transport and held to the same streaming-equivalence contract,
-           plus robustness subjects (poison length, mid-frame truncation)
-           that must hurt only their own connection. *)
-        (let module W = St_serve.Wire in
+        (* The full serving data plane — zero-copy decode, FEED
+           coalescing, batched flushes, the daemon's vectored drain —
+           over one loopback server. [serve prefix request collect] opens
+           a session with [request] and feeds it every chunking,
+           FLUSH-reset in between; [collect conn replies] reads each
+           stream back the way the client does. *)
+        let module W = St_serve.Wire in
         let module SV = St_serve.Server in
         let module LB = St_serve.Loopback in
+        let lb =
+          LB.create
+            ~config:
+              { SV.default_config with idle_timeout = 0.; clock = (fun () -> 0.) }
+            ()
+        in
+        let serve ?equal prefix request collect =
+          try
+            let conn = LB.connect lb in
+            LB.send conn request;
+            LB.run lb;
+            match LB.replies conn with
+            | [ W.Opened _ ] ->
+                (* N FEED frames queued up front land in one on_data and
+                   are coalesced; the token stream must still match *)
+                List.iter
+                  (fun (name, ch) ->
+                    let pos = ref 0 in
+                    List.iter
+                      (fun n ->
+                        if n > 0 then
+                          LB.send_feed_sub conn input ~pos:!pos ~len:n;
+                        pos := !pos + n)
+                      ch;
+                    LB.send conn W.Flush;
+                    LB.run lb;
+                    expect ?equal (prefix ^ ":" ^ name)
+                      (collect conn (LB.replies conn)))
+                  spec.chunkings
+            | _ -> fail_subject (prefix ^ ":open") "OPEN rejected"
+          with exn -> fail_subject prefix (Printexc.to_string exn)
+        in
         (* each rule parenthesized so the source parser's line trimming
            cannot eat a literal leading/trailing space in a printed rule *)
         let spec_src =
@@ -272,163 +273,66 @@ let check ?(on_subject = fun _ -> ()) spec =
             (List.map (fun r -> "(" ^ Regex.to_string r ^ ")") spec.rules)
           ^ "\n"
         in
-        let lb_config =
-          { SV.default_config with idle_timeout = 0.; clock = (fun () -> 0.) }
-        in
-        let fail_subject name msg =
-          incr subjects;
-          on_subject name;
-          mismatches :=
+        serve ~equal:behaviour_equal_streaming "serve-wire" (W.Open spec_src)
+          (fun conn replies ->
             {
-              subject = name;
-              expected = reference;
-              got = { tokens = []; failure = Some (0, msg) };
-            }
-            :: !mismatches
-        in
-        let pass_subject name =
-          incr subjects;
-          on_subject name
-        in
-        try
-          let lb = LB.create ~config:lb_config () in
-          let conn = LB.connect lb in
-          LB.send conn (W.Open spec_src);
-          LB.run lb;
-          (match LB.replies conn with
-          | [ W.Opened _ ] ->
-              (* one session, FLUSH-reset between chunkings: N FEED
-                 frames queued up front land in one on_data and are
-                 coalesced; the token stream must still match. *)
-              List.iter
-                (fun (name, ch) ->
-                  let pos = ref 0 in
-                  List.iter
-                    (fun n ->
-                      if n > 0 then
-                        LB.send_feed_sub conn input ~pos:!pos ~len:n;
-                      pos := !pos + n)
-                    ch;
-                  LB.send conn W.Flush;
-                  LB.run lb;
-                  let replies = LB.replies conn in
-                  let tokens =
-                    List.concat_map
-                      (function W.Tokens ts -> ts | _ -> [])
-                      replies
-                  in
-                  let failure =
-                    List.find_map
-                      (function
-                        | W.Pending { ok = false; offset; pending } ->
-                            Some (offset, pending)
-                        | _ -> None)
-                      replies
-                  in
-                  expect ~equal:behaviour_equal_streaming
-                    ("serve-wire:" ^ name)
-                    { tokens; failure })
-                spec.chunkings
-          | _ -> fail_subject "serve-wire:open" "OPEN rejected");
-          (* a poison length prefix closes only its own connection, with
-             a protocol error *)
-          let victim = LB.connect lb in
-          LB.send_raw victim "\xff\xff\xff\xff\x01";
-          LB.run lb;
-          let poison_ok =
-            LB.closed victim
-            && List.exists
-                 (function
-                   | W.Error { code = W.Protocol; _ } -> true | _ -> false)
-                 (LB.replies victim)
-          in
-          if poison_ok then pass_subject "serve-wire:poison"
-          else fail_subject "serve-wire:poison" "no protocol error";
-          (* a client dying mid-frame must not poison the server *)
-          let trunc = LB.connect lb in
-          let b = Buffer.create 64 in
-          W.encode_request b (W.Open spec_src);
-          let enc = Buffer.contents b in
-          LB.send_raw trunc (String.sub enc 0 (max 1 (String.length enc / 2)));
-          LB.run lb;
-          LB.hangup trunc;
-          LB.run lb;
-          let probe = LB.connect lb in
-          LB.send probe (W.Open spec_src);
-          LB.run lb;
-          let healthy =
-            match LB.replies probe with [ W.Opened _ ] -> true | _ -> false
-          in
-          if healthy then pass_subject "serve-wire:truncated"
-          else fail_subject "serve-wire:truncated" "server unhealthy"
-        with exn -> fail_subject "serve-wire" (Printexc.to_string exn));
+              tokens = LB.tokens conn;
+              failure =
+                List.find_map
+                  (function
+                    | W.Pending { ok = false; offset; pending } ->
+                        Some (offset, pending)
+                    | _ -> None)
+                  replies;
+            });
+        (* robustness: a poison length prefix and a client dying
+           mid-frame must hurt only their own connection *)
+        (try
+           let victim = LB.connect lb in
+           LB.send_raw victim "\xff\xff\xff\xff\x01";
+           LB.run lb;
+           if
+             LB.closed victim
+             && List.exists
+                  (function
+                    | W.Error { code = W.Protocol; _ } -> true | _ -> false)
+                  (LB.replies victim)
+           then count "serve-wire:poison"
+           else fail_subject "serve-wire:poison" "no protocol error";
+           let trunc = LB.connect lb in
+           let b = Buffer.create 64 in
+           W.encode_request b (W.Open spec_src);
+           let enc = Buffer.contents b in
+           LB.send_raw trunc (String.sub enc 0 (max 1 (String.length enc / 2)));
+           LB.run lb;
+           LB.hangup trunc;
+           LB.run lb;
+           let probe = LB.connect lb in
+           LB.send probe (W.Open spec_src);
+           LB.run lb;
+           match LB.replies probe with
+           | [ W.Opened _ ] -> count "serve-wire:truncated"
+           | _ -> fail_subject "serve-wire:truncated" "server unhealthy"
+         with exn -> fail_subject "serve-wire" (Printexc.to_string exn));
         (* BPE arm: when [spec.rules] came from a vocabulary, the reference
            merge-loop encoder is a second executable specification. The
            maximal-munch reference must replay it id-for-id (that is the
            munch-consistency the compiler's audit guarantees), and the
            serving data plane in token-id mode (OPEN_BPE + IDS frames) must
            do the same under every adversarial chunking. *)
-        (match spec.bpe with
-        | None -> ()
-        | Some v ->
-            let enc_ids = St_bpe.Encoder.encode v input in
+        Option.iter
+          (fun v ->
             let of_ids ids =
               {
                 tokens = List.map (fun id -> (St_bpe.Vocab.token v id, id)) ids;
                 failure = None;
               }
             in
-            let merge_loop = of_ids enc_ids in
-            expect "bpe:ref" merge_loop;
-            (let module W = St_serve.Wire in
-            let module SV = St_serve.Server in
-            let module LB = St_serve.Loopback in
-            let lb_config =
-              {
-                SV.default_config with
-                idle_timeout = 0.;
-                clock = (fun () -> 0.);
-              }
-            in
-            let fail_subject name msg =
-              incr subjects;
-              on_subject name;
-              mismatches :=
-                {
-                  subject = name;
-                  expected = merge_loop;
-                  got = { tokens = []; failure = Some (0, msg) };
-                }
-                :: !mismatches
-            in
-            try
-              let lb = LB.create ~config:lb_config () in
-              let conn = LB.connect lb in
-              LB.send conn
-                (W.Open_bpe { ids = true; vocab = St_bpe.Vocab.to_tiktoken v });
-              LB.run lb;
-              match LB.replies conn with
-              | [ W.Opened _ ] ->
-                  List.iter
-                    (fun (name, ch) ->
-                      let pos = ref 0 in
-                      List.iter
-                        (fun n ->
-                          if n > 0 then
-                            LB.send_feed_sub conn input ~pos:!pos ~len:n;
-                          pos := !pos + n)
-                        ch;
-                      LB.send conn W.Flush;
-                      LB.run lb;
-                      let ids =
-                        List.concat_map
-                          (function W.Ids ids -> ids | _ -> [])
-                          (LB.replies conn)
-                      in
-                      expect ("bpe:serve-ids:" ^ name) (of_ids ids))
-                    spec.chunkings
-              | _ -> fail_subject "bpe:serve-ids:open" "OPEN_BPE rejected"
-            with exn -> fail_subject "bpe:serve-ids" (Printexc.to_string exn)));
+            expect "bpe:ref" (of_ids (St_bpe.Encoder.encode v input));
+            serve "bpe:serve-ids"
+              (W.Open_bpe { ids = true; vocab = St_bpe.Vocab.to_tiktoken v })
+              (fun conn _ -> of_ids (LB.ids conn)))
+          spec.bpe;
         true
   in
   { mismatches = List.rev !mismatches; streaming; subjects = !subjects }

@@ -18,7 +18,12 @@
       {!St_streamtok.Stream_tokenizer} under every supplied chunking, and
       {!St_parallel.Par_tokenizer} with forced segmentation
       ([min_input_bytes = 1]) for each domain count, so splice points land
-      inside tokens even on tiny inputs. *)
+      inside tokens even on tiny inputs;
+    - the serving data plane over one {!St_serve.Loopback} server, which
+      drains replies through the daemon's vectored path and reads token
+      records with the client's decoder: [serve-wire:*] under every
+      chunking, plus the [serve-wire:poison] and [serve-wire:truncated]
+      robustness subjects. *)
 
 open St_regex
 

@@ -112,18 +112,13 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
       in
       let dec = Wire.Decoder.create () in
       let rbuf = Bytes.create chunk_size in
-      let rule_names = ref [||] in
       (* per-rule "%-12s " prefixes, rendered once at OPENED *)
       let rule_prefixes = ref [||] in
-      let rule_name r =
-        if r >= 0 && r < Array.length !rule_names then !rule_names.(r)
-        else Printf.sprintf "rule%d" r
-      in
       let pbuf = Buffer.create 65536 in
       let rule_prefix r =
         if r >= 0 && r < Array.length !rule_prefixes then
           Buffer.add_string pbuf !rule_prefixes.(r)
-        else append_padded pbuf (rule_name r)
+        else append_padded pbuf (Printf.sprintf "rule%d" r)
       in
       let code = ref 0 in
       let tokens = ref 0 in
@@ -132,29 +127,25 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
       let write_stats_body body =
         match stats_dest with
         | None -> output_string err body
-        | Some path ->
-            let oc = open_out path in
-            output_string oc body;
-            close_out oc
+        | Some path -> (
+            match open_out path with
+            | oc ->
+                output_string oc body;
+                close_out oc
+            | exception Sys_error msg ->
+                Printf.fprintf err "error: cannot write stats: %s\n" msg;
+                fail 1)
       in
       let handle_reply = function
         | Wire.Opened { rules; _ } ->
-            rule_names := Array.of_list rules;
             rule_prefixes :=
-              Array.map
-                (fun name ->
-                  let b = Buffer.create 16 in
-                  append_padded b name;
-                  Buffer.contents b)
-                !rule_names
-        | Wire.Tokens toks ->
-            (* only reached via reply_of_frame on non-hot paths; the live
-               TOKENS stream is printed straight from decoder views *)
-            List.iter
-              (fun (lexeme, rule) ->
-                incr tokens;
-                Printf.fprintf out "%-12s %S\n" (rule_name rule) lexeme)
-              toks
+              Array.of_list
+                (List.map
+                   (fun name ->
+                     let b = Buffer.create 16 in
+                     append_padded b name;
+                     Buffer.contents b)
+                   rules)
         | Wire.Pending { ok = true; _ } -> ()
         | Wire.Pending { ok = false; offset; pending } ->
             if !code = 0 then begin
@@ -171,12 +162,6 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
               (if retryable then " (retryable)" else "");
             fail 1
         | Wire.Metrics { body; _ } -> write_stats_body body
-        | Wire.Ids ids ->
-            List.iter
-              (fun id ->
-                incr tokens;
-                Printf.fprintf out "%d\n" id)
-              ids
       in
       let bad_stream what msg =
         Printf.fprintf err "error: %s: %s\n" what msg;

@@ -144,7 +144,7 @@ module Core = struct
     (let k = Server.out_vectors t.srv id t.vecs in
      if k > 0 then
        match Writev.write fd t.vecs k with
-       | Writev.Written n -> Server.out_vec_consume t.srv id n
+       | Writev.Written n -> Server.out_consume t.srv id n
        | Writev.Retry -> ()
        | Writev.Closed | Writev.Error _ -> drop_conn t ~eof:true id);
     St_trace.Trace.end_span p_write

@@ -4,11 +4,19 @@ type conn = {
   to_server : Outbuf.t;
   scratch : Buffer.t;  (* request encoding only; FEEDs skip it *)
   dec : Wire.Decoder.t;  (* client-side reply decoder *)
+  (* decoded replies, newest first: TOKENS and IDS records apart *)
+  mutable replies : Wire.reply list;
+  mutable tokens : (string * int) list;
+  mutable ids : int list;
   mutable closed : bool;
   mutable hung_up : bool;
 }
 
-and t = { srv : Server.t; mutable conns : conn list }
+and t = {
+  srv : Server.t;
+  vecs : (Bytes.t * int * int) array;  (* Server.out_vectors scratch *)
+  mutable conns : conn list;
+}
 
 let create ?config () =
   let srv =
@@ -16,7 +24,7 @@ let create ?config () =
     | None -> Server.create ()
     | Some config -> Server.create ~config ()
   in
-  { srv; conns = [] }
+  { srv; vecs = Array.make 3 (Bytes.empty, 0, 0); conns = [] }
 
 let server t = t.srv
 
@@ -29,6 +37,9 @@ let connect t =
       to_server = Outbuf.create ~capacity:256 ();
       scratch = Buffer.create 256;
       dec = Wire.Decoder.create ();
+      replies = [];
+      tokens = [];
+      ids = [];
       closed = false;
       hung_up = false;
     }
@@ -80,13 +91,20 @@ let step_conn ~chunk t c =
       Outbuf.consume c.to_server n;
       moved := true
     end;
-    (* server -> client *)
-    let buf, pos, len = Server.out_view t.srv c.id in
-    if len > 0 then begin
+    (* server -> client, through the daemon's drain path: copy at most
+       [chunk] bytes of the segments the daemon would hand to writev into
+       the client decoder, then consume what was "written" *)
+    let k = Server.out_vectors t.srv c.id t.vecs in
+    if k > 0 then begin
       St_trace.Trace.begin_span p_copy;
-      let n = min chunk len in
-      Wire.Decoder.feed_bytes c.dec buf ~pos ~len:n;
-      Server.out_consume t.srv c.id n;
+      let left = ref chunk in
+      for i = 0 to k - 1 do
+        let buf, pos, len = t.vecs.(i) in
+        let n = min len !left in
+        Wire.Decoder.feed_bytes c.dec buf ~pos ~len:n;
+        left := !left - n
+      done;
+      Server.out_consume t.srv c.id (chunk - !left);
       St_trace.Trace.end_span p_copy;
       moved := true
     end;
@@ -108,33 +126,55 @@ let run ?chunk t =
 
 let tick t = Server.on_tick t.srv
 
-let replies c =
-  let rec go acc =
-    match Wire.Decoder.next_view c.dec with
-    | Wire.Decoder.View_need_more -> List.rev acc
-    | Wire.Decoder.View_corrupt msg ->
-        failwith ("Loopback.replies: corrupt reply stream: " ^ msg)
-    | Wire.Decoder.View v -> (
-        let f =
-          {
-            Wire.tag = v.Wire.Decoder.vtag;
-            payload = Wire.Decoder.view_string v;
-          }
-        in
-        match Wire.reply_of_frame f with
-        | Ok r -> go (r :: acc)
-        | Error msg -> failwith ("Loopback.replies: bad reply frame: " ^ msg))
-  in
-  go []
-
 let drain_views c f =
   let continue = ref true in
   while !continue do
     match Wire.Decoder.next_view c.dec with
     | Wire.Decoder.View_need_more -> continue := false
     | Wire.Decoder.View_corrupt msg ->
-        failwith ("Loopback.drain_views: corrupt reply stream: " ^ msg)
+        failwith ("Loopback: corrupt reply stream: " ^ msg)
     | Wire.Decoder.View v -> f v
   done
+
+(* Sort every decoded frame into the connection's logs; token records
+   are read only by the client's decoder, [iter_tokens_view] /
+   [iter_ids_view]. *)
+let decode c =
+  drain_views c (fun v ->
+      let tag = v.Wire.Decoder.vtag in
+      let walked = function
+        | Ok _ -> ()
+        | Error msg -> failwith ("Loopback: bad reply frame: " ^ msg)
+      in
+      if tag = Wire.tag_tokens then
+        walked
+          (Wire.iter_tokens_view v (fun ~rule ~buf ~pos ~len ->
+               c.tokens <- (Bytes.sub_string buf pos len, rule) :: c.tokens))
+      else if tag = Wire.tag_ids then
+        walked (Wire.iter_ids_view v (fun id -> c.ids <- id :: c.ids))
+      else
+        match
+          Wire.reply_of_frame { Wire.tag; payload = Wire.Decoder.view_string v }
+        with
+        | Ok r -> c.replies <- r :: c.replies
+        | Error msg -> failwith ("Loopback: bad reply frame: " ^ msg))
+
+let replies c =
+  decode c;
+  let r = List.rev c.replies in
+  c.replies <- [];
+  r
+
+let tokens c =
+  decode c;
+  let r = List.rev c.tokens in
+  c.tokens <- [];
+  r
+
+let ids c =
+  decode c;
+  let r = List.rev c.ids in
+  c.ids <- [];
+  r
 
 let closed c = c.closed

@@ -1,13 +1,18 @@
 (** In-memory transport: the deterministic twin of {!Io_loop}.
 
-    A loopback connection is a pair of byte queues (client→server,
-    server→client) plus a client-side reply decoder. {!step} moves at
-    most [chunk] bytes per direction per connection — honouring
-    {!Server.wants_read}, so backpressure is observable — and {!run}
-    iterates to a fixpoint. Nothing touches the real clock or any file
-    descriptor, which is what lets the test suite drive session
-    lifecycles, idle eviction (via a fake [config.clock] plus {!tick})
-    and backpressure byte-for-byte reproducibly. *)
+    A loopback connection is a client→server byte queue plus a
+    client-side reply decoder. {!step} moves at most [chunk] bytes per
+    direction per connection — honouring {!Server.wants_read}, so
+    backpressure is observable — and {!run} iterates to a fixpoint.
+    Replies leave the server exactly as they leave the daemon: through
+    {!Server.out_vectors} and {!Server.out_consume}, with the copy into
+    the client decoder standing in for [writev], so a small [chunk] is a
+    short write that can stop inside a frame header or a deferred token
+    batch. Token records are read back as the client reads them, with
+    {!Wire.iter_tokens_view} / {!Wire.iter_ids_view}. Nothing touches the
+    real clock or any file descriptor, which is what lets the test suite
+    drive session lifecycles, idle eviction (via a fake [config.clock]
+    plus {!tick}) and backpressure byte-for-byte reproducibly. *)
 
 type t
 type conn
@@ -51,13 +56,24 @@ val run : ?chunk:int -> t -> unit
 (** Run {!Server.on_tick} (idle eviction) — pair with a fake clock. *)
 val tick : t -> unit
 
-(** Drain the replies decoded so far, in order. Raises [Failure] on a
-    corrupt or undecodable reply frame: the server must never emit one. *)
+(** Drain the non-token replies decoded so far, in order. Decoding also
+    appends the records of every TOKENS and IDS frame to the logs that
+    {!tokens} and {!ids} drain. Raises [Failure] on a corrupt or
+    undecodable reply frame: the server must never emit one. *)
 val replies : conn -> Wire.reply list
 
+(** Drain the [(lexeme, rule)] records of the TOKENS frames decoded so
+    far, in stream order (decoding pending frames as {!replies} does). *)
+val tokens : conn -> (string * int) list
+
+(** Drain the token ids of the IDS frames decoded so far, in stream
+    order. *)
+val ids : conn -> int list
+
 (** Drain decoded reply frames as zero-copy views (each valid only during
-    its callback) — the benchmark path that skips reply materialization.
-    Raises [Failure] on a corrupt reply stream. *)
+    its callback), bypassing the logs above — the benchmark path that
+    skips reply materialization. Raises [Failure] on a corrupt reply
+    stream. *)
 val drain_views : conn -> (Wire.Decoder.view -> unit) -> unit
 
 (** The server has closed this connection (drain-close or eviction

@@ -78,10 +78,14 @@ let add_token t ~rule s pos len =
   Bytes.unsafe_blit_string s pos t.buf (t.len + 8) len;
   t.len <- t.len + 8 + len
 
+let poke_header buf at ~tag plen =
+  if at < 0 || at + 5 > Bytes.length buf then invalid_arg "Outbuf.poke_header";
+  unsafe_poke_u32 buf at plen;
+  Bytes.unsafe_set buf (at + 4) (Char.unsafe_chr (tag land 0xff))
+
 let add_header t ~tag plen =
   ensure_room t (5 + plen);
-  unsafe_poke_u32 t.buf t.len plen;
-  Bytes.unsafe_set t.buf (t.len + 4) (Char.unsafe_chr (tag land 0xff));
+  poke_header t.buf t.len ~tag plen;
   t.len <- t.len + 5
 
 let add_frame t ~tag src =

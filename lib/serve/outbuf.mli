@@ -47,6 +47,12 @@ val add_frame : t -> tag:int -> t -> unit
 val add_frame_substring : t -> tag:int -> string -> int -> int -> unit
 val add_frame_subbytes : t -> tag:int -> Bytes.t -> int -> int -> unit
 
+(** [poke_header buf at ~tag plen] writes a frame header — u32 [plen],
+    then [tag] — into bytes [at, at+5) of [buf]: the header the
+    [add_frame] functions write, for a frame whose payload lives
+    elsewhere. *)
+val poke_header : Bytes.t -> int -> tag:int -> int -> unit
+
 (** {1 Consuming} *)
 
 (** [(buf, pos, len)] of the live bytes; invalidated by any [add_] (the

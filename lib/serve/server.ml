@@ -30,8 +30,7 @@ type conn = {
   hdr : Bytes.t;  (* 5-byte scratch: the deferred batch's frame header *)
   mutable deferred : bool;
       (* the session encoder holds a finished batch that has not been
-         framed yet; it is written in place by the writev path
-         ([out_vectors]) or materialized into [out] on demand *)
+         framed yet; [out_vectors] hands it to the transport in place *)
   mutable last_activity : float;
   mutable phase : phase;
 }
@@ -95,10 +94,13 @@ let create ?cache ?(config = default_config) () =
   let feeds = counter "feeds" "FEED frames processed" in
   let feed_batches = counter "feed_batches" "coalesced FEED batches flushed" in
   let flushes = counter "flushes" "FLUSH frames processed" in
-  let writevs = counter "writevs" "vectored socket writes consumed" in
+  let writevs =
+    counter "writevs" "vectored writes consumed (socket or loopback drain)"
+  in
   let batch_bytes_direct =
     counter "batch_bytes_direct"
-      "token-batch frame bytes written in place by writev (no out-queue blit)"
+      "token-batch frame bytes written in place from the session encoder \
+       (no out-queue blit)"
   in
   let batch_bytes_copied =
     counter "batch_bytes_copied"
@@ -173,9 +175,8 @@ let p_on_data = St_trace.Trace.probe ~cat:"decode" "serve.on_data"
    already holds ready-to-send TOKENS records, so materializing the
    batch is one header poke plus one blit into the connection's out
    queue. Also clears a deferral: a pending batch must be framed before
-   anything else is enqueued behind it, and before [out_view] exposes
-   the queue to single-buffer transports. Unspanned: [enqueue] and
-   [out_view] call it inside their own span or none. *)
+   anything else is enqueued behind it. Unspanned: [flush_tokens] and
+   [enqueue] call it inside their own span. *)
 let append_batch t c =
   match Session.batch c.session with
   | None -> c.deferred <- false
@@ -260,7 +261,6 @@ let count_replies t replies =
   List.iter
     (fun r ->
       match r with
-      | Wire.Tokens toks -> Metrics.Counter.add t.tokens (List.length toks)
       | Wire.Error { code = Wire.Lexical; _ } ->
           Metrics.Counter.incr t.lexical_errors
       | Wire.Error { code = Wire.Protocol; _ } ->
@@ -509,22 +509,7 @@ let wants_read t id =
   let c = conn t id in
   c.phase = Active && pending_of c <= t.cfg.max_out_bytes
 
-(* Single-buffer transports (loopback, tests) get the deferred batch
-   materialized; only [out_vectors] keeps it in place. *)
-let out_view t id =
-  let c = conn t id in
-  if c.deferred then append_batch t c;
-  Outbuf.view c.out
-
-let out_consume t id n = Outbuf.consume (conn t id).out n
 let out_pending t id = pending_of (conn t id)
-
-let poke_hdr hdr plen tag =
-  Bytes.unsafe_set hdr 0 (Char.unsafe_chr ((plen lsr 24) land 0xff));
-  Bytes.unsafe_set hdr 1 (Char.unsafe_chr ((plen lsr 16) land 0xff));
-  Bytes.unsafe_set hdr 2 (Char.unsafe_chr ((plen lsr 8) land 0xff));
-  Bytes.unsafe_set hdr 3 (Char.unsafe_chr (plen land 0xff));
-  Bytes.unsafe_set hdr 4 (Char.unsafe_chr (tag land 0xff))
 
 let out_vectors t id vecs =
   let c = conn t id in
@@ -538,8 +523,8 @@ let out_vectors t id vecs =
      match Session.batch c.session with
      | None -> c.deferred <- false
      | Some (enc, _) ->
-         let plen = Outbuf.length enc in
-         poke_hdr c.hdr plen (Session.batch_tag c.session);
+         Outbuf.poke_header c.hdr 0 ~tag:(Session.batch_tag c.session)
+           (Outbuf.length enc);
          vecs.(!k) <- (c.hdr, 0, 5);
          incr k;
          let eb, ep, el = Outbuf.view enc in
@@ -547,7 +532,7 @@ let out_vectors t id vecs =
          incr k);
   !k
 
-let out_vec_consume t id n =
+let out_consume t id n =
   let c = conn t id in
   Metrics.Counter.incr t.writevs;
   let ol = Outbuf.length c.out in
@@ -556,10 +541,10 @@ let out_vec_consume t id n =
     Outbuf.consume c.out ol;
     let written = n - ol in
     match Session.batch c.session with
-    | None -> invalid_arg "Server.out_vec_consume: no deferred batch"
+    | None -> invalid_arg "Server.out_consume: no deferred batch"
     | Some (enc, ntoks) ->
         let frame = 5 + Outbuf.length enc in
-        if written > frame then invalid_arg "Server.out_vec_consume";
+        if written > frame then invalid_arg "Server.out_consume";
         Metrics.Counter.add t.tokens ntoks;
         Metrics.Counter.add t.bytes_out frame;
         Metrics.Counter.add t.batch_bytes_direct written;

@@ -12,10 +12,10 @@
       {!on_tick};
     - queries out: {!wants_read} (backpressure: [false] while a
       connection's output queue is over budget — stop reading its socket),
-      {!out_vectors}/{!out_vec_consume} (pending output as writev
-      segments, the gathered-write hot path) or {!out_view}/{!out_consume}
-      (single-buffer transports), {!should_close} (drain-then-close
-      handshake).
+      {!out_vectors}/{!out_consume} (pending output as writev segments —
+      the one drain path: the daemon hands them to [writev], the loopback
+      copies them into its client decoder), {!should_close}
+      (drain-then-close handshake).
 
     A {!t} is single-domain: one transport drives it, and in the sharded
     server each worker domain owns its own instance (only the engine
@@ -93,24 +93,18 @@ val wants_read : t -> conn_id -> bool
     returns the count: the out queue's live bytes, then — when a token
     batch was deferred — the 5-byte frame header and the session
     encoder's bytes, written straight from where they were encoded.
-    Write some prefix with {!Writev.write}, then {!out_vec_consume} it.
-    The segments are invalidated by any other call on [t]. *)
+    Write some prefix (with {!Writev.write}, or by copying it), then
+    {!out_consume} it. The segments are invalidated by any other call on
+    [t]. *)
 val out_vectors : t -> conn_id -> (Bytes.t * int * int) array -> int
 
-(** [out_vec_consume t id n] consumes [n] written bytes across the
-    segments of the last {!out_vectors}, counts the vectored write, and
-    retires the deferred batch: fully-written frames never touch the out
-    queue ([batch_bytes_direct]); a short write mid-frame moves only the
-    unwritten tail into the queue so the next writable event resumes
-    exactly where the socket stopped. *)
-val out_vec_consume : t -> conn_id -> int -> unit
-
-(** Pending output as one [(buf, pos, len)] view; a deferred batch is
-    first materialized into the out queue. Single-buffer transports
-    (loopback, tests) use this; write some prefix, then {!out_consume}
-    what was written. The view is invalidated by any other call on [t]. *)
-val out_view : t -> conn_id -> Bytes.t * int * int
-
+(** [out_consume t id n] consumes [n] written bytes across the segments
+    of the last {!out_vectors}, counts the vectored write ([writevs]),
+    and retires the deferred batch once the write reaches it:
+    fully-written frames never touch the out queue
+    ([batch_bytes_direct]); a short write mid-frame moves only the
+    unwritten tail into the queue so the next write resumes exactly
+    where this one stopped. *)
 val out_consume : t -> conn_id -> int -> unit
 
 (** Total pending output bytes, deferred batch included. *)

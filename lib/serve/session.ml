@@ -145,17 +145,6 @@ let check_failed os =
   end
   else []
 
-let feed t s ~pos ~len =
-  St_trace.Trace.with_span p_feed @@ fun () ->
-  match t.state with
-  | Awaiting_open -> protocol_error "FEED before OPEN"
-  | Opened_ os -> (
-      match os.outcome with
-      | Some _ -> []  (* stream already failed; drop by contract *)
-      | None ->
-          Stream_tokenizer.feed os.tok s pos len;
-          check_failed os)
-
 let feed_views t segs n =
   St_trace.Trace.with_span p_feed @@ fun () ->
   match t.state with
@@ -199,6 +188,6 @@ let handle t = function
   | Wire.Open_bpe { ids; vocab } ->
       St_trace.Trace.with_span p_open (fun () ->
           handle_open t ~ids (fun () -> grammar_of_vocab vocab))
-  | Wire.Feed bytes -> feed t bytes ~pos:0 ~len:(String.length bytes)
+  | Wire.Feed bytes -> feed_views t [| (bytes, 0, String.length bytes) |] 1
   | Wire.Flush -> St_trace.Trace.with_span p_flush (fun () -> handle_flush t)
   | Wire.Close | Wire.Stats _ -> []  (* handled by Server *)

@@ -42,18 +42,15 @@ val create : deps -> t
 (** Has a valid OPEN been processed? *)
 val opened : t -> bool
 
-(** Feed a slice of input — the coalescing hot path. The slice is not
-    retained (safe to pass views into a transport buffer). Tokens land in
-    the batch encoder; the returned replies are only the exceptional ones
-    ([Lexical] on stream failure, [Protocol] before OPEN). *)
-val feed : t -> string -> pos:int -> len:int -> Wire.reply list
-
 (** [feed_views t segs n] feeds the first [n] [(s, pos, len)] segments —
     a gathered run of decoded FEED payload views — through one
     {!St_streamtok.Stream_tokenizer.feed_batch} call: identical output to
-    [n] {!feed}s, one call's overhead. Segments after a stream failure
-    are not consumed (the failure offset stays exact) and are implicitly
-    dropped, exactly as separate post-failure {!feed}s would be. *)
+    [n] separate feeds, one call's overhead. The segments are not
+    retained (safe to pass views into a transport buffer). Tokens land
+    in the batch encoder; the returned replies are only the exceptional
+    ones ([Lexical] on stream failure, [Protocol] before OPEN). Segments
+    after a stream failure are not consumed (the failure offset stays
+    exact) and are dropped, as is every later FEED until the FLUSH. *)
 val feed_views : t -> (string * int * int) array -> int -> Wire.reply list
 
 (** The pending token batch: the encoder holding ready-to-send TOKENS (or

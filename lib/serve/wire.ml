@@ -29,11 +29,9 @@ type request =
 
 type reply =
   | Opened of { grammar : string; k : int; cached : bool; rules : string list }
-  | Tokens of (string * int) list
   | Pending of { ok : bool; offset : int; pending : string }
   | Error of { code : error_code; retryable : bool; message : string }
   | Metrics of { format : format; body : string }
-  | Ids of int list
 
 (* ---- tags ---- *)
 
@@ -104,15 +102,6 @@ let reply_to_frame = function
       Buffer.add_string b (Printf.sprintf "cached %d\n" (Bool.to_int cached));
       List.iter (fun r -> Buffer.add_string b (Printf.sprintf "rule %s\n" r)) rules;
       { tag = tag_opened; payload = Buffer.contents b }
-  | Tokens toks ->
-      let b = Buffer.create 256 in
-      List.iter
-        (fun (lexeme, rule) ->
-          add_u32 b rule;
-          add_u32 b (String.length lexeme);
-          Buffer.add_string b lexeme)
-        toks;
-      { tag = tag_tokens; payload = Buffer.contents b }
   | Pending { ok; offset; pending } ->
       let b = Buffer.create (9 + String.length pending) in
       Buffer.add_char b (if ok then '\x01' else '\x00');
@@ -127,10 +116,6 @@ let reply_to_frame = function
       { tag = tag_error; payload = Buffer.contents b }
   | Metrics { format; body } ->
       { tag = tag_metrics; payload = String.make 1 (format_byte format) ^ body }
-  | Ids ids ->
-      let b = Buffer.create (4 * List.length ids) in
-      List.iter (fun id -> add_u32 b id) ids;
-      { tag = tag_ids; payload = Buffer.contents b }
 
 (* Client-side encode: one span per request frame. *)
 let p_encode = St_trace.Trace.probe ~cat:"flush" "wire.encode"
@@ -143,24 +128,7 @@ let encode_request b r =
     St_trace.Trace.end_span p_encode
   end
 
-(* TOKENS frames carry the bulk of a session's reply bytes; encode them
-   straight into the output buffer instead of through an intermediate
-   payload string. *)
-let encode_reply b = function
-  | Tokens toks ->
-      let plen =
-        List.fold_left (fun a (lexeme, _) -> a + 8 + String.length lexeme) 0
-          toks
-      in
-      add_u32 b plen;
-      Buffer.add_char b (Char.chr tag_tokens);
-      List.iter
-        (fun (lexeme, rule) ->
-          add_u32 b rule;
-          add_u32 b (String.length lexeme);
-          Buffer.add_string b lexeme)
-        toks
-  | r -> encode_frame b (reply_to_frame r)
+let encode_reply b r = encode_frame b (reply_to_frame r)
 
 (* ---- typed decoding ---- *)
 
@@ -192,8 +160,8 @@ let request_of_frame { tag; payload } =
       | _ -> Result.Error "OPEN_BPE: unknown ids byte"
   else Result.Error (Printf.sprintf "unknown request tag 0x%02x" tag)
 
-(* Client-side payload parse: TOKENS frames carry the bulk of the reply
-   bytes, so this span is where a traced client spends its decode time. *)
+(* Client-side payload parse of the cold replies; token batches never
+   come through here (see [iter_tokens_view]). *)
 let p_parse_reply = St_trace.Trace.probe ~cat:"decode" "wire.parse_reply"
 
 let reply_of_frame { tag; payload } =
@@ -220,25 +188,6 @@ let reply_of_frame { tag; payload } =
     if !ok && !k >= 0 then
       Ok (Opened { grammar = !grammar; k = !k; cached = !cached; rules = List.rev !rules })
     else Result.Error "malformed OPENED payload"
-  end
-  else if tag = tag_tokens then begin
-    let toks = ref [] in
-    let pos = ref 0 in
-    let ok = ref true in
-    while !ok && !pos < len do
-      if len - !pos < 8 then ok := false
-      else begin
-        let rule = get_u32 payload !pos in
-        let n = get_u32 payload (!pos + 4) in
-        if len - !pos - 8 < n then ok := false
-        else begin
-          toks := (String.sub payload (!pos + 8) n, rule) :: !toks;
-          pos := !pos + 8 + n
-        end
-      end
-    done;
-    if !ok then Ok (Tokens (List.rev !toks))
-    else Result.Error "malformed TOKENS payload"
   end
   else if tag = tag_pending then begin
     if len < 9 then Result.Error "malformed PENDING payload"
@@ -272,18 +221,6 @@ let reply_of_frame { tag; payload } =
       | None -> Result.Error "METRICS: unknown format byte"
       | Some format ->
           Ok (Metrics { format; body = String.sub payload 1 (len - 1) })
-  end
-  else if tag = tag_ids then begin
-    if len mod 4 <> 0 then Result.Error "malformed IDS payload"
-    else begin
-      let ids = ref [] in
-      let pos = ref (len - 4) in
-      while !pos >= 0 do
-        ids := get_u32 payload !pos :: !ids;
-        pos := !pos - 4
-      done;
-      Ok (Ids !ids)
-    end
   end
   else Result.Error (Printf.sprintf "unknown reply tag 0x%02x" tag)
 

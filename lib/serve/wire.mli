@@ -36,7 +36,14 @@
     - [IDS 0x86] — repeated [u32 token id], in stream order: the batched
       reply of a FEED on an [ids = 1] BPE session (rule index = token id,
       no lexeme bytes — the token-id serving mode's whole point is not
-      echoing the input back). *)
+      echoing the input back).
+
+    TOKENS and IDS records have one encoder and one decoder: the session
+    writes them straight into its batch with {!Outbuf.add_token} /
+    {!Outbuf.add_u32}, and every reader walks them in place with
+    {!iter_tokens_view} / {!iter_ids_view}. {!reply} carries only the
+    other replies, and {!reply_of_frame} rejects a TOKENS or IDS frame as
+    an unknown tag. *)
 
 (** Hard cap on payload size (16 MiB): a length prefix beyond it is a
     protocol error, not an allocation. *)
@@ -69,11 +76,9 @@ type request =
 
 type reply =
   | Opened of { grammar : string; k : int; cached : bool; rules : string list }
-  | Tokens of (string * int) list  (** (lexeme, rule) in stream order *)
   | Pending of { ok : bool; offset : int; pending : string }
   | Error of { code : error_code; retryable : bool; message : string }
   | Metrics of { format : format; body : string }
-  | Ids of int list  (** token ids in stream order *)
 
 (** {1 Encoding} *)
 

@@ -65,7 +65,7 @@ let feed t s pos len =
    trace span, skip-counter deltas) is paid once for the batch. Processing
    stops at the segment that fails the stream: later segments are neither
    consumed nor counted, matching the serving layer's drop-after-failure
-   contract ({!Session.feed} never feeds a failed stream). *)
+   contract ({!Session.feed_views} never feeds a failed stream). *)
 let feed_batch t segs n =
   St_trace.Trace.with_span p_feed @@ fun () ->
   if n < 0 || n > Array.length segs then

@@ -71,7 +71,7 @@ let prop_location_matches_scan =
 let validate_str s =
   let p = Tokenizer_backend.prepare Tokenizer_backend.Streamtok Formats.json in
   let ts = Token_stream.create () in
-  if not (Token_stream.fill p s ts) then `Untokenizable
+  if Result.is_error (Token_stream.fill p s ts) then `Untokenizable
   else
     match Json_validate.validate (Json_validate.create ()) ts with
     | Json_validate.Valid -> `Valid

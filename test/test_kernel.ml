@@ -64,7 +64,7 @@ let session_run s input ~chunk =
   let p = ref 0 in
   while !p < n do
     let l = min chunk (n - !p) in
-    ignore (Session.feed s input ~pos:!p ~len:l);
+    ignore (Session.feed_views s [| (input, !p, l) |] 1);
     take ();
     p := !p + l
   done;
@@ -142,7 +142,7 @@ let session_count s input ~chunk =
   in
   while !p < n do
     let l = min chunk (n - !p) in
-    ignore (Session.feed s input ~pos:!p ~len:l);
+    ignore (Session.feed_views s [| (input, !p, l) |] 1);
     take ();
     p := !p + l
   done;

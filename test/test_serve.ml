@@ -45,9 +45,6 @@ let gen_reply =
           (fun grammar k rules -> W.Opened { grammar; k; cached = k mod 2 = 0; rules })
           gen_line (int_bound 40)
           (list_size (int_bound 6) gen_line);
-        map
-          (fun toks -> W.Tokens toks)
-          (list_size (int_bound 8) (pair gen_bytes (int_bound 100)));
         map3
           (fun ok offset pending -> W.Pending { ok; offset; pending })
           bool (int_bound 1_000_000) gen_bytes;
@@ -75,6 +72,84 @@ let prop_reply_roundtrip =
       match W.decode_all (Buffer.contents b) with
       | Ok [ f ] -> W.reply_of_frame f = Ok reply
       | _ -> false)
+
+(* The one token-record codec: records written by the session encoder's
+   [Outbuf.add_token] / [Outbuf.add_u32] walk back in place, through
+   [iter_tokens_view] / [iter_ids_view], to the same list; a TOKENS
+   payload cut inside its last record and an IDS payload whose length is
+   not a multiple of 4 are errors. *)
+let view_of ~tag ob =
+  let vbuf, voff, vlen = Serve.Outbuf.view ob in
+  { W.Decoder.vtag = tag; vbuf; voff; vlen }
+
+let prop_token_records =
+  QCheck.Test.make ~count:500 ~name:"wire: token records round-trip"
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (list_size (int_bound 8) (pair gen_bytes (int_bound 100)))
+            (int_bound 1000)))
+    (fun (toks, cut) ->
+      let tob = Serve.Outbuf.create () and iob = Serve.Outbuf.create () in
+      List.iter
+        (fun (lex, rule) ->
+          Serve.Outbuf.add_token tob ~rule lex 0 (String.length lex);
+          Serve.Outbuf.add_u32 iob rule)
+        toks;
+      let tv = view_of ~tag:W.tag_tokens tob in
+      let got = ref [] and ids = ref [] in
+      let tokens_ok =
+        W.iter_tokens_view tv (fun ~rule ~buf ~pos ~len ->
+            got := (Bytes.sub_string buf pos len, rule) :: !got)
+        = Ok (List.length toks)
+        && List.rev !got = toks
+      in
+      let ids_ok =
+        W.iter_ids_view (view_of ~tag:W.tag_ids iob) (fun id -> ids := id :: !ids)
+        = Ok (List.length toks)
+        && List.rev !ids = List.map snd toks
+      in
+      let truncated_ok =
+        match List.rev toks with
+        | [] -> true
+        | (last, _) :: _ ->
+            let drop = 1 + (cut mod (7 + String.length last)) in
+            Result.is_error
+              (W.iter_tokens_view
+                 { tv with W.Decoder.vlen = tv.W.Decoder.vlen - drop }
+                 (fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> ()))
+      in
+      for _ = 0 to cut mod 3 do
+        Serve.Outbuf.add_char iob 'x'
+      done;
+      let ragged_ok =
+        Result.is_error (W.iter_ids_view (view_of ~tag:W.tag_ids iob) ignore)
+      in
+      tokens_ok && ids_ok && truncated_ok && ragged_ok)
+
+(* The TOKENS records of a reply byte stream, read as the client reads
+   them. *)
+let tokens_of_stream s =
+  let d = W.Decoder.create () in
+  W.Decoder.feed_string d s;
+  let toks = ref [] in
+  let rec go () =
+    match W.Decoder.next_view d with
+    | W.Decoder.View v ->
+        (if v.W.Decoder.vtag = W.tag_tokens then
+           match
+             W.iter_tokens_view v (fun ~rule ~buf ~pos ~len ->
+                 toks := (Bytes.sub_string buf pos len, rule) :: !toks)
+           with
+           | Ok _ -> ()
+           | Error msg -> Alcotest.fail msg);
+        go ()
+    | W.Decoder.View_need_more -> ()
+    | W.Decoder.View_corrupt msg -> Alcotest.fail ("corrupt reply stream: " ^ msg)
+  in
+  go ();
+  List.rev !toks
 
 (* Drive the view API under one chunking and collect (tag, payload copy)
    pairs; [View_corrupt] maps to None. *)
@@ -140,9 +215,6 @@ let config ?(max_sessions = 8) ?(idle_timeout = 0.) ?(max_out_bytes = 1 lsl 20)
     clock;
   }
 
-let tokens_of replies =
-  List.concat_map (function W.Tokens ts -> ts | _ -> []) replies
-
 let json_engine =
   lazy
     (match Engine.compile (Grammar.dfa Formats.json) with
@@ -179,7 +251,7 @@ let test_lifecycle_parity () =
   | _ -> Alcotest.fail "expected PENDING last");
   let reference, outcome = Engine.tokens (Lazy.force json_engine) input in
   check "batch outcome finished" true (outcome = Engine.Finished);
-  check "tokens ≡ batch engine" true (tokens_of replies = reference);
+  check "tokens ≡ batch engine" true (LB.tokens c = reference);
   check "connection closed after CLOSE" true (LB.closed c)
 
 let test_engine_cache_sharing () =
@@ -250,10 +322,9 @@ let test_over_cap_open () =
   LB.send c (W.Feed input);
   LB.send c W.Flush;
   LB.run lb;
-  let replies = LB.replies c in
   let reference, outcome = Engine.tokens (Lazy.force json_engine) input in
   check "batch outcome finished" true (outcome = Engine.Finished);
-  check "tokens ≡ batch engine" true (tokens_of replies = reference);
+  check "tokens ≡ batch engine" true (LB.tokens c = reference);
   check_int "no engine cached for the hostile grammar" 1
     (Engine_cache.size (SV.cache (LB.server lb)))
 
@@ -320,9 +391,10 @@ let test_backpressure () =
   SV.on_data srv id s ~pos:0 ~len:(Bytes.length s);
   check "queue over budget" true (SV.out_pending srv id > 256);
   check "backpressure: reading off" false (SV.wants_read srv id);
+  let vecs = Array.make 3 (Bytes.empty, 0, 0) in
   while SV.out_pending srv id > 0 do
-    let _, _, len = SV.out_view srv id in
-    SV.out_consume srv id (min 64 len)
+    ignore (SV.out_vectors srv id vecs : int);
+    SV.out_consume srv id (min 64 (SV.out_pending srv id))
   done;
   check "reading resumes when drained" true (SV.wants_read srv id)
 
@@ -339,7 +411,7 @@ let test_flush_resets_stream () =
   LB.run lb;
   let replies = LB.replies c in
   check "two streams, one session" true
-    (tokens_of replies = [ ("foo", 0); (" ", 1); ("bar", 0); ("baz", 0) ]);
+    (LB.tokens c = [ ("foo", 0); (" ", 1); ("bar", 0); ("baz", 0) ]);
   let pendings =
     List.filter_map
       (function W.Pending { ok; offset; _ } -> Some (ok, offset) | _ -> None)
@@ -372,10 +444,7 @@ let test_lexical_failure () =
       check "flush reports failure" false ok;
       check_int "failure offset" 3 offset
   | _ -> Alcotest.fail "expected PENDING");
-  check "feeds after failure dropped" true
-    (List.length
-       (List.filter (function W.Tokens _ -> true | _ -> false) replies)
-    <= 1);
+  check "feeds after failure dropped" true (LB.tokens c = [ ("abc", 0) ]);
   check "session closed via CLOSE" true (LB.closed c)
 
 let test_protocol_errors () =
@@ -539,11 +608,10 @@ let serve_tokens ?(deliver_each = false) lb grammar input split =
   LB.send c W.Flush;
   LB.send c W.Close;
   LB.run lb;
-  let replies = LB.replies c in
-  (match List.rev replies with
+  (match List.rev (LB.replies c) with
   | W.Pending { ok; _ } :: _ -> check "clean flush" true ok
   | _ -> Alcotest.fail "expected PENDING last");
-  tokens_of replies
+  LB.tokens c
 
 let test_coalescing_parity () =
   (* N FEED frames coalesced into one batch must produce the exact token
@@ -677,82 +745,81 @@ let test_decoder_copies_stat () =
 
 (* ---- vectored write path ---- *)
 
-(* The same request stream through two identical servers: one drained
-   through the single-buffer view (out_view/out_consume), one through
-   the vectored path (out_vectors/out_vec_consume) with deliberately
-   awkward partial consumes that land inside the 5-byte frame header
-   and inside the deferred TOKENS payload. The reconstructed reply
-   streams must be byte-identical. *)
+(* The daemon's drain path under short writes. FEED and FLUSH arrive in
+   separate reads, so the token batch is deferred and drained in place
+   from the session encoder; [step]-byte writes through
+   out_vectors/out_consume then stop inside the 5-byte frame header and
+   inside the deferred TOKENS payload. Every split must reproduce the
+   whole drain byte for byte, the whole drain's TOKENS records must be
+   the batch engine's tokens, and a loopback run at the same chunk size
+   (which drains the same way) must deliver those tokens too. *)
 let drive_requests srv id reqs =
   let b = Buffer.create 4096 in
   List.iter (fun r -> W.encode_request b r) reqs;
   let data = Buffer.to_bytes b in
   SV.on_data srv id data ~pos:0 ~len:(Bytes.length data)
 
-let collect_view srv id =
-  let out = Buffer.create 4096 in
-  let continue = ref true in
-  while !continue do
-    let buf, pos, len = SV.out_view srv id in
-    if len = 0 then continue := false
-    else begin
-      Buffer.add_subbytes out buf pos len;
-      SV.out_consume srv id len
-    end
-  done;
-  Buffer.contents out
-
 let collect_vectored srv id ~step =
-  let vecs = Array.make 8 (Bytes.empty, 0, 0) in
+  let vecs = Array.make 3 (Bytes.empty, 0, 0) in
   let out = Buffer.create 4096 in
   let continue = ref true in
   while !continue do
     let k = SV.out_vectors srv id vecs in
     if k = 0 then continue := false
     else begin
-      let total = ref 0 in
+      let left = ref step in
       for i = 0 to k - 1 do
-        let _, _, len = vecs.(i) in
-        total := !total + len
-      done;
-      let n = min step !total in
-      let left = ref n and i = ref 0 in
-      while !left > 0 do
-        let buf, pos, len = vecs.(!i) in
+        let buf, pos, len = vecs.(i) in
         let take = min len !left in
         Buffer.add_subbytes out buf pos take;
-        left := !left - take;
-        incr i
+        left := !left - take
       done;
-      SV.out_vec_consume srv id n
+      SV.out_consume srv id (step - !left)
     end
   done;
   Buffer.contents out
 
 let test_vectored_write_parity () =
   let input = Gen_data.json ~seed:0xFEED1L ~target_bytes:3000 () in
-  let reqs = [ W.Open "json"; W.Feed input; W.Flush; W.Close ] in
-  let run collect =
+  let reference, _ = Engine.tokens (Lazy.force json_engine) input in
+  let run step =
     let srv = SV.create () in
     let id = SV.on_connect srv in
-    drive_requests srv id reqs;
-    let s = collect srv id in
-    (s, srv)
+    let s =
+      String.concat ""
+        (List.map
+           (fun reqs ->
+             drive_requests srv id reqs;
+             collect_vectored srv id ~step)
+           [ [ W.Open "json"; W.Feed input ]; [ W.Flush; W.Close ] ])
+    in
+    check
+      (Printf.sprintf "writev consumptions counted (step %d)" step)
+      true
+      (counter_value srv "writevs" > 0);
+    check
+      (Printf.sprintf "deferred batch written in place (step %d)" step)
+      true
+      (counter_value srv "batch_bytes_direct" > 0);
+    s
   in
-  let view_stream, _ = run collect_view in
-  check "view stream nonempty" true (String.length view_stream > 0);
+  let whole = run max_int in
+  check "whole drain ≡ batch engine" true (tokens_of_stream whole = reference);
   List.iter
     (fun step ->
-      let vec_stream, srv =
-        run (fun srv id -> collect_vectored srv id ~step)
-      in
       check
-        (Printf.sprintf "vectored stream byte-identical (step %d)" step)
+        (Printf.sprintf "split drain byte-identical (step %d)" step)
         true
-        (vec_stream = view_stream);
-      check "writev consumptions counted" true
-        (counter_value srv "writevs" > 0))
-    [ 1; 3; 7; 4096; max_int ]
+        (run step = whole);
+      let lb = LB.create () in
+      let c = LB.connect lb in
+      List.iter (LB.send c) [ W.Open "json"; W.Feed input; W.Flush; W.Close ];
+      LB.run ~chunk:step lb;
+      check
+        (Printf.sprintf "loopback tokens ≡ batch engine (chunk %d)" step)
+        true
+        (LB.tokens c = reference))
+    [ 1; 3; 7; 4096 ]
 
 (* ---- gathered feeds ---- *)
 
@@ -824,6 +891,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_reply_roundtrip;
+    QCheck_alcotest.to_alcotest prop_token_records;
     QCheck_alcotest.to_alcotest prop_chunked_decode;
     Alcotest.test_case "lifecycle ≡ batch engine" `Quick test_lifecycle_parity;
     Alcotest.test_case "engine cache sharing" `Quick test_engine_cache_sharing;

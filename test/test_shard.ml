@@ -141,18 +141,7 @@ let read_all fd =
   loop ();
   Buffer.contents out
 
-let tokens_of_stream s =
-  match W.decode_all s with
-  | Error msg -> Alcotest.fail ("corrupt reply stream: " ^ msg)
-  | Ok frames ->
-      List.concat_map
-        (fun f ->
-          if f.W.tag = W.tag_tokens then
-            match W.reply_of_frame f with
-            | Ok (W.Tokens toks) -> toks
-            | _ -> Alcotest.fail "bad TOKENS frame"
-          else [])
-        frames
+let tokens_of_stream = Test_serve.tokens_of_stream
 
 let has_error_frame s =
   match W.decode_all s with
@@ -432,9 +421,7 @@ let test_fd_over_setsize () =
     let c = Serve.Loopback.connect cl in
     List.iter (Serve.Loopback.send c) [ W.Open "json"; W.Feed input; W.Flush ];
     Serve.Loopback.run cl;
-    List.concat_map
-      (function W.Tokens toks -> toks | _ -> [])
-      (Serve.Loopback.replies c)
+    Serve.Loopback.tokens c
   in
   with_daemon (fun sock ->
       (* occupy every fd below FD_SETSIZE, so the daemon's next accept
@@ -471,6 +458,25 @@ let test_fd_over_setsize () =
       check "no error reply" false (has_error_frame s);
       check "token parity after the refusal" true (tokens_of_stream s = expect))
 
+(* An unwritable [--stats=FILE] path is reported as [tokenize] reports
+   it: an error line and exit code 1, never an uncaught [Sys_error]. *)
+let test_client_stats_unwritable () =
+  with_daemon (fun sock ->
+      let err_file = Filename.temp_file "streamtok_test" ".err" in
+      let outcome =
+        Out_channel.with_open_bin Filename.null (fun out ->
+            Out_channel.with_open_bin err_file (fun err ->
+                Serve.Client.run ~socket:sock ~grammar:"json"
+                  ~input:(`String "[1, 2]") ~out ~err ~stats:W.Json
+                  ~stats_dest:"/nonexistent/streamtok/stats.json" ()))
+      in
+      let msg = In_channel.with_open_bin err_file In_channel.input_all in
+      Sys.remove err_file;
+      check_int "exit code" 1 outcome.Serve.Client.exit_code;
+      check "tokens still served" true (outcome.Serve.Client.tokens > 0);
+      check ("reported: " ^ msg) true
+        (String.starts_with ~prefix:"error: cannot write stats: " msg))
+
 let test_serve_rejects_fd_budget () =
   let sock = Filename.temp_file "streamtok_test" ".sock" in
   Sys.remove sock;
@@ -504,4 +510,6 @@ let suite =
       test_fd_over_setsize;
     Alcotest.test_case "fd budget checked at start" `Quick
       test_serve_rejects_fd_budget;
+    Alcotest.test_case "client stats to an unwritable file" `Quick
+      test_client_stats_unwritable;
   ]
