@@ -132,7 +132,7 @@ for f in "$tmpd"/*.repro; do
 done
 rm -rf "$tmpd"
 
-echo "== serve smoke (daemon parity, zero-copy decode, engine cache, client abort, over-cap OPEN, SIGTERM drain)"
+echo "== serve smoke (daemon parity, zero-copy decode, slow reader, engine cache, client abort, over-cap OPEN, SIGTERM drain)"
 # Use the installed binary directly: the daemon and clients run
 # concurrently, and parallel `dune exec` invocations would fight over the
 # build lock.
@@ -179,6 +179,18 @@ for n in 1 2 3; do
     fail "serve smoke FAILED: client $n output differs from tokenize"
   fi
 done
+
+# slow reader: nobody reads the client's stdout for a second, so the
+# client stops draining its socket, the replies to 2 MB of json overflow
+# the socket buffer, and the daemon must resume from partial writes of
+# its out queue without losing or reordering a byte
+"$BIN" gen json --bytes 2000000 --seed 11 > "$tmpd/big.json"
+"$BIN" tokenize json "$tmpd/big.json" > "$tmpd/big.ref"
+"$BIN" client --socket "$sock" json "$tmpd/big.json" \
+  | (sleep 1; cat) > "$tmpd/big.out"
+if ! cmp -s "$tmpd/big.ref" "$tmpd/big.out"; then
+  fail "serve smoke FAILED: slow-reader client output differs from tokenize"
+fi
 
 # kill a client mid-stream: the daemon must stay up and drop the session
 fifo="$tmpd/fifo"

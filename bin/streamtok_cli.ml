@@ -160,7 +160,10 @@ let analyze_cmd =
       (Grammar.num_rules g);
     Printf.printf "NFA size:  %d\n" nfa_size;
     Printf.printf "DFA size:  %d\n" (Dfa.size d);
-    let result, trace = Tnd.max_tnd_trace d in
+    (* the trace keeps both frontiers of every round: O(|A|²) memory *)
+    let result, trace =
+      if explain then Tnd.max_tnd_trace d else (Tnd.max_tnd d, [])
+    in
     Printf.printf "max-TND:   %s\n" (Tnd.result_to_string result);
     (match result with
     | Tnd.Finite k when k > 0 -> (
@@ -170,11 +173,14 @@ let analyze_cmd =
               (String.length v - String.length u)
         | None -> ())
     | Tnd.Infinite -> (
-        match Tnd.witness d (Dfa.size d + 2) with
-        | Some (u, v) ->
+        match Tnd.pumped_witness d with
+        | Some { Tnd.u; x; y; z } ->
             Printf.printf
-              "witness:   %S -> %S (distance %d; grows without bound)\n" u v
-              (String.length v - String.length u)
+              "witness:   %S -> %S %S (%S)^n %S (distance %d + %d*n, any n >= \
+               0)\n"
+              u u x y z
+              (String.length x + String.length z)
+              (String.length y)
         | None -> ())
     | _ -> ());
     (match result with

@@ -60,114 +60,195 @@ let run_analysis ~record d =
 let max_tnd d = fst (run_analysis ~record:false d)
 let max_tnd_trace d = run_analysis ~record:true d
 
-(* Shortest nonempty strings from the start state to every state (BFS over
-   the DFA, seeded with the one-symbol successors of start). *)
-let shortest_nonempty_to d =
-  let n = Dfa.size d in
-  let word = Array.make n None in
-  let queue = Queue.create () in
-  for c = 0 to 255 do
-    let q = Dfa.step d d.Dfa.start (Char.chr c) in
-    if word.(q) = None then begin
-      word.(q) <- Some (String.make 1 (Char.chr c));
-      Queue.add q queue
-    end
-  done;
-  while not (Queue.is_empty queue) do
-    let q = Queue.pop queue in
-    let w = match word.(q) with Some w -> w | None -> assert false in
-    for c = 0 to 255 do
-      let q' = Dfa.step d q (Char.chr c) in
-      if word.(q') = None then begin
-        word.(q') <- Some (w ^ String.make 1 (Char.chr c));
-        Queue.add q' queue
-      end
-    done
-  done;
-  word
+(* ---- witnesses ----
 
-(* Shortest string from [q] to any final state (possibly empty). *)
-let shortest_to_final d q0 =
-  if Dfa.is_final d q0 then Some ""
-  else begin
-    let n = Dfa.size d in
-    let word = Array.make n None in
-    word.(q0) <- Some "";
-    let queue = Queue.create () in
-    Queue.add q0 queue;
-    let found = ref None in
-    while !found = None && not (Queue.is_empty queue) do
-      let q = Queue.pop queue in
-      let w = match word.(q) with Some w -> w | None -> assert false in
-      let c = ref 0 in
-      while !found = None && !c <= 255 do
-        let q' = Dfa.step d q (Char.chr !c) in
-        let w' = w ^ String.make 1 (Char.chr !c) in
-        if Dfa.is_final d q' then found := Some w'
-        else if word.(q') = None then begin
-          word.(q') <- Some w';
-          Queue.add q' queue
-        end;
-        incr c
-      done
-    done;
-    !found
-  end
+   Every search below is breadth-first over one representative byte per
+   class, in ascending byte order, and records parent pointers instead of
+   strings: [parent.(q)] is [-1] while [q] is unreached, [-2] for a seed
+   (reached by the empty string), and [(p + 1) * 256 + b] when [q] was
+   first reached by byte [b] from [p]. [p = -1] is the start state as the
+   source of a nonempty search, kept apart from the start state as a node
+   so that the walk back ends even when a search re-enters the start.
+   Memory is one int per state, whatever the path lengths. *)
+
+let reps d = Dfa.class_reps d.Dfa.classmap d.Dfa.num_classes
+
+(* [bfs d reps ~seeds ~enter ~stop] searches from [seeds] ([(state,
+   parent code)] pairs, admitted unconditionally), discovering only
+   states [enter] admits beyond them. It returns the parent array and the
+   first discovered state [stop] admits, if any (the search ends there). *)
+let bfs d reps ~seeds ~enter ~stop =
+  let parent = Array.make (Dfa.size d) (-1) in
+  let queue = Queue.create () in
+  let found = ref None in
+  let mark q code =
+    if !found = None && parent.(q) = -1 then begin
+      parent.(q) <- code;
+      if stop q then found := Some q else Queue.add q queue
+    end
+  in
+  List.iter (fun (q, code) -> mark q code) seeds;
+  while !found = None && not (Queue.is_empty queue) do
+    let q = Queue.pop queue in
+    Array.iter
+      (fun b ->
+        let q' = Dfa.step_class d q (Dfa.class_of_byte d b) in
+        if enter q' then mark q' (((q + 1) * 256) + b))
+      reps
+  done;
+  (parent, !found)
+
+(* The path recorded for [q], and the seed it starts from. *)
+let path_to parent q =
+  let rec go q acc =
+    let code = parent.(q) in
+    if code < 0 then (q, acc)
+    else
+      let p = (code / 256) - 1 in
+      let acc = Char.chr (code land 255) :: acc in
+      if p < 0 then (-1, acc) else go p acc
+  in
+  let root, chars = go q [] in
+  (root, String.of_seq (List.to_seq chars))
+
+(* Shortest nonempty strings from the start state to every state. *)
+let shortest_nonempty_to d reps =
+  let seeds =
+    Array.to_list
+      (Array.map
+         (fun b -> (Dfa.step_class d d.Dfa.start (Dfa.class_of_byte d b), b))
+         reps)
+  in
+  fst (bfs d reps ~seeds ~enter:(fun _ -> true) ~stop:(fun _ -> false))
+
+(* Finals reachable by a nonempty string, ascending: the tokens [u]. *)
+let token_states d to_state =
+  List.filter
+    (fun q -> Dfa.is_final d q && to_state.(q) <> -1)
+    (List.init (Dfa.size d) Fun.id)
+
+(* Shortest string from [q] to any final state (possibly empty); the
+   states it passes through before the last are non-final. *)
+let shortest_to_final d reps q =
+  match
+    bfs d reps ~seeds:[ (q, -2) ] ~enter:(fun _ -> true)
+      ~stop:(Dfa.is_final d)
+  with
+  | parent, Some f -> Some (snd (path_to parent f))
+  | _, None -> None
+
+let word to_state q = snd (path_to to_state q)
 
 let witness d k =
-  let to_state = shortest_nonempty_to d in
-  if k = 0 then begin
-    (* any token paired with itself *)
-    let best = ref None in
-    Array.iteri
-      (fun q w ->
-        match (w, !best) with
-        | Some u, None when Dfa.is_final d q -> best := Some (u, u)
-        | Some u, Some (b, _)
-          when Dfa.is_final d q && String.length u < String.length b ->
-            best := Some (u, u)
-        | _ -> ())
-      to_state;
-    !best
-  end
+  let reps = reps d in
+  let to_state = shortest_nonempty_to d reps in
+  let tokens = token_states d to_state in
+  if k = 0 then
+    (* a shortest token paired with itself *)
+    match tokens with
+    | [] -> None
+    | q :: rest ->
+        let u =
+          List.fold_left
+            (fun u q ->
+              let w = word to_state q in
+              if String.length w < String.length u then w else u)
+            (word to_state q) rest
+        in
+        Some (u, u)
   else begin
     let coacc = Dfa.co_accessible d in
     let n = Dfa.size d in
-    (* layered BFS: layer i holds (state, origin final state, path chars)
-       with intermediates (layers 1..k-1) non-final; we keep one witness per
-       state per layer. *)
-    let module M = Map.Make (Int) in
-    let layer = ref M.empty in
-    Array.iteri
-      (fun q w ->
-        match w with
-        | Some u when Dfa.is_final d q && not (M.mem q !layer) ->
-            layer := M.add q (u, "") !layer
-        | _ -> ())
-      to_state;
-    let result = ref None in
+    (* layered BFS: [layers.(i).(q)] is the parent code of [q] at distance
+       [i] from a token state, through non-final intermediates (layers
+       1..k-1); layer k must be co-accessible. One parent per state per
+       layer. *)
+    let layers = Array.init (k + 1) (fun _ -> Array.make n (-1)) in
+    List.iter (fun q -> layers.(0).(q) <- -2) tokens;
     for i = 1 to k do
-      let next = ref M.empty in
-      M.iter
-        (fun q (u, path) ->
-          for c = 0 to 255 do
-            let q' = Dfa.step d q (Char.chr c) in
-            let keep =
-              if i < k then not (Dfa.is_final d q')
-              else Bits.mem coacc q'
-            in
-            if keep && not (M.mem q' !next) then
-              next := M.add q' (u, path ^ String.make 1 (Char.chr c)) !next
-          done)
-        !layer;
-      layer := !next
+      let prev = layers.(i - 1) and cur = layers.(i) in
+      for q = 0 to n - 1 do
+        if prev.(q) <> -1 then
+          Array.iter
+            (fun b ->
+              let q' = Dfa.step_class d q (Dfa.class_of_byte d b) in
+              let keep =
+                if i < k then not (Dfa.is_final d q') else Bits.mem coacc q'
+              in
+              if keep && cur.(q') = -1 then cur.(q') <- ((q + 1) * 256) + b)
+            reps
+      done
     done;
-    ignore (n : int);
-    (M.iter (fun q (u, path) ->
-         if !result = None then
-           match shortest_to_final d q with
-           | Some z -> result := Some (u, u ^ path ^ z)
-           | None -> ()))
-      !layer;
+    (* walk a layer-k state back to its token state *)
+    let back q =
+      let chars = ref [] and q = ref q in
+      for i = k downto 1 do
+        let code = layers.(i).(!q) in
+        chars := Char.chr (code land 255) :: !chars;
+        q := (code / 256) - 1
+      done;
+      (!q, String.of_seq (List.to_seq !chars))
+    in
+    let result = ref None in
+    for q = 0 to n - 1 do
+      if !result = None && layers.(k).(q) <> -1 then
+        match shortest_to_final d reps q with
+        | Some z ->
+            let p, path = back q in
+            let u = word to_state p in
+            result := Some (u, u ^ path ^ z)
+        | None -> ()
+    done;
     !result
   end
+
+type pump = { u : string; x : string; y : string; z : string }
+
+(* A cycle through [inside] states reachable from [roots], by
+   depth-first search: a transition back to a state on the current path
+   closes it. Returns that state and the cycle's string. *)
+let find_cycle d reps ~inside roots =
+  let mark = Array.make (Dfa.size d) 0 (* 1: on the path, 2: done *) in
+  let from = Array.make (Dfa.size d) (-2) in
+  let exception Cycle of int * string in
+  let rec visit q =
+    mark.(q) <- 1;
+    Array.iter
+      (fun b ->
+        let q' = Dfa.step_class d q (Dfa.class_of_byte d b) in
+        if inside q' && mark.(q') = 1 then begin
+          (* the path from [q'] down to [q], then [b] back to [q'] *)
+          from.(q') <- -2;
+          raise (Cycle (q', snd (path_to from q) ^ String.make 1 (Char.chr b)))
+        end
+        else if inside q' && mark.(q') = 0 then begin
+          from.(q') <- ((q + 1) * 256) + b;
+          visit q'
+        end)
+      reps;
+    mark.(q) <- 2
+  in
+  match List.iter (fun r -> if mark.(r) = 0 then visit r) roots with
+  | () -> None
+  | exception Cycle (c, y) -> Some (c, y)
+
+let pumped_witness d =
+  let reps = reps d in
+  let to_state = shortest_nonempty_to d reps in
+  let coacc = Dfa.co_accessible d in
+  (* the states a neighbor's extension may pass through: non-final, and
+     still able to end in a token *)
+  let between q = (not (Dfa.is_final d q)) && Bits.mem coacc q in
+  let seeds = List.map (fun q -> (q, -2)) (token_states d to_state) in
+  let parent, _ = bfs d reps ~seeds ~enter:between ~stop:(fun _ -> false) in
+  let reached =
+    List.filter (fun q -> parent.(q) >= 0) (List.init (Dfa.size d) Fun.id)
+  in
+  match find_cycle d reps ~inside:(fun q -> parent.(q) >= 0) reached with
+  | None -> None
+  | Some (c, y) -> (
+      match shortest_to_final d reps c with
+      | None -> None
+      | Some z ->
+          let p, x = path_to parent c in
+          Some { u = word to_state p; x; y; z })

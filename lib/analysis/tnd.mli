@@ -37,3 +37,15 @@ val max_tnd_trace : Dfa.t -> result * trace_row list
     the test suite: u ∈ L, v ∈ L, u ≤ v, and no strictly intermediate prefix
     of v extending u is in L. *)
 val witness : Dfa.t -> int -> (string * string) option
+
+(** A witness family for an unbounded max-TND: [(u, u ^ x ^ yⁿ ^ z)] is a
+    token neighbor pair for every [n ≥ 0], so its distance
+    [|x| + n·|y| + |z|] grows without bound. [y] labels a cycle through
+    non-final states that can still reach a final one. *)
+type pump = { u : string; x : string; y : string; z : string }
+
+(** [pumped_witness dfa] is [Some] exactly when the max-TND is
+    [Infinite]. It is found with parent pointers in O(|A|·classes) time
+    and O(|A|) memory (a {!witness} at distance |A| + 2 carries a path per
+    state per layer). *)
+val pumped_witness : Dfa.t -> pump option

@@ -226,11 +226,14 @@ let check ?(on_subject = fun _ -> ()) spec =
               (of_engine (List.rev !acc, o)))
           spec.domain_counts;
         (* The full serving data plane — zero-copy decode, FEED
-           coalescing, batched flushes, the daemon's vectored drain —
+           coalescing, batched flushes, the daemon's out-queue drain —
            over one loopback server. [serve prefix request collect] opens
            a session with [request] and feeds it every chunking,
-           FLUSH-reset in between; [collect conn replies] reads each
-           stream back the way the client does. *)
+           FLUSH-reset in between, then the whole input once more with
+           7-byte transfers each way ([prefix:short-writes]), so reads
+           straddle frames and every drain is a short write that can stop
+           inside a frame header or a token batch; [collect conn replies]
+           reads each stream back the way the client does. *)
         let module W = St_serve.Wire in
         let module SV = St_serve.Server in
         let module LB = St_serve.Loopback in
@@ -250,7 +253,7 @@ let check ?(on_subject = fun _ -> ()) spec =
                 (* N FEED frames queued up front land in one on_data and
                    are coalesced; the token stream must still match *)
                 List.iter
-                  (fun (name, ch) ->
+                  (fun (name, ch, chunk) ->
                     let pos = ref 0 in
                     List.iter
                       (fun n ->
@@ -259,10 +262,11 @@ let check ?(on_subject = fun _ -> ()) spec =
                         pos := !pos + n)
                       ch;
                     LB.send conn W.Flush;
-                    LB.run lb;
+                    LB.run ?chunk lb;
                     expect ?equal (prefix ^ ":" ^ name)
                       (collect conn (LB.replies conn)))
-                  spec.chunkings
+                  (List.map (fun (name, ch) -> (name, ch, None)) spec.chunkings
+                  @ [ ("short-writes", [ String.length input ], Some 7) ])
             | _ -> fail_subject (prefix ^ ":open") "OPEN rejected"
           with exn -> fail_subject prefix (Printexc.to_string exn)
         in

@@ -20,9 +20,10 @@
       ([min_input_bytes = 1]) for each domain count, so splice points land
       inside tokens even on tiny inputs;
     - the serving data plane over one {!St_serve.Loopback} server, which
-      drains replies through the daemon's vectored path and reads token
+      drains replies through the daemon's out-queue path and reads token
       records with the client's decoder: [serve-wire:*] under every
-      chunking, plus the [serve-wire:poison] and [serve-wire:truncated]
+      chunking and [serve-wire:short-writes] with 7-byte transfers each
+      way, plus the [serve-wire:poison] and [serve-wire:truncated]
       robustness subjects. *)
 
 open St_regex

@@ -80,7 +80,6 @@ module Core = struct
     fd_of_id : (Server.conn_id, Unix.file_descr) Hashtbl.t;
     id_of_fd : (Unix.file_descr, Server.conn_id) Hashtbl.t;
     rbuf : Bytes.t;
-    vecs : (Bytes.t * int * int) array;  (* writev gather scratch *)
   }
 
   let create srv =
@@ -89,7 +88,6 @@ module Core = struct
       fd_of_id = Hashtbl.create 32;
       id_of_fd = Hashtbl.create 32;
       rbuf = Bytes.create 65536;
-      vecs = Array.make 3 (Bytes.empty, 0, 0);
     }
 
   (* Best effort: a fresh socket's send buffer takes the small frame
@@ -136,14 +134,14 @@ module Core = struct
         drop_conn t ~eof:true id);
     St_trace.Trace.end_span p_read
 
-  (* The gathered flush: out queue + deferred batch frame in one
-     writev; a long-running daemon should never die on a write errno, so
-     unknown errors also just drop the connection. *)
+  (* The flush: one write of the out queue's live bytes; a short write
+     leaves the rest queued. A long-running daemon should never die on a
+     write errno, so unknown errors also just drop the connection. *)
   let write_conn t fd id =
     St_trace.Trace.begin_span p_write;
-    (let k = Server.out_vectors t.srv id t.vecs in
-     if k > 0 then
-       match Writev.write fd t.vecs k with
+    (let buf, pos, len = Server.out_view t.srv id in
+     if len > 0 then
+       match Writev.write fd buf pos len with
        | Writev.Written n -> Server.out_consume t.srv id n
        | Writev.Retry -> ()
        | Writev.Closed | Writev.Error _ -> drop_conn t ~eof:true id);

@@ -9,9 +9,10 @@
     with its wakeup pipe as an [extra] fd, and worker 0 adds the
     {!listener}.
 
-    Writes are vectored: a connection's queued replies and its deferred
-    token batch (header + session-encoder bytes, never blitted through
-    the out queue) go out in one {!Writev.write}.
+    Writes drain one queue: each writable round hands the connection's
+    out queue ({!Server.out_view}) to one {!Writev.write} and consumes
+    what the socket took; a short write leaves the rest queued for the
+    next round.
 
     fd bounds: an fd at or above {!fd_setsize} never enters [select] —
     it is answered with a retryable [Capacity] error and closed — and a
@@ -40,9 +41,8 @@ val close_listener : listener -> unit
     even from the reserve. *)
 val watch : listener -> now:float -> Unix.file_descr list
 
-(** One server's event loop state: the fd↔conn-id tables, the shared
-    read buffer, and the writev scratch. Single-domain, like the
-    {!Server.t} it drives. *)
+(** One server's event loop state: the fd↔conn-id tables and the shared
+    read buffer. Single-domain, like the {!Server.t} it drives. *)
 module Core : sig
   type t
 
@@ -54,12 +54,11 @@ module Core : sig
   val register : t -> Unix.file_descr -> unit
 
   (** [iterate t ~extra ~max_timeout] runs one select round — reads
-      ready connections into {!Server.on_data}, issues vectored writes
-      for pending output, completes drain-closes, ticks — and returns
-      the subset of [extra] fds (listener, wakeup pipe — watched for
-      readability, never read here) that were ready. The timeout is
-      capped at [max_timeout] seconds and tightened to the server's next
-      idle deadline. *)
+      ready connections into {!Server.on_data}, writes pending output,
+      completes drain-closes, ticks — and returns the subset of [extra]
+      fds (listener, wakeup pipe — watched for readability, never read
+      here) that were ready. The timeout is capped at [max_timeout]
+      seconds and tightened to the server's next idle deadline. *)
   val iterate :
     t -> extra:Unix.file_descr list -> max_timeout:float ->
     Unix.file_descr list

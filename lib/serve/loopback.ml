@@ -12,11 +12,7 @@ type conn = {
   mutable hung_up : bool;
 }
 
-and t = {
-  srv : Server.t;
-  vecs : (Bytes.t * int * int) array;  (* Server.out_vectors scratch *)
-  mutable conns : conn list;
-}
+and t = { srv : Server.t; mutable conns : conn list }
 
 let create ?config () =
   let srv =
@@ -24,7 +20,7 @@ let create ?config () =
     | None -> Server.create ()
     | Some config -> Server.create ~config ()
   in
-  { srv; vecs = Array.make 3 (Bytes.empty, 0, 0); conns = [] }
+  { srv; conns = [] }
 
 let server t = t.srv
 
@@ -92,19 +88,14 @@ let step_conn ~chunk t c =
       moved := true
     end;
     (* server -> client, through the daemon's drain path: copy at most
-       [chunk] bytes of the segments the daemon would hand to writev into
-       the client decoder, then consume what was "written" *)
-    let k = Server.out_vectors t.srv c.id t.vecs in
-    if k > 0 then begin
+       [chunk] bytes of the out queue into the client decoder, then
+       consume what was "written" *)
+    let buf, pos, len = Server.out_view t.srv c.id in
+    if len > 0 then begin
       St_trace.Trace.begin_span p_copy;
-      let left = ref chunk in
-      for i = 0 to k - 1 do
-        let buf, pos, len = t.vecs.(i) in
-        let n = min len !left in
-        Wire.Decoder.feed_bytes c.dec buf ~pos ~len:n;
-        left := !left - n
-      done;
-      Server.out_consume t.srv c.id (chunk - !left);
+      let n = min chunk len in
+      Wire.Decoder.feed_bytes c.dec buf ~pos ~len:n;
+      Server.out_consume t.srv c.id n;
       St_trace.Trace.end_span p_copy;
       moved := true
     end;

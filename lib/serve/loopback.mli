@@ -5,14 +5,15 @@
     direction per connection — honouring {!Server.wants_read}, so
     backpressure is observable — and {!run} iterates to a fixpoint.
     Replies leave the server exactly as they leave the daemon: through
-    {!Server.out_vectors} and {!Server.out_consume}, with the copy into
-    the client decoder standing in for [writev], so a small [chunk] is a
-    short write that can stop inside a frame header or a deferred token
-    batch. Token records are read back as the client reads them, with
-    {!Wire.iter_tokens_view} / {!Wire.iter_ids_view}. Nothing touches the
-    real clock or any file descriptor, which is what lets the test suite
-    drive session lifecycles, idle eviction (via a fake [config.clock]
-    plus {!tick}) and backpressure byte-for-byte reproducibly. *)
+    {!Server.out_view} and {!Server.out_consume} over the connection's
+    one out queue, with the copy into the client decoder standing in for
+    {!Writev.write}, so a small [chunk] is a short write that can stop
+    inside a frame header or a token batch. Token records are read back
+    as the client reads them, with {!Wire.iter_tokens_view} /
+    {!Wire.iter_ids_view}. Nothing touches the real clock or any file
+    descriptor, which is what lets the test suite drive session
+    lifecycles, idle eviction (via a fake [config.clock] plus {!tick})
+    and backpressure byte-for-byte reproducibly. *)
 
 type t
 type conn

@@ -45,13 +45,6 @@ let add_substring t s pos len =
 
 let add_string t s = add_substring t s 0 (String.length s)
 
-let add_subbytes t b pos len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Outbuf.add_subbytes";
-  ensure_room t len;
-  Bytes.blit b pos t.buf t.len len;
-  t.len <- t.len + len
-
 let add_buffer t (b : Buffer.t) =
   let n = Buffer.length b in
   ensure_room t n;
@@ -78,14 +71,12 @@ let add_token t ~rule s pos len =
   Bytes.unsafe_blit_string s pos t.buf (t.len + 8) len;
   t.len <- t.len + 8 + len
 
-let poke_header buf at ~tag plen =
-  if at < 0 || at + 5 > Bytes.length buf then invalid_arg "Outbuf.poke_header";
-  unsafe_poke_u32 buf at plen;
-  Bytes.unsafe_set buf (at + 4) (Char.unsafe_chr (tag land 0xff))
-
+(* Frame header: u32 payload length, then the tag. Reserves room for the
+   payload too, so the caller's blit needs no second check. *)
 let add_header t ~tag plen =
   ensure_room t (5 + plen);
-  poke_header t.buf t.len ~tag plen;
+  unsafe_poke_u32 t.buf t.len plen;
+  Bytes.unsafe_set t.buf (t.len + 4) (Char.unsafe_chr (tag land 0xff));
   t.len <- t.len + 5
 
 let add_frame t ~tag src =

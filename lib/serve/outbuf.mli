@@ -7,13 +7,14 @@
     prefix dominates and reallocated by doubling otherwise, so a
     long-lived queue neither accretes memory nor moves bytes per frame.
 
-    Four roles share it: per-connection output queues ({!Server}), the
+    Four roles share it: per-connection out queues ({!Server}), the
     per-session token-record encoder ({!Session}), the loopback
     client→server queue ({!Loopback}), and the CLI client's pending-write
-    queue ({!Client}). {!add_frame} / {!add_frame_substring} /
+    queue ({!Client}). A connection's out queue is the one place its
+    reply bytes wait: {!add_frame} / {!add_frame_substring} /
     {!add_frame_subbytes} write a [streamtok/wire/v1] frame (u32 length +
-    tag + payload) in one pass — the writev-style batched flush path: the
-    payload bytes are blitted exactly once, straight into the queue. *)
+    tag + payload) into it in one pass, the payload blitted exactly once,
+    and the transport drains it with {!view}/{!consume}. *)
 
 type t
 
@@ -30,7 +31,6 @@ val clear : t -> unit
 val add_char : t -> char -> unit
 val add_string : t -> string -> unit
 val add_substring : t -> string -> int -> int -> unit
-val add_subbytes : t -> Bytes.t -> int -> int -> unit
 val add_buffer : t -> Buffer.t -> unit
 
 (** Big-endian, as everywhere in the wire protocol. *)
@@ -46,12 +46,6 @@ val add_frame : t -> tag:int -> t -> unit
 
 val add_frame_substring : t -> tag:int -> string -> int -> int -> unit
 val add_frame_subbytes : t -> tag:int -> Bytes.t -> int -> int -> unit
-
-(** [poke_header buf at ~tag plen] writes a frame header — u32 [plen],
-    then [tag] — into bytes [at, at+5) of [buf]: the header the
-    [add_frame] functions write, for a frame whose payload lives
-    elsewhere. *)
-val poke_header : Bytes.t -> int -> tag:int -> int -> unit
 
 (** {1 Consuming} *)
 

@@ -26,11 +26,7 @@ type conn = {
   id : int;
   session : Session.t;
   dec : Wire.Decoder.t;
-  out : Outbuf.t;
-  hdr : Bytes.t;  (* 5-byte scratch: the deferred batch's frame header *)
-  mutable deferred : bool;
-      (* the session encoder holds a finished batch that has not been
-         framed yet; [out_vectors] hands it to the transport in place *)
+  out : Outbuf.t;  (* the only place reply bytes wait to be written *)
   mutable last_activity : float;
   mutable phase : phase;
 }
@@ -66,8 +62,6 @@ type t = {
   feed_batches : Metrics.Counter.t;
   flushes : Metrics.Counter.t;
   writevs : Metrics.Counter.t;
-  batch_bytes_direct : Metrics.Counter.t;
-  batch_bytes_copied : Metrics.Counter.t;
   decoder_copies : Metrics.Counter.t;
   proto_errors : Metrics.Counter.t;
   lexical_errors : Metrics.Counter.t;
@@ -95,16 +89,7 @@ let create ?cache ?(config = default_config) () =
   let feed_batches = counter "feed_batches" "coalesced FEED batches flushed" in
   let flushes = counter "flushes" "FLUSH frames processed" in
   let writevs =
-    counter "writevs" "vectored writes consumed (socket or loopback drain)"
-  in
-  let batch_bytes_direct =
-    counter "batch_bytes_direct"
-      "token-batch frame bytes written in place from the session encoder \
-       (no out-queue blit)"
-  in
-  let batch_bytes_copied =
-    counter "batch_bytes_copied"
-      "token-batch frame bytes blitted through the out queue"
+    counter "writevs" "out-queue writes consumed (socket or loopback drain)"
   in
   let decoder_copies =
     counter "decoder_copies"
@@ -146,8 +131,6 @@ let create ?cache ?(config = default_config) () =
     feed_batches;
     flushes;
     writevs;
-    batch_bytes_direct;
-    batch_bytes_copied;
     decoder_copies;
     proto_errors;
     lexical_errors;
@@ -171,21 +154,16 @@ let decoder_copies t = Metrics.Counter.value t.decoder_copies
 let p_enqueue = St_trace.Trace.probe ~cat:"flush" "serve.enqueue"
 let p_on_data = St_trace.Trace.probe ~cat:"decode" "serve.on_data"
 
-(* The batched flush path, copied flavor: the session's scratch encoder
-   already holds ready-to-send TOKENS records, so materializing the
-   batch is one header poke plus one blit into the connection's out
-   queue. Also clears a deferral: a pending batch must be framed before
-   anything else is enqueued behind it. Unspanned: [flush_tokens] and
-   [enqueue] call it inside their own span. *)
+(* The batched flush: the session's scratch encoder already holds
+   ready-to-send TOKENS/IDS records, so framing the batch is one header
+   poke plus one blit into the connection's out queue. Unspanned:
+   [flush_tokens] and [enqueue] call it inside their own span. *)
 let append_batch t c =
   match Session.batch c.session with
-  | None -> c.deferred <- false
+  | None -> ()
   | Some (enc, n) ->
-      c.deferred <- false;
       Metrics.Counter.add t.tokens n;
-      let bytes = 5 + Outbuf.length enc in
-      Metrics.Counter.add t.bytes_out bytes;
-      Metrics.Counter.add t.batch_bytes_copied bytes;
+      Metrics.Counter.add t.bytes_out (5 + Outbuf.length enc);
       Outbuf.add_frame c.out ~tag:(Session.batch_tag c.session) enc;
       Session.batch_clear c.session
 
@@ -196,7 +174,7 @@ let flush_tokens t c =
    do not come through here (see [flush_tokens]). *)
 let enqueue t c reply =
   St_trace.Trace.with_span p_enqueue @@ fun () ->
-  (* frame order: a deferred token batch precedes any later reply *)
+  (* frame order: a pending token batch precedes any later reply *)
   append_batch t c;
   Buffer.clear t.scratch;
   Wire.encode_reply t.scratch reply;
@@ -216,8 +194,6 @@ let on_connect t =
       session = Session.create { cache = t.cache; resolve = resolve_spec };
       dec = Wire.Decoder.create ();
       out = Outbuf.create ();
-      hdr = Bytes.create 5;
-      deferred = false;
       last_activity = t.cfg.clock ();
       phase = Active;
     }
@@ -338,12 +314,10 @@ let protocol_failure t c msg =
    their payload views are gathered (decoder views stay valid across
    [next_view]) and handed to the tokenizer as one [Session.feed_views]
    call — zero-copy, one call's overhead for the whole run. Accumulated
-   TOKENS records are flushed as a single frame when the batch ends — at
-   a non-FEED frame, a session error, or when the pending frame would
-   exceed [out_frame_bytes]. A batch still pending when buffered input
-   runs out is {e deferred}: the encoder keeps it and the transport
-   writes it in place ([out_vectors]), skipping the out-queue blit. The
-   batch is also the latency unit: two clock reads per batch, not per
+   TOKENS records are framed into the out queue when the batch ends — at
+   a non-FEED frame, a session error, or when buffered input runs out —
+   and early whenever the pending frame would exceed [out_frame_bytes].
+   The batch is also the latency unit: two clock reads per batch, not per
    frame.
 
    The [serve.on_data] span is the root of the server-side data plane:
@@ -361,14 +335,10 @@ let on_data t id b ~pos ~len =
     Metrics.Counter.add t.decoder_copies (Wire.Decoder.copies c.dec - copies);
     let batch_t0 = ref 0.0 in
     let in_batch = ref false in
-    let end_batch ~defer =
+    let end_batch () =
       if !in_batch then begin
         in_batch := false;
-        (if defer then
-           (match Session.batch c.session with
-           | Some _ -> c.deferred <- true
-           | None -> ())
-         else flush_tokens t c);
+        flush_tokens t c;
         Metrics.Counter.incr t.feed_batches;
         Metrics.Histogram.observe_seconds t.feed_ns
           (t.cfg.clock () -. !batch_t0)
@@ -387,7 +357,7 @@ let on_data t id b ~pos ~len =
       match next with
       | Wire.Decoder.View_need_more -> continue := false
       | Wire.Decoder.View_corrupt msg ->
-          end_batch ~defer:false;
+          end_batch ();
           protocol_failure t c msg
       | Wire.Decoder.View v ->
           if v.Wire.Decoder.vtag = Wire.tag_feed then begin
@@ -444,13 +414,13 @@ let on_data t id b ~pos ~len =
                     flush_tokens t c
                 | _ -> ())
             | replies ->
-                end_batch ~defer:false;
+                end_batch ();
                 count_replies t replies;
                 List.iter (enqueue t c) replies;
                 if List.exists fatal_reply replies then c.phase <- Draining
           end
           else begin
-            end_batch ~defer:false;
+            end_batch ();
             let f =
               {
                 Wire.tag = v.Wire.Decoder.vtag;
@@ -462,7 +432,7 @@ let on_data t id b ~pos ~len =
             | Ok req -> dispatch t c req
           end
     done;
-    end_batch ~defer:true
+    end_batch ()
   end
 
 let remove t id =
@@ -496,75 +466,20 @@ let on_tick t =
 
 (* ---- queries ---- *)
 
-let deferred_bytes c =
-  if not c.deferred then 0
-  else
-    match Session.batch c.session with
-    | Some (enc, _) -> 5 + Outbuf.length enc
-    | None -> 0
-
-let pending_of c = Outbuf.length c.out + deferred_bytes c
-
 let wants_read t id =
   let c = conn t id in
-  c.phase = Active && pending_of c <= t.cfg.max_out_bytes
+  c.phase = Active && Outbuf.length c.out <= t.cfg.max_out_bytes
 
-let out_pending t id = pending_of (conn t id)
-
-let out_vectors t id vecs =
-  let c = conn t id in
-  let k = ref 0 in
-  let buf, pos, len = Outbuf.view c.out in
-  if len > 0 then begin
-    vecs.(0) <- (buf, pos, len);
-    k := 1
-  end;
-  (if c.deferred then
-     match Session.batch c.session with
-     | None -> c.deferred <- false
-     | Some (enc, _) ->
-         Outbuf.poke_header c.hdr 0 ~tag:(Session.batch_tag c.session)
-           (Outbuf.length enc);
-         vecs.(!k) <- (c.hdr, 0, 5);
-         incr k;
-         let eb, ep, el = Outbuf.view enc in
-         vecs.(!k) <- (eb, ep, el);
-         incr k);
-  !k
+let out_pending t id = Outbuf.length (conn t id).out
+let out_view t id = Outbuf.view (conn t id).out
 
 let out_consume t id n =
-  let c = conn t id in
   Metrics.Counter.incr t.writevs;
-  let ol = Outbuf.length c.out in
-  if n <= ol then Outbuf.consume c.out n
-  else begin
-    Outbuf.consume c.out ol;
-    let written = n - ol in
-    match Session.batch c.session with
-    | None -> invalid_arg "Server.out_consume: no deferred batch"
-    | Some (enc, ntoks) ->
-        let frame = 5 + Outbuf.length enc in
-        if written > frame then invalid_arg "Server.out_consume";
-        Metrics.Counter.add t.tokens ntoks;
-        Metrics.Counter.add t.bytes_out frame;
-        Metrics.Counter.add t.batch_bytes_direct written;
-        c.deferred <- false;
-        if written < frame then begin
-          (* Short write mid-frame: the unwritten tail (header remainder
-             + encoder suffix) moves to the out queue so the next
-             writable event resumes exactly where the socket stopped. *)
-          Metrics.Counter.add t.batch_bytes_copied (frame - written);
-          if written < 5 then Outbuf.add_subbytes c.out c.hdr written (5 - written);
-          let skip = if written > 5 then written - 5 else 0 in
-          let eb, ep, el = Outbuf.view enc in
-          Outbuf.add_subbytes c.out eb (ep + skip) (el - skip)
-        end;
-        Session.batch_clear c.session
-  end
+  Outbuf.consume (conn t id).out n
 
 let should_close t id =
   let c = conn t id in
-  c.phase = Draining && pending_of c = 0
+  c.phase = Draining && Outbuf.length c.out = 0
 
 let conn_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.conns []
 

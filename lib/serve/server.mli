@@ -2,18 +2,22 @@
 
     One {!t} holds the session table, the (possibly shared — see
     {!create}'s [cache]) {!St_streamtok.Engine_cache}, per-connection
-    frame decoders and bounded output queues, and the server-wide
-    metrics. A transport (a {!Shard} worker's {!Io_loop.Core} select
-    loop, the in-memory {!Loopback} in tests and benchmarks) owns the
-    actual byte movement and drives this module
-    through a small event/query interface:
+    frame decoders and bounded out queues, and the server-wide metrics.
+    A connection's out queue is the only place its reply bytes wait to
+    be written: every reply, token batches included, is framed into it
+    as soon as it is produced.
+
+    A transport (a {!Shard} worker's {!Io_loop.Core} select loop, the
+    in-memory {!Loopback} in tests and benchmarks) owns the actual byte
+    movement and drives this module through a small event/query
+    interface:
 
     - events in: {!on_connect}, {!on_data}, {!on_eof}, {!on_closed},
       {!on_tick};
     - queries out: {!wants_read} (backpressure: [false] while a
-      connection's output queue is over budget — stop reading its socket),
-      {!out_vectors}/{!out_consume} (pending output as writev segments —
-      the one drain path: the daemon hands them to [writev], the loopback
+      connection's out queue is over budget — stop reading its socket),
+      {!out_view}/{!out_consume} (the out queue's live bytes — the one
+      drain path: the daemon hands them to {!Writev.write}, the loopback
       copies them into its client decoder), {!should_close}
       (drain-then-close handshake).
 
@@ -68,9 +72,8 @@ val on_connect : t -> conn_id
     reuse [buf] for the next read. Consecutive buffered FEED frames are
     gathered and coalesced into one tokenizer batch
     ({!Session.feed_views}) and answered with one TOKENS frame (split
-    only at [config.out_frame_bytes]). A batch still pending when
-    buffered input runs out is left {e deferred} in the session encoder
-    for {!out_vectors} to write in place. *)
+    only at [config.out_frame_bytes]), framed into the out queue before
+    this call returns. *)
 val on_data : t -> conn_id -> Bytes.t -> pos:int -> len:int -> unit
 
 (** The peer hung up (EOF, reset): the session is discarded immediately. *)
@@ -88,29 +91,22 @@ val on_tick : t -> unit
 (** Backpressure: read from this connection's socket only while [true]. *)
 val wants_read : t -> conn_id -> bool
 
-(** [out_vectors t id vecs] fills [vecs] (length ≥ 3) with the
-    connection's pending output as [(buf, pos, len)] writev segments and
-    returns the count: the out queue's live bytes, then — when a token
-    batch was deferred — the 5-byte frame header and the session
-    encoder's bytes, written straight from where they were encoded.
-    Write some prefix (with {!Writev.write}, or by copying it), then
-    {!out_consume} it. The segments are invalidated by any other call on
-    [t]. *)
-val out_vectors : t -> conn_id -> (Bytes.t * int * int) array -> int
+(** [out_view t id] is [(buf, pos, len)], the connection's out-queue
+    bytes not yet written, in order. Write some prefix (with
+    {!Writev.write}, or by copying it), then {!out_consume} it. The view
+    is invalidated by any other call on [t]. *)
+val out_view : t -> conn_id -> Bytes.t * int * int
 
-(** [out_consume t id n] consumes [n] written bytes across the segments
-    of the last {!out_vectors}, counts the vectored write ([writevs]),
-    and retires the deferred batch once the write reaches it:
-    fully-written frames never touch the out queue
-    ([batch_bytes_direct]); a short write mid-frame moves only the
-    unwritten tail into the queue so the next write resumes exactly
-    where this one stopped. *)
+(** [out_consume t id n] drops the first [n] bytes of the last
+    {!out_view} (a short write leaves the rest queued, so the next write
+    resumes exactly where this one stopped) and counts the write
+    ([writevs]). *)
 val out_consume : t -> conn_id -> int -> unit
 
-(** Total pending output bytes, deferred batch included. *)
+(** Pending output bytes: the out queue's length. *)
 val out_pending : t -> conn_id -> int
 
-(** The connection should be closed once its output queue is empty. *)
+(** The connection should be closed once its out queue is empty. *)
 val should_close : t -> conn_id -> bool
 
 val conn_ids : t -> conn_id list
@@ -150,8 +146,7 @@ val set_stats_hook : t -> (unit -> Metrics.Registry.t) -> unit
 (** An independent copy of this server's own metrics, in STATS order:
     sessions gauge + peak, open/close/reject/evict counters, bytes and
     token counters, the [feeds] / [feed_batches] / [flushes] /
-    [writevs] / [batch_bytes_direct] / [batch_bytes_copied] /
-    [decoder_copies] data-plane counters, error counters, and the
+    [writevs] / [decoder_copies] data-plane counters, error counters, and the
     per-FEED-batch latency log2 histogram in nanoseconds. Snapshots of
     servers built by {!create} share one shape, so a pool folds its
     workers' snapshots with {!Metrics.Registry.merge}. *)

@@ -1,6 +1,5 @@
-external writev_stub :
-  Unix.file_descr -> (Bytes.t * int * int) array -> int -> int
-  = "st_serve_writev"
+external write_stub : Unix.file_descr -> Bytes.t -> int -> int -> int
+  = "st_serve_write"
 [@@noalloc]
 
 external errno_const : int -> int = "st_serve_errno_const" [@@noalloc]
@@ -21,4 +20,7 @@ let classify r =
     else if e = epipe || e = econnreset then Closed
     else Error e
 
-let write fd iovs n = classify (writev_stub fd iovs n)
+let write fd buf pos len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Writev.write";
+  classify (write_stub fd buf pos len)

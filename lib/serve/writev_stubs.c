@@ -1,35 +1,23 @@
-/* writev(2) binding for the serve io loop.
+/* write(2) binding for the serve io loop.
  *
- * The OCaml side passes an array of (bytes, pos, len) triples; the stub
- * builds the iovec array on the C stack and issues one writev. Sockets
+ * The OCaml side passes one (bytes, pos, len) slice of a connection's
+ * out queue; the stub writes it straight from the OCaml heap. Sockets
  * are non-blocking, so the call never blocks and the stub can be
  * [@@noalloc]: it allocates nothing on the OCaml heap, raises nothing,
- * and keeps the runtime lock. Errors come back in-band as -errno so the
- * OCaml wrapper can classify EAGAIN/EPIPE/... without an exception
- * allocation on the hot path.
+ * and keeps the runtime lock (so the bytes cannot move under it).
+ * Errors come back in-band as -errno so the OCaml wrapper can classify
+ * EAGAIN/EPIPE/... without an exception allocation on the hot path.
  */
 
 #include <caml/mlvalues.h>
-#include <sys/uio.h>
+#include <unistd.h>
 #include <errno.h>
 
-#define ST_SERVE_MAX_IOVS 8
-
-CAMLprim value st_serve_writev(value v_fd, value v_iovs, value v_count)
+CAMLprim value st_serve_write(value v_fd, value v_buf, value v_pos,
+                              value v_len)
 {
-  struct iovec iov[ST_SERVE_MAX_IOVS];
-  long n = Long_val(v_count);
-  long i;
-  ssize_t w;
-
-  if (n < 0) n = 0;
-  if (n > ST_SERVE_MAX_IOVS) n = ST_SERVE_MAX_IOVS;
-  for (i = 0; i < n; i++) {
-    value t = Field(v_iovs, i); /* (bytes, pos, len) */
-    iov[i].iov_base = Bytes_val(Field(t, 0)) + Long_val(Field(t, 1));
-    iov[i].iov_len = (size_t)Long_val(Field(t, 2));
-  }
-  w = writev(Int_val(v_fd), iov, (int)n);
+  ssize_t w = write(Int_val(v_fd), Bytes_val(v_buf) + Long_val(v_pos),
+                    (size_t)Long_val(v_len));
   if (w < 0) return Val_long(-(long)errno);
   return Val_long((long)w);
 }

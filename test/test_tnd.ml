@@ -121,6 +121,36 @@ let test_witness_infinite_grammar () =
             && String.length v - String.length u >= k))
     [ 1; 5; 12 ]
 
+(* The pumped witness of an unbounded grammar is a neighbor pair at every
+   pump count. *)
+let pump_verifies rules { Tnd.u; x; y; z } =
+  List.for_all
+    (fun n ->
+      let v = String.concat "" ([ u; x ] @ List.init n (fun _ -> y) @ [ z ]) in
+      Tnd_brute.is_neighbor_pair rules u v)
+    [ 0; 1; 2 ]
+
+let test_pumped_witness () =
+  List.iter
+    (fun src ->
+      let rules = Parser.parse_grammar src in
+      match Tnd.pumped_witness (Dfa.of_rules rules) with
+      | None -> Alcotest.failf "no pumped witness for %S" src
+      | Some p ->
+          check
+            (Printf.sprintf "%S pumped (%S, %S, %S, %S)" src p.Tnd.u p.Tnd.x
+               p.Tnd.y p.Tnd.z)
+            true (pump_verifies rules p))
+    [
+      "a\nb\n(a|b)*c";
+      "[0-9]*0\n[ ]+";
+      "\"([^\"]|\"\")*\"";
+      "/\n/\\*([^*]|\\*+[^*/])*\\*+/";
+      "[ab]*a[ab]{12}";
+    ];
+  check "none when bounded" true
+    (Tnd.pumped_witness (Dfa.of_grammar "[0-9]+\n[ ]+") = None)
+
 (* Brute-force differential on random small grammars: if the analysis says
    Finite k, the brute enumeration (bounded depth) must never exceed k, and
    the witness extractor must produce a verified pair of distance ≥ k. *)
@@ -143,7 +173,10 @@ let prop_witness_is_sound =
     Gen.grammar_arb (fun rules ->
       let d = Dfa.of_rules rules in
       match Tnd.max_tnd d with
-      | Tnd.Infinite -> true
+      | Tnd.Infinite -> (
+          match Tnd.pumped_witness d with
+          | None -> false
+          | Some p -> pump_verifies rules p)
       | Tnd.Finite 0 -> true
       | Tnd.Finite k -> (
           match Tnd.witness d k with
@@ -158,7 +191,8 @@ let prop_witness_is_tight =
       let d = Dfa.of_rules rules in
       match Tnd.max_tnd d with
       | Tnd.Infinite -> true
-      | Tnd.Finite k -> Tnd.witness d (k + 1) = None)
+      | Tnd.Finite k ->
+          Tnd.witness d (k + 1) = None && Tnd.pumped_witness d = None)
 
 (* Dichotomy (Lemma 11): finite implies ≤ |A| + 1. *)
 let prop_dichotomy =
@@ -184,6 +218,7 @@ let suite =
     Alcotest.test_case "witness k=0" `Quick test_witness_zero;
     Alcotest.test_case "witness on unbounded" `Quick
       test_witness_infinite_grammar;
+    Alcotest.test_case "pumped witness verified" `Quick test_pumped_witness;
     QCheck_alcotest.to_alcotest prop_analysis_vs_brute;
     QCheck_alcotest.to_alcotest prop_witness_is_sound;
     QCheck_alcotest.to_alcotest prop_witness_is_tight;
