@@ -354,17 +354,21 @@ and disabled_tracer_check () =
 (* The allocation contract: the hot paths allocate per chunk or per
    document, never per token or byte. Eight seeded 64 KiB documents (json,
    then csv) go, after a warm-up pass that grows the buffers, through the
-   batch engine, the slice-API tokenizer in 1 KiB chunks and a serve
-   session in 1 KiB FEEDs with a FLUSH per document; each path must
-   allocate at most 0.1 minor-heap words per input byte. One 2-word box per
-   token would cost >= 0.46 words/byte on csv and >= 0.78 on json. A word
-   count does not depend on the host's speed, so the gate cannot flake.
-   The three paths must agree on the token count and every FLUSH must
-   report a clean stream, so a path that stopped early cannot pass. *)
+   batch engine, the slice-API tokenizer in 1 KiB chunks, a serve session
+   in 1 KiB FEEDs, and the served path end to end — 1 KiB FEED frames
+   through [Loopback], four per round, the replies read back with
+   [Wire.read_replies] — with a FLUSH per document on the last two; each
+   path must allocate at most 0.1 minor-heap words per input byte. One
+   2-word box per token would cost >= 0.46 words/byte on csv and >= 0.78
+   on json. A word count does not depend on the host's speed, so the gate
+   cannot flake. The paths must agree on the token count and every FLUSH
+   must report a clean stream, so a path that stopped early cannot
+   pass. *)
 and alloc_check () =
   Streamtok.Trace.set_enabled false;
   let module W = Serve.Wire in
   let module S = Serve.Session in
+  let module LB = Serve.Loopback in
   Bench_common.pp_header
     "Smoke: minor-heap words per input byte (8 x 64 KB documents, bound 0.1)";
   let bound = 0.1 in
@@ -416,6 +420,31 @@ and alloc_check () =
             S.batch_clear session
         | None -> ()
       in
+      (* the served path: a loopback connection read like every client *)
+      let lb = LB.create () in
+      let lbc = LB.connect lb in
+      LB.send lbc (W.Open g.Grammar.name);
+      let clean = ref false in
+      let on_token ~rule:_ ~buf:_ ~pos:_ ~len:_ = incr tokens in
+      let on_id _ = incr tokens in
+      let on_reply = function
+        | W.Pending { ok; _ } -> clean := ok
+        | W.Error { message; _ } ->
+            Printf.eprintf "smoke: loopback error reply: %s\n" message;
+            exit 1
+        | W.Opened _ | W.Metrics _ -> ()
+      in
+      let serve_round () =
+        LB.run lb;
+        match
+          W.read_replies (LB.decoder lbc) ~tokens:on_token ~ids:on_id
+            ~reply:on_reply
+        with
+        | Ok () -> ()
+        | Error msg ->
+            Printf.eprintf "smoke: loopback reply stream: %s\n" msg;
+            exit 1
+      in
       let paths =
         [
           ( "engine.run",
@@ -442,6 +471,17 @@ and alloc_check () =
                 (List.exists
                    (function W.Pending { ok; _ } -> ok | _ -> false)
                    replies) );
+          ( "loopback@1KiB",
+            fun doc ->
+              clean := false;
+              let frames = ref 0 in
+              slices doc (fun pos len ->
+                  LB.send_feed_sub lbc doc ~pos ~len;
+                  incr frames;
+                  if !frames mod 4 = 0 then serve_round ());
+              LB.send lbc W.Flush;
+              serve_round ();
+              finished "loopback" !clean );
         ]
       in
       let counts =
@@ -482,8 +522,9 @@ and alloc_check () =
    per chunk, so per-span cost has every chance to show — with the tracer
    off vs on, interleaved best of 7: token counts must match and the
    enabled tracer may cost at most 15%. (2) A traced 2 MB loopback json
-   serve run, driven like production (coalesced FEED bursts in, zero-copy
-   reply views out), folded into the span-tree report: at least 90% of its
+   serve run, driven like production (coalesced FEED bursts in, replies
+   read in place with [Wire.read_replies]), folded into the span-tree
+   report: at least 90% of its
    wall time must be attributed, and its token count must equal a direct
    run's. Returns with the tracer disabled and its
    rings reset. *)
@@ -571,8 +612,8 @@ and trace_check () =
       "smoke: enabled-tracer overhead %.1f%% exceeds the 15%% gate\n" overhead;
     exit 1
   end;
-  (* the client's walk over each reply's token records is the client
-     decode layer: a span of its own, so the report accounts for it *)
+  (* the client's read of each round's replies is the client decode
+     layer: a span of its own, so the report accounts for it *)
   let p_walk = Tr.probe ~cat:"decode" "client.walk" in
   let serve_input =
     Gen_data.json ~seed:Bench_common.seed_data ~target_bytes:2_097_152 ()
@@ -583,16 +624,17 @@ and trace_check () =
   let lb = LB.create () in
   let c = LB.connect lb in
   let served = ref 0 in
-  let on_view v =
-    if v.W.Decoder.vtag = W.tag_tokens then
-      Tr.with_span p_walk (fun () ->
-          match
-            W.iter_tokens_view v (fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> ())
-          with
-          | Ok k -> served := !served + k
-          | Error msg -> failwith ("smoke: " ^ msg))
-    else if v.W.Decoder.vtag = W.tag_error then
-      failwith "smoke: server error reply"
+  let read_replies () =
+    Tr.with_span p_walk (fun () ->
+        match
+          W.read_replies (LB.decoder c)
+            ~tokens:(fun ~rule:_ ~buf:_ ~pos:_ ~len:_ -> incr served)
+            ~ids:(fun _ -> failwith "smoke: unexpected IDS reply")
+            ~reply:(function
+              | W.Error _ -> failwith "smoke: server error reply" | _ -> ())
+        with
+        | Ok () -> ()
+        | Error msg -> failwith ("smoke: " ^ msg))
   in
   LB.send c (W.Open "json");
   let pos = ref 0 in
@@ -605,12 +647,12 @@ and trace_check () =
       pos := !pos + len
     done;
     LB.run lb;
-    LB.drain_views c on_view
+    read_replies ()
   done;
   LB.send c W.Flush;
   LB.send c W.Close;
   LB.run lb;
-  LB.drain_views c on_view;
+  read_replies ();
   Tr.set_enabled false;
   let evs = Tr.events () in
   Tr.reset ();

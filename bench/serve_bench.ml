@@ -101,21 +101,16 @@ let drive conns input =
     c.hash <- hash_token c.hash ~rule buf pos len
   in
   let drain c =
-    let continue = ref true in
-    while !continue do
-      match W.Decoder.next_view c.dec with
-      | W.Decoder.View_need_more -> continue := false
-      | W.Decoder.View_corrupt msg ->
-          failwith ("serve bench: corrupt reply stream: " ^ msg)
-      | W.Decoder.View v ->
-          if v.W.Decoder.vtag = W.tag_tokens then begin
-            match W.iter_tokens_view v (on_token c) with
-            | Ok _ -> ()
-            | Error msg -> failwith ("serve bench: " ^ msg)
-          end
-          else if v.W.Decoder.vtag = W.tag_error then
-            failwith "serve bench: server error reply"
-    done
+    match
+      W.read_replies c.dec ~tokens:(on_token c)
+        ~ids:(fun _ -> failwith "serve bench: unexpected IDS reply")
+        ~reply:(function
+          | W.Error { message; _ } ->
+              failwith ("serve bench: server error reply: " ^ message)
+          | _ -> ())
+    with
+    | Ok () -> ()
+    | Error msg -> failwith ("serve bench: bad reply stream: " ^ msg)
   in
   let finished = ref false in
   while not !finished do

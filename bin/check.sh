@@ -47,8 +47,10 @@ echo "== bench smoke (instrumented/tracer parity + overhead, stream/batch floor,
 # Hard checks live inside the bench: instrumented and disabled-tracer
 # token-stream parity with their overhead gates, the slice-API streaming
 # floor against batch, at most 0.1 minor-heap words per input byte on the
-# batch engine, the 1 KiB slice stream and a 1 KiB-FEED serve session
-# (json and csv), token-count parity with the tracer recording, the
+# batch engine, the 1 KiB slice stream, a 1 KiB-FEED serve session and
+# 1 KiB FEED frames served through the loopback transport with replies
+# read by Wire.read_replies (json and csv), token-count parity with the
+# tracer recording, the
 # enabled-tracer overhead gate on the chunked words workload, and >=90%
 # of a traced loopback serve run's wall time attributed by the span-tree
 # report, with its served token count equal to a direct engine run's.

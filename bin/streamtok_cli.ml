@@ -93,9 +93,11 @@ let stats_dest_arg =
     & opt ~vopt:(Some "-") (some string) None
     & info [ "stats" ] ~docv:"FILE"
         ~doc:
-          "Record run statistics via the instrumented runner and write them \
-           to $(docv) ('-' or no value: stderr, keeping stdout clean for \
-           tokens).")
+          "Write run statistics to $(docv) ('-' or no value: stderr, \
+           keeping stdout clean for tokens). $(b,tokenize) records them in-process \
+           with the instrumented runner and $(b,convert) from its token \
+           stream; $(b,client) writes the daemon's pool-wide STATS \
+           document.")
 
 let stats_format_arg =
   Arg.(

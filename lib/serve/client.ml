@@ -163,18 +163,18 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
             fail 1
         | Wire.Metrics { body; _ } -> write_stats_body body
       in
-      let bad_stream what msg =
-        Printf.fprintf err "error: %s: %s\n" what msg;
-        fail 2;
-        finished := true
-      in
       (* The hot print path: each record renders into the reused [pbuf]
          — padded rule prefix, escaped lexeme straight from the decoder
-         buffer — and the whole reply batch leaves in one write. *)
+         buffer — and each read's replies leave in one write. *)
       let print_token ~rule ~buf ~pos ~len =
         incr tokens;
         rule_prefix rule;
         append_escaped pbuf buf pos len;
+        Buffer.add_char pbuf '\n'
+      in
+      let print_id id =
+        incr tokens;
+        Buffer.add_string pbuf (string_of_int id);
         Buffer.add_char pbuf '\n'
       in
       let flush_pbuf () =
@@ -183,52 +183,20 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
           Buffer.clear pbuf
         end
       in
-      let drain_decoder () =
-        let continue = ref true in
-        while !continue do
-          match Wire.Decoder.next_view dec with
-          | Wire.Decoder.View_need_more -> continue := false
-          | Wire.Decoder.View_corrupt msg ->
-              bad_stream "corrupt reply stream" msg;
-              continue := false
-          | Wire.Decoder.View v ->
-              if v.Wire.Decoder.vtag = Wire.tag_tokens then begin
-                (* token batches: walk the records in place; lexeme bytes
-                   are escaped straight from the decoder buffer *)
-                (match Wire.iter_tokens_view v print_token with
-                | Ok _ -> ()
-                | Error msg ->
-                    bad_stream "bad reply frame" msg;
-                    continue := false);
-                flush_pbuf ()
-              end
-              else if v.Wire.Decoder.vtag = Wire.tag_ids then begin
-                (match
-                   Wire.iter_ids_view v (fun id ->
-                       incr tokens;
-                       Buffer.add_string pbuf (string_of_int id);
-                       Buffer.add_char pbuf '\n')
-                 with
-                | Ok _ -> ()
-                | Error msg ->
-                    bad_stream "bad reply frame" msg;
-                    continue := false);
-                flush_pbuf ()
-              end
-              else begin
-                let f =
-                  {
-                    Wire.tag = v.Wire.Decoder.vtag;
-                    payload = Wire.Decoder.view_string v;
-                  }
-                in
-                match Wire.reply_of_frame f with
-                | Ok r -> handle_reply r
-                | Error msg ->
-                    bad_stream "bad reply frame" msg;
-                    continue := false
-              end
-        done
+      let read_replies () =
+        let r =
+          Wire.read_replies dec ~tokens:print_token ~ids:print_id
+            ~reply:(fun r ->
+              flush_pbuf ();
+              handle_reply r)
+        in
+        flush_pbuf ();
+        match r with
+        | Ok () -> ()
+        | Error msg ->
+            Printf.fprintf err "error: bad reply stream: %s\n" msg;
+            fail 2;
+            finished := true
       in
       while not !finished do
         refill ();
@@ -239,11 +207,11 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
         if readable <> [] then begin
           match Unix.read fd rbuf 0 (Bytes.length rbuf) with
           | 0 ->
-              drain_decoder ();
+              read_replies ();
               finished := true
           | n ->
               Wire.Decoder.feed_bytes dec rbuf ~pos:0 ~len:n;
-              drain_decoder ()
+              read_replies ()
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->
               ()
@@ -254,17 +222,18 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
         end;
         if (not !finished) && writable <> [] then begin
           let buf, pos, len = Outbuf.view pend in
-          match Unix.write fd buf pos len with
-          | n -> Outbuf.consume pend n
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-            ->
+          match Writev.write fd buf pos len with
+          | Writev.Written n -> Outbuf.consume pend n
+          | Writev.Retry -> ()
+          | Writev.Closed ->
               if !code = 0 then begin
                 Printf.fprintf err "error: connection reset by server\n";
                 code := 2
               end;
+              finished := true
+          | Writev.Error e ->
+              Printf.fprintf err "error: write failed (errno %d)\n" e;
+              fail 2;
               finished := true
         end
       done;

@@ -6,7 +6,9 @@
     The socket is non-blocking and reads/writes are interleaved through
     [Unix.select]: the server stops reading a session whose reply queue
     is over budget, so a client that only wrote and never read could
-    deadlock against its own unread tokens. *)
+    deadlock against its own unread tokens. Requests leave through
+    {!Writev.write}, as the daemon's replies do, and replies are read
+    with {!Wire.read_replies}, as every client reads them. *)
 
 (** [append_escaped b buf pos len] appends exactly what
     [Printf "%S" (Bytes.sub_string buf pos len)] would print — quotes +

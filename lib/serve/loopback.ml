@@ -127,28 +127,19 @@ let drain_views c f =
     | Wire.Decoder.View v -> f v
   done
 
-(* Sort every decoded frame into the connection's logs; token records
-   are read only by the client's decoder, [iter_tokens_view] /
-   [iter_ids_view]. *)
+let decoder c = c.dec
+
+(* Sort every decoded frame into the connection's logs. *)
 let decode c =
-  drain_views c (fun v ->
-      let tag = v.Wire.Decoder.vtag in
-      let walked = function
-        | Ok _ -> ()
-        | Error msg -> failwith ("Loopback: bad reply frame: " ^ msg)
-      in
-      if tag = Wire.tag_tokens then
-        walked
-          (Wire.iter_tokens_view v (fun ~rule ~buf ~pos ~len ->
-               c.tokens <- (Bytes.sub_string buf pos len, rule) :: c.tokens))
-      else if tag = Wire.tag_ids then
-        walked (Wire.iter_ids_view v (fun id -> c.ids <- id :: c.ids))
-      else
-        match
-          Wire.reply_of_frame { Wire.tag; payload = Wire.Decoder.view_string v }
-        with
-        | Ok r -> c.replies <- r :: c.replies
-        | Error msg -> failwith ("Loopback: bad reply frame: " ^ msg))
+  match
+    Wire.read_replies c.dec
+      ~tokens:(fun ~rule ~buf ~pos ~len ->
+        c.tokens <- (Bytes.sub_string buf pos len, rule) :: c.tokens)
+      ~ids:(fun id -> c.ids <- id :: c.ids)
+      ~reply:(fun r -> c.replies <- r :: c.replies)
+  with
+  | Ok () -> ()
+  | Error msg -> failwith ("Loopback: bad reply stream: " ^ msg)
 
 let replies c =
   decode c;

@@ -8,9 +8,8 @@
     {!Server.out_view} and {!Server.out_consume} over the connection's
     one out queue, with the copy into the client decoder standing in for
     {!Writev.write}, so a small [chunk] is a short write that can stop
-    inside a frame header or a token batch. Token records are read back
-    as the client reads them, with {!Wire.iter_tokens_view} /
-    {!Wire.iter_ids_view}. Nothing touches the real clock or any file
+    inside a frame header or a token batch. Replies are read back as
+    every client reads them, with {!Wire.read_replies}. Nothing touches the real clock or any file
     descriptor, which is what lets the test suite drive session
     lifecycles, idle eviction (via a fake [config.clock] plus {!tick})
     and backpressure byte-for-byte reproducibly. *)
@@ -70,6 +69,10 @@ val tokens : conn -> (string * int) list
 (** Drain the token ids of the IDS frames decoded so far, in stream
     order. *)
 val ids : conn -> int list
+
+(** The client-side reply decoder, for callers that read replies
+    themselves with {!Wire.read_replies} instead of the logs above. *)
+val decoder : conn -> Wire.Decoder.t
 
 (** Drain decoded reply frames as zero-copy views (each valid only during
     its callback), bypassing the logs above — the benchmark path that

@@ -1,9 +1,15 @@
-type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
+type t = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  mutable moves : int;  (* compactions/reallocs that carried live bytes *)
+}
 
 let create ?(capacity = 4096) () =
-  { buf = Bytes.create (max 16 capacity); pos = 0; len = 0 }
+  { buf = Bytes.create (max 16 capacity); pos = 0; len = 0; moves = 0 }
 
 let length t = t.len - t.pos
+let moves t = t.moves
 
 let clear t =
   t.pos <- 0;
@@ -15,6 +21,7 @@ let ensure_room t extra =
     if live + extra <= Bytes.length t.buf / 2 then begin
       (* compact in place: the dead prefix dominates *)
       Bytes.blit t.buf t.pos t.buf 0 live;
+      if live > 0 then t.moves <- t.moves + 1;
       t.pos <- 0;
       t.len <- live
     end
@@ -25,6 +32,7 @@ let ensure_room t extra =
       done;
       let nb = Bytes.create !cap in
       Bytes.blit t.buf t.pos nb 0 live;
+      if live > 0 then t.moves <- t.moves + 1;
       t.buf <- nb;
       t.pos <- 0;
       t.len <- live
@@ -45,29 +53,30 @@ let add_substring t s pos len =
 
 let add_string t s = add_substring t s 0 (String.length s)
 
+let add_subbytes t b pos len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Outbuf.add_subbytes";
+  ensure_room t len;
+  Bytes.blit b pos t.buf t.len len;
+  t.len <- t.len + len
+
 let add_buffer t (b : Buffer.t) =
   let n = Buffer.length b in
   ensure_room t n;
   Buffer.blit b 0 t.buf t.len n;
   t.len <- t.len + n
 
-let unsafe_poke_u32 buf at v =
-  Bytes.unsafe_set buf at (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set buf (at + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set buf (at + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set buf (at + 3) (Char.unsafe_chr (v land 0xff))
-
 let add_u32 t v =
   ensure_room t 4;
-  unsafe_poke_u32 t.buf t.len v;
+  Bytes.set_int32_be t.buf t.len (Int32.of_int v);
   t.len <- t.len + 4
 
 let add_token t ~rule s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Outbuf.add_token";
   ensure_room t (8 + len);
-  unsafe_poke_u32 t.buf t.len rule;
-  unsafe_poke_u32 t.buf (t.len + 4) len;
+  Bytes.set_int32_be t.buf t.len (Int32.of_int rule);
+  Bytes.set_int32_be t.buf (t.len + 4) (Int32.of_int len);
   Bytes.unsafe_blit_string s pos t.buf (t.len + 8) len;
   t.len <- t.len + 8 + len
 
@@ -75,7 +84,7 @@ let add_token t ~rule s pos len =
    payload too, so the caller's blit needs no second check. *)
 let add_header t ~tag plen =
   ensure_room t (5 + plen);
-  unsafe_poke_u32 t.buf t.len plen;
+  Bytes.set_int32_be t.buf t.len (Int32.of_int plen);
   Bytes.unsafe_set t.buf (t.len + 4) (Char.unsafe_chr (tag land 0xff));
   t.len <- t.len + 5
 
@@ -100,6 +109,8 @@ let add_frame_subbytes t ~tag b pos len =
   t.len <- t.len + len
 
 let view t = (t.buf, t.pos, length t)
+let storage t = t.buf
+let head t = t.pos
 
 let consume t n =
   if n < 0 || n > length t then invalid_arg "Outbuf.consume";

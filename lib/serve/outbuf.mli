@@ -7,14 +7,17 @@
     prefix dominates and reallocated by doubling otherwise, so a
     long-lived queue neither accretes memory nor moves bytes per frame.
 
-    Four roles share it: per-connection out queues ({!Server}), the
+    Five roles share it: per-connection out queues ({!Server}), the
     per-session token-record encoder ({!Session}), the loopback
-    client→server queue ({!Loopback}), and the CLI client's pending-write
-    queue ({!Client}). A connection's out queue is the one place its
-    reply bytes wait: {!add_frame} / {!add_frame_substring} /
-    {!add_frame_subbytes} write a [streamtok/wire/v1] frame (u32 length +
-    tag + payload) into it in one pass, the payload blitted exactly once,
-    and the transport drains it with {!view}/{!consume}. *)
+    client→server queue ({!Loopback}), the CLI client's pending-write
+    queue ({!Client}), and the frame decoder's input queue
+    ({!Wire.Decoder}, fed with {!add_subbytes} / {!add_substring}). A
+    connection's out queue is the one place its reply bytes wait:
+    {!add_frame} / {!add_frame_substring} / {!add_frame_subbytes} write a
+    [streamtok/wire/v1] frame (u32 length + tag + payload) into it in one
+    pass, the payload blitted exactly once, and the transport drains it
+    with {!view}/{!consume}. Every integer is written with the stdlib's
+    [Bytes.set_int32_be]. *)
 
 type t
 
@@ -22,6 +25,12 @@ val create : ?capacity:int -> unit -> t
 
 (** Live bytes ([len - pos]). *)
 val length : t -> int
+
+(** Compactions and reallocations that moved live bytes. Zero while every
+    room check finds the tail free or the queue empty: for the frame
+    decoder, while no partial frame is carried across a feed that runs
+    out of room ({!Wire.Decoder.copies}). *)
+val moves : t -> int
 
 (** Drop all content (storage kept). *)
 val clear : t -> unit
@@ -31,6 +40,7 @@ val clear : t -> unit
 val add_char : t -> char -> unit
 val add_string : t -> string -> unit
 val add_substring : t -> string -> int -> int -> unit
+val add_subbytes : t -> Bytes.t -> int -> int -> unit
 val add_buffer : t -> Buffer.t -> unit
 
 (** Big-endian, as everywhere in the wire protocol. *)
@@ -53,4 +63,14 @@ val add_frame_subbytes : t -> tag:int -> Bytes.t -> int -> int -> unit
     storage may move). Write some prefix, then {!consume} it. *)
 val view : t -> Bytes.t * int * int
 
+(** The storage and the offset of the first live byte: {!view} without
+    the tuple, for readers that must not allocate. Invalidated as
+    {!view} is. *)
+val storage : t -> Bytes.t
+
+val head : t -> int
+
+(** Drop [n] bytes from the head. Emptying the queue resets its offsets
+    without moving bytes, so views taken before stay readable until the
+    next [add_]. *)
 val consume : t -> int -> unit

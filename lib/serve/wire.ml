@@ -52,26 +52,13 @@ let tag_ids = 0x86
 
 type frame = { tag : int; payload : string }
 
-let add_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
-
-let add_u64 b v =
-  add_u32 b ((v lsr 32) land 0xffffffff);
-  add_u32 b (v land 0xffffffff)
-
-let get_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
-let get_u64 s pos = (get_u32 s pos lsl 32) lor get_u32 s (pos + 4)
+(* Unsigned 32-bit big-endian read: lengths and rule ids are never
+   negative, whatever their top bit. *)
+let[@inline] u32_at b pos =
+  Int32.to_int (Bytes.get_int32_be b pos) land 0xffff_ffff
 
 let encode_frame b { tag; payload } =
-  add_u32 b (String.length payload);
+  Buffer.add_int32_be b (Int32.of_int (String.length payload));
   Buffer.add_char b (Char.chr (tag land 0xff));
   Buffer.add_string b payload
 
@@ -105,7 +92,7 @@ let reply_to_frame = function
   | Pending { ok; offset; pending } ->
       let b = Buffer.create (9 + String.length pending) in
       Buffer.add_char b (if ok then '\x01' else '\x00');
-      add_u64 b offset;
+      Buffer.add_int64_be b (Int64.of_int offset);
       Buffer.add_string b pending;
       { tag = tag_pending; payload = Buffer.contents b }
   | Error { code; retryable; message } ->
@@ -196,7 +183,7 @@ let reply_of_frame { tag; payload } =
         (Pending
            {
              ok = payload.[0] = '\x01';
-             offset = get_u64 payload 1;
+             offset = Int64.to_int (String.get_int64_be payload 1);
              pending = String.sub payload 9 (len - 9);
            })
   end
@@ -227,64 +214,19 @@ let reply_of_frame { tag; payload } =
 (* ---- incremental decoder ---- *)
 
 module Decoder = struct
-  (* A flat byte queue: bytes [pos, len) of [buf] are pending. The decoder
-     hands out *views* into [buf] — no per-frame copy. Bytes move only
-     when a partial frame straddles a feed boundary and the tail runs out
-     of room (offset compaction, or a doubling realloc); [copies] counts
-     those events, and a straddle-free run performs exactly zero. *)
-  type t = {
-    mutable buf : Bytes.t;
-    mutable pos : int;
-    mutable len : int;  (* exclusive end *)
-    mutable corrupt : string option;
-    mutable copies : int;
-  }
+  (* The pending bytes live in an [Outbuf]: the decoder hands out
+     *views* into its storage — no per-frame copy. Bytes move only when
+     a partial frame straddles a feed boundary and the tail runs out of
+     room; [Outbuf.moves] counts those events, and a straddle-free run
+     performs exactly zero. *)
+  type t = { q : Outbuf.t; mutable corrupt : string option }
 
-  let create () =
-    { buf = Bytes.create 4096; pos = 0; len = 0; corrupt = None; copies = 0 }
-
-  let buffered t = t.len - t.pos
-  let copies t = t.copies
-
-  let ensure_room t extra =
-    if t.len + extra > Bytes.length t.buf then begin
-      let live = buffered t in
-      if live + extra <= Bytes.length t.buf / 2 then begin
-        (* compact in place: a partial frame straddles this feed *)
-        Bytes.blit t.buf t.pos t.buf 0 live;
-        if live > 0 then t.copies <- t.copies + 1;
-        t.pos <- 0;
-        t.len <- live
-      end
-      else begin
-        let cap = ref (max 4096 (2 * Bytes.length t.buf)) in
-        while live + extra > !cap do
-          cap := !cap * 2
-        done;
-        let nb = Bytes.create !cap in
-        Bytes.blit t.buf t.pos nb 0 live;
-        if live > 0 then t.copies <- t.copies + 1;
-        t.buf <- nb;
-        t.pos <- 0;
-        t.len <- live
-      end
-    end
-
-  let feed t s ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > String.length s then
-      invalid_arg "Wire.Decoder.feed";
-    ensure_room t len;
-    Bytes.blit_string s pos t.buf t.len len;
-    t.len <- t.len + len
-
-  let feed_bytes t b ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length b then
-      invalid_arg "Wire.Decoder.feed_bytes";
-    ensure_room t len;
-    Bytes.blit b pos t.buf t.len len;
-    t.len <- t.len + len
-
-  let feed_string t s = feed t s ~pos:0 ~len:(String.length s)
+  let create () = { q = Outbuf.create (); corrupt = None }
+  let buffered t = Outbuf.length t.q
+  let copies t = Outbuf.moves t.q
+  let feed t s ~pos ~len = Outbuf.add_substring t.q s pos len
+  let feed_bytes t b ~pos ~len = Outbuf.add_subbytes t.q b pos len
+  let feed_string t s = Outbuf.add_string t.q s
 
   type view = { vtag : int; vbuf : Bytes.t; voff : int; vlen : int }
 
@@ -299,16 +241,11 @@ module Decoder = struct
     match t.corrupt with
     | Some msg -> View_corrupt msg
     | None ->
-        if buffered t < 5 then View_need_more
+        let live = Outbuf.length t.q in
+        if live < 5 then View_need_more
         else begin
-          let b = t.buf in
-          let p = t.pos in
-          let plen =
-            (Char.code (Bytes.get b p) lsl 24)
-            lor (Char.code (Bytes.get b (p + 1)) lsl 16)
-            lor (Char.code (Bytes.get b (p + 2)) lsl 8)
-            lor Char.code (Bytes.get b (p + 3))
-          in
+          let b = Outbuf.storage t.q and p = Outbuf.head t.q in
+          let plen = u32_at b p in
           if plen > max_payload then begin
             let msg =
               Printf.sprintf "frame payload %d exceeds limit %d" plen
@@ -317,16 +254,17 @@ module Decoder = struct
             t.corrupt <- Some msg;
             View_corrupt msg
           end
-          else if buffered t < 5 + plen then View_need_more
+          else if live < 5 + plen then View_need_more
           else begin
-            let tag = Char.code (Bytes.get b (p + 4)) in
-            t.pos <- p + 5 + plen;
-            if t.pos = t.len then begin
-              (* pointer reset only — no bytes move, views stay valid *)
-              t.pos <- 0;
-              t.len <- 0
-            end;
-            View { vtag = tag; vbuf = b; voff = p + 5; vlen = plen }
+            (* emptying the queue resets offsets only: views stay valid *)
+            Outbuf.consume t.q (5 + plen);
+            View
+              {
+                vtag = Char.code (Bytes.get b (p + 4));
+                vbuf = b;
+                voff = p + 5;
+                vlen = plen;
+              }
           end
         end
 
@@ -345,18 +283,8 @@ let iter_tokens_view (v : Decoder.view) f =
   while !ok && !pos < stop do
     if stop - !pos < 8 then ok := false
     else begin
-      let rule =
-        (Char.code (Bytes.unsafe_get b !pos) lsl 24)
-        lor (Char.code (Bytes.unsafe_get b (!pos + 1)) lsl 16)
-        lor (Char.code (Bytes.unsafe_get b (!pos + 2)) lsl 8)
-        lor Char.code (Bytes.unsafe_get b (!pos + 3))
-      in
-      let n =
-        (Char.code (Bytes.unsafe_get b (!pos + 4)) lsl 24)
-        lor (Char.code (Bytes.unsafe_get b (!pos + 5)) lsl 16)
-        lor (Char.code (Bytes.unsafe_get b (!pos + 6)) lsl 8)
-        lor Char.code (Bytes.unsafe_get b (!pos + 7))
-      in
+      let rule = u32_at b !pos in
+      let n = u32_at b (!pos + 4) in
       if stop - !pos - 8 < n then ok := false
       else begin
         f ~rule ~buf:b ~pos:(!pos + 8) ~len:n;
@@ -376,17 +304,33 @@ let iter_ids_view (v : Decoder.view) f =
     let stop = v.Decoder.voff + v.Decoder.vlen in
     let pos = ref v.Decoder.voff in
     while !pos < stop do
-      let id =
-        (Char.code (Bytes.unsafe_get b !pos) lsl 24)
-        lor (Char.code (Bytes.unsafe_get b (!pos + 1)) lsl 16)
-        lor (Char.code (Bytes.unsafe_get b (!pos + 2)) lsl 8)
-        lor Char.code (Bytes.unsafe_get b (!pos + 3))
-      in
-      f id;
+      f (u32_at b !pos);
       pos := !pos + 4
     done;
     Ok (v.Decoder.vlen / 4)
   end
+
+(* The one reply reader: every complete frame, in order. Token records
+   are walked in place; the cold replies are copied out and parsed. *)
+let rec read_replies dec ~tokens ~ids ~reply =
+  match Decoder.next_view dec with
+  | Decoder.View_need_more -> Ok ()
+  | Decoder.View_corrupt msg -> Result.Error msg
+  | Decoder.View v -> (
+      let tag = v.Decoder.vtag in
+      let walked =
+        if tag = tag_tokens then iter_tokens_view v tokens
+        else if tag = tag_ids then iter_ids_view v ids
+        else
+          match reply_of_frame { tag; payload = Decoder.view_string v } with
+          | Ok r ->
+              reply r;
+              Ok 1
+          | Result.Error msg -> Result.Error msg
+      in
+      match walked with
+      | Ok _ -> read_replies dec ~tokens ~ids ~reply
+      | Result.Error msg -> Result.Error msg)
 
 let decode_all s =
   let d = Decoder.create () in

@@ -41,9 +41,10 @@
     TOKENS and IDS records have one encoder and one decoder: the session
     writes them straight into its batch with {!Outbuf.add_token} /
     {!Outbuf.add_u32}, and every reader walks them in place with
-    {!iter_tokens_view} / {!iter_ids_view}. {!reply} carries only the
-    other replies, and {!reply_of_frame} rejects a TOKENS or IDS frame as
-    an unknown tag. *)
+    {!iter_tokens_view} / {!iter_ids_view}, through {!read_replies}.
+    {!reply} carries only the other replies, and {!reply_of_frame}
+    rejects a TOKENS or IDS frame as an unknown tag. Integers are read
+    and written with the stdlib's big-endian byte codecs. *)
 
 (** Hard cap on payload size (16 MiB): a length prefix beyond it is a
     protocol error, not an allocation. *)
@@ -94,13 +95,14 @@ val reply_of_frame : frame -> (reply, string) result
 
 (** Incremental frame reassembly, zero-copy.
 
-    The decoder is a flat byte queue; {!next_view} parses the frame header
-    in place and hands back a {!view} into the decoder's own buffer —
-    no per-frame allocation or copy. Bytes move only inside {!feed}, and
-    only when a partial frame straddles the previous feed boundary and
-    the buffer tail runs out of room (offset compaction or a doubling
-    realloc); {!copies} counts those events, so a straddle-free run — every
-    feed delivering whole frames — reports exactly zero.
+    The decoder keeps its bytes in an {!Outbuf.t}, the serve data plane's
+    one byte queue; {!next_view} parses the frame header in place and
+    hands back a {!view} into the queue's storage — no per-frame
+    allocation or copy. Bytes move only inside {!feed}, and only when a
+    partial frame straddles the previous feed boundary and the queue's
+    tail runs out of room (offset compaction or a doubling realloc);
+    {!copies} reads the queue's {!Outbuf.moves}, so a straddle-free run —
+    every feed delivering whole frames — reports exactly zero.
 
     View lifetime: a view is valid until the next [feed]/[feed_bytes] call
     on the decoder. {!next_view} itself never invalidates earlier views
@@ -155,6 +157,21 @@ val iter_tokens_view :
     the id count, or [Error _] if the payload length is not a multiple
     of 4. *)
 val iter_ids_view : Decoder.view -> (int -> unit) -> (int, string) result
+
+(** [read_replies dec ~tokens ~ids ~reply] — the one reply reader every
+    client uses: walks each complete frame buffered in [dec], in order.
+    TOKENS records go to [tokens] and IDS records to [ids], in place as
+    {!iter_tokens_view} / {!iter_ids_view} deliver them; every other
+    frame is parsed with {!reply_of_frame} and handed to [reply]. Returns
+    [Ok ()] once only a partial frame (or nothing) is left, and [Error _]
+    on a corrupt stream or a malformed frame, after every earlier frame
+    has been delivered; the stream is then unusable. *)
+val read_replies :
+  Decoder.t ->
+  tokens:(rule:int -> buf:Bytes.t -> pos:int -> len:int -> unit) ->
+  ids:(int -> unit) ->
+  reply:(reply -> unit) ->
+  (unit, string) result
 
 (** Decode every frame of a complete byte string (test helper). *)
 val decode_all : string -> (frame list, string) result

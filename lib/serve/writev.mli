@@ -1,10 +1,12 @@
-(** [write(2)] for the io loop's flush path.
+(** [write(2)] for every socket write of the serve data plane.
 
-    One syscall writes a slice of a connection's out queue (see
-    {!Server.out_view}) straight from the queue's storage. The C stub is
-    [@@noalloc]: non-blocking fds, no heap allocation, errors returned
-    in-band as [-errno]. Unlike [Unix.single_write] it neither copies
-    through a stack buffer nor caps a call at 64 KiB. *)
+    One syscall writes a slice of an {!Outbuf} straight from the queue's
+    storage: the io loop drains a connection's out queue (see
+    {!Server.out_view}), the CLI {!Client} its pending requests. The C
+    stub is [@@noalloc]: non-blocking fds, no heap allocation, errors
+    returned in-band as [-errno]. Unlike [Unix.write] and
+    [Unix.single_write] it neither copies through a stack buffer nor
+    caps a call at 64 KiB. *)
 
 type result =
   | Written of int  (** bytes written from the front of the slice *)

@@ -54,9 +54,9 @@ let probe_cat id =
      bytes 2-3    probe id (u16)
      bytes 4-11   timestamp, monotonic ns
      bytes 12-19  argument
-   Timestamps and arguments are stored as the low 8 bytes of a native
-   OCaml int: positive 62-bit values round-trip exactly, which covers
-   ~146 years of monotonic uptime. *)
+   Every field goes through the stdlib's little-endian byte codecs;
+   timestamps and arguments are native ints widened to 64 bits, so
+   every value round-trips exactly. *)
 
 let record_bytes = 20
 
@@ -124,36 +124,15 @@ let dropped () =
 
 (* ---- Emission ---- *)
 
-let[@inline] put64 buf off v =
-  Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xff));
-  Bytes.unsafe_set buf (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set buf (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set buf (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set buf (off + 4) (Char.unsafe_chr ((v lsr 32) land 0xff));
-  Bytes.unsafe_set buf (off + 5) (Char.unsafe_chr ((v lsr 40) land 0xff));
-  Bytes.unsafe_set buf (off + 6) (Char.unsafe_chr ((v lsr 48) land 0xff));
-  Bytes.unsafe_set buf (off + 7) (Char.unsafe_chr ((v lsr 56) land 0xff))
-
-let[@inline] get64 buf off =
-  Char.code (Bytes.unsafe_get buf off)
-  lor (Char.code (Bytes.unsafe_get buf (off + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get buf (off + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get buf (off + 3)) lsl 24)
-  lor (Char.code (Bytes.unsafe_get buf (off + 4)) lsl 32)
-  lor (Char.code (Bytes.unsafe_get buf (off + 5)) lsl 40)
-  lor (Char.code (Bytes.unsafe_get buf (off + 6)) lsl 48)
-  lor (Char.code (Bytes.unsafe_get buf (off + 7)) lsl 56)
-
 let emit kind id arg =
   let r = Domain.DLS.get ring_key in
   let off = r.head * record_bytes in
   let buf = r.buf in
   Bytes.unsafe_set buf off (Char.unsafe_chr kind);
   Bytes.unsafe_set buf (off + 1) '\000';
-  Bytes.unsafe_set buf (off + 2) (Char.unsafe_chr (id land 0xff));
-  Bytes.unsafe_set buf (off + 3) (Char.unsafe_chr ((id lsr 8) land 0xff));
-  put64 buf (off + 4) (Mclock.now_ns ());
-  put64 buf (off + 12) arg;
+  Bytes.set_uint16_le buf (off + 2) id;
+  Bytes.set_int64_le buf (off + 4) (Int64.of_int (Mclock.now_ns ()));
+  Bytes.set_int64_le buf (off + 12) (Int64.of_int arg);
   let head = r.head + 1 in
   r.head <- (if head = r.cap then 0 else head);
   if r.len = r.cap then r.dropped <- r.dropped + 1 else r.len <- r.len + 1
@@ -207,17 +186,14 @@ let events () =
         let slot = (r.head - r.len + i + r.cap) mod r.cap in
         let off = slot * record_bytes in
         let kind = kind_of_int (Char.code (Bytes.get r.buf off)) in
-        let id =
-          Char.code (Bytes.get r.buf (off + 2))
-          lor (Char.code (Bytes.get r.buf (off + 3)) lsl 8)
-        in
+        let id = Bytes.get_uint16_le r.buf (off + 2) in
         out :=
           {
             Ev.name = probe_name id;
             cat = probe_cat id;
             kind;
-            ts_ns = get64 r.buf (off + 4);
-            arg = get64 r.buf (off + 12);
+            ts_ns = Int64.to_int (Bytes.get_int64_le r.buf (off + 4));
+            arg = Int64.to_int (Bytes.get_int64_le r.buf (off + 12));
             tid = r.tid;
           }
           :: !out

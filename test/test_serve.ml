@@ -47,7 +47,7 @@ let gen_reply =
           (list_size (int_bound 6) gen_line);
         map3
           (fun ok offset pending -> W.Pending { ok; offset; pending })
-          bool (int_bound 1_000_000) gen_bytes;
+          bool (int_bound (1 lsl 40)) gen_bytes;
         map3
           (fun code retryable message -> W.Error { code; retryable; message })
           (oneofl [ W.Protocol; W.Bad_grammar; W.Capacity; W.Lexical; W.Shutting_down ])
@@ -128,27 +128,130 @@ let prop_token_records =
       in
       tokens_ok && ids_ok && truncated_ok && ragged_ok)
 
+(* Everything a reply stream carries, one item per TOKENS or IDS record
+   or other reply, as [read_replies] reports it. *)
+type read = Tok of string * int | Id of int | Rep of W.reply
+
+let reader () =
+  let got = ref [] in
+  let read d =
+    W.read_replies d
+      ~tokens:(fun ~rule ~buf ~pos ~len ->
+        got := Tok (Bytes.sub_string buf pos len, rule) :: !got)
+      ~ids:(fun id -> got := Id id :: !got)
+      ~reply:(fun r -> got := Rep r :: !got)
+  in
+  (read, fun () -> List.rev !got)
+
+(* One reply frame — TOKENS and IDS batches built by the session's
+   encoder, any other reply by [encode_reply] — and the items it reads
+   back as. *)
+let gen_reply_frame =
+  let batch tag add recs =
+    let body = Serve.Outbuf.create () and ob = Serve.Outbuf.create () in
+    List.iter (add body) recs;
+    Serve.Outbuf.add_frame ob ~tag body;
+    let buf, pos, len = Serve.Outbuf.view ob in
+    Bytes.sub_string buf pos len
+  in
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun r ->
+            let b = Buffer.create 64 in
+            W.encode_reply b r;
+            (Buffer.contents b, [ Rep r ]))
+          gen_reply;
+        map
+          (fun toks ->
+            ( batch W.tag_tokens
+                (fun ob (lex, rule) ->
+                  Serve.Outbuf.add_token ob ~rule lex 0 (String.length lex))
+                toks,
+              List.map (fun (lex, rule) -> Tok (lex, rule)) toks ))
+          (list_size (int_bound 6) (pair gen_bytes (int_bound 0xffff_ffff)));
+        map
+          (fun ids ->
+            ( batch W.tag_ids Serve.Outbuf.add_u32 ids,
+              List.map (fun id -> Id id) ids ))
+          (list_size (int_bound 8) (int_bound 0xffff_ffff));
+      ])
+
+(* [read_replies] returns a framed reply sequence — cut at random points
+   and fed piecewise — item for item. A stream cut inside a frame reads
+   as the frames before the cut, with [Ok]; a length prefix past
+   [max_payload] is an [Error] after every earlier frame is delivered. *)
+let prop_read_replies =
+  QCheck.Test.make ~count:300 ~name:"wire: read_replies round-trip"
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (int_range 1 8) gen_reply_frame)
+            (list_size (int_bound 6) (int_bound 10_000))
+            (pair (int_bound 10_000) (int_bound 10_000))))
+    (fun (frames, cuts, (stop, bad)) ->
+      let stream = String.concat "" (List.map fst frames) in
+      let n = String.length stream in
+      let expect k =
+        List.concat_map snd (List.filteri (fun i _ -> i < k) frames)
+      in
+      let whole = expect (List.length frames) in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts)
+      in
+      let d = W.Decoder.create () in
+      let read, got = reader () in
+      let piecewise_ok =
+        List.fold_left
+          (fun (ok, from) upto ->
+            W.Decoder.feed d stream ~pos:from ~len:(upto - from);
+            (read d = Ok () && ok, upto))
+          (true, 0) (cuts @ [ n ])
+        = (true, n)
+        && got () = whole
+      in
+      (* a prefix: the whole frames before the cut *)
+      let stop = stop mod (n + 1) in
+      let ends =
+        List.rev
+          (List.fold_left
+             (fun acc (f, _) ->
+               let e = match acc with e :: _ -> e | [] -> 0 in
+               (e + String.length f) :: acc)
+             [] frames)
+      in
+      let complete = List.length (List.filter (fun e -> e <= stop) ends) in
+      let d = W.Decoder.create () in
+      let read, got = reader () in
+      W.Decoder.feed d stream ~pos:0 ~len:stop;
+      let prefix_ok = read d = Ok () && got () = expect complete in
+      (* a corrupt length prefix on frame [bad] *)
+      let bad = bad mod List.length frames in
+      let at = if bad = 0 then 0 else List.nth ends (bad - 1) in
+      let corrupt = Bytes.of_string stream in
+      Bytes.set_int32_be corrupt at (-1l);
+      let d = W.Decoder.create () in
+      let read, got = reader () in
+      W.Decoder.feed_bytes d corrupt ~pos:0 ~len:n;
+      let corrupt_ok = Result.is_error (read d) && got () = expect bad in
+      piecewise_ok && prefix_ok && corrupt_ok)
+
 (* The TOKENS records of a reply byte stream, read as the client reads
    them. *)
 let tokens_of_stream s =
   let d = W.Decoder.create () in
   W.Decoder.feed_string d s;
   let toks = ref [] in
-  let rec go () =
-    match W.Decoder.next_view d with
-    | W.Decoder.View v ->
-        (if v.W.Decoder.vtag = W.tag_tokens then
-           match
-             W.iter_tokens_view v (fun ~rule ~buf ~pos ~len ->
-                 toks := (Bytes.sub_string buf pos len, rule) :: !toks)
-           with
-           | Ok _ -> ()
-           | Error msg -> Alcotest.fail msg);
-        go ()
-    | W.Decoder.View_need_more -> ()
-    | W.Decoder.View_corrupt msg -> Alcotest.fail ("corrupt reply stream: " ^ msg)
-  in
-  go ();
+  (match
+     W.read_replies d
+       ~tokens:(fun ~rule ~buf ~pos ~len ->
+         toks := (Bytes.sub_string buf pos len, rule) :: !toks)
+       ~ids:ignore ~reply:ignore
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
   List.rev !toks
 
 (* Drive the view API under one chunking and collect (tag, payload copy)
@@ -877,6 +980,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_reply_roundtrip;
     QCheck_alcotest.to_alcotest prop_token_records;
+    QCheck_alcotest.to_alcotest prop_read_replies;
     QCheck_alcotest.to_alcotest prop_chunked_decode;
     Alcotest.test_case "lifecycle ≡ batch engine" `Quick test_lifecycle_parity;
     Alcotest.test_case "engine cache sharing" `Quick test_engine_cache_sharing;
