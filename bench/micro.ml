@@ -139,6 +139,49 @@ let run () =
         rows)
     results
 
+(* Interleaved paired timing for the overhead gates. Each of [rounds]
+   rounds times [a], then [b], then [a] again (each returns its elapsed
+   seconds). [b]'s overhead in a round is its time over the mean of the
+   two [a] times around it, which cancels drift that is linear across the
+   round. The gate reads the median of those per-round overheads: one
+   slow round (a noisy neighbour, a major slice) moves it by at most one
+   rank, where a best-of minimum swings with a single lucky round on
+   either side. The two [a] times of a round are an A/A pair; the
+   quartiles of their per-round difference are the noise floor printed
+   beside the gated figure. *)
+type paired = {
+  overhead : float;  (** median per-round overhead of [b] over [a], % *)
+  aa_lo : float;  (** A/A difference, first quartile, % *)
+  aa_hi : float;  (** A/A difference, third quartile, % *)
+  t_a : float;  (** median [a] time, s *)
+  t_b : float;  (** median [b] time, s *)
+}
+
+let paired_overhead ~rounds a b =
+  let ov = Array.make rounds 0. and aa = Array.make rounds 0. in
+  let ta = Array.make rounds 0. and tb = Array.make rounds 0. in
+  for i = 0 to rounds - 1 do
+    let a1 = a () in
+    let b1 = b () in
+    let a2 = a () in
+    ov.(i) <- ((b1 /. ((a1 +. a2) /. 2.)) -. 1.) *. 100.;
+    aa.(i) <- ((a2 /. a1) -. 1.) *. 100.;
+    ta.(i) <- (a1 +. a2) /. 2.;
+    tb.(i) <- b1
+  done;
+  let q x p =
+    let x = Array.copy x in
+    Array.sort Float.compare x;
+    x.(p * (rounds - 1) / 4)
+  in
+  {
+    overhead = q ov 2;
+    aa_lo = q aa 1;
+    aa_hi = q aa 3;
+    t_a = q ta 2;
+    t_b = q tb 2;
+  }
+
 (* `main.exe smoke` — the bin/check.sh guardrail, ~3 s total. Verifies that
    the instrumented runner variant (a) produces a byte-identical token
    stream and outcome, (b) reports bytes_in = input length, and (c) stays
@@ -185,33 +228,31 @@ let rec smoke () =
       exit 1
     end;
     (* Interleave plain/instrumented rounds so clock-frequency drift and
-       noisy neighbors hit both sides equally; best-of over the rounds. *)
+       noisy neighbors hit both sides equally; median of paired ratios. *)
     let st = Streamtok.Run_stats.create () in
-    let t_plain = ref infinity and t_inst = ref infinity in
-    for _ = 1 to 15 do
-      let _, dt =
-        Bench_common.time_once (fun () ->
-            ignore
-              (Engine.run_string engine input ~emit:Bench_common.emit_spans))
-      in
-      if dt < !t_plain then t_plain := dt;
-      let _, dt =
-        Bench_common.time_once (fun () ->
-            ignore
-              (Engine.run_string_instrumented engine input ~stats:st
-                 ~emit:Bench_common.emit_spans))
-      in
-      if dt < !t_inst then t_inst := dt
-    done;
-    let t_plain = !t_plain and t_inst = !t_inst in
-    let overhead = (t_inst -. t_plain) /. t_plain *. 100.0 in
+    let p =
+      paired_overhead ~rounds:15
+        (fun () ->
+          snd
+            (Bench_common.time_once (fun () ->
+                 ignore
+                   (Engine.run_string engine input
+                      ~emit:Bench_common.emit_spans))))
+        (fun () ->
+          snd
+            (Bench_common.time_once (fun () ->
+                 ignore
+                   (Engine.run_string_instrumented engine input ~stats:st
+                      ~emit:Bench_common.emit_spans))))
+    in
+    let overhead = p.overhead in
     Printf.printf
       "  %-10s plain %7.1f MB/s  instrumented %7.1f MB/s  overhead %+5.2f%%  \
-       (target <=2%%)\n"
+       (A/A %+.2f..%+.2f%%, target <=2%%)\n"
       g.Grammar.name
-      (Bench_common.throughput (String.length input) t_plain)
-      (Bench_common.throughput (String.length input) t_inst)
-      overhead;
+      (Bench_common.throughput (String.length input) p.t_a)
+      (Bench_common.throughput (String.length input) p.t_b)
+      overhead p.aa_lo p.aa_hi;
     Bench_common.record_result ~experiment:"smoke"
       ~name:"instrumented_overhead_pct"
       ~labels:[ ("grammar", g.Grammar.name) ]
@@ -259,12 +300,12 @@ and stream_check () =
 (* The probe contract: with tracing disabled, a spanned entry point costs
    one bool load and one closure per call over the plain path. Verified
    the same way as the instrumented runner above — token parity, then
-   interleaved best-of rounds — at two call sites: one span per run
-   ([Engine.run_string_traced] against [Engine.run_string]) and one span
-   per 1 KiB chunk, the finest-grained spanned call ([Stream_tokenizer.feed]
-   against feeding [Engine.Kernel] directly). Target <=2%; the hard gate
-   is 10% (the expected value is ~0%, so only a broken fast path can reach
-   the gate). *)
+   the median of interleaved paired ratios — at two call sites: one span
+   per run ([Engine.run_string_traced] against [Engine.run_string]) and one
+   span per 1 KiB chunk, the finest-grained spanned call
+   ([Stream_tokenizer.feed] against feeding [Engine.Kernel] directly).
+   Target <=2%; the hard gate is 10% (the expected value is ~0%, so only a
+   broken fast path can reach the gate). *)
 and disabled_tracer_check () =
   Streamtok.Trace.set_enabled false;
   let g = Formats.json in
@@ -296,21 +337,18 @@ and disabled_tracer_check () =
     end;
     let live = ref 0 in
     let sink len rule = live := !live lxor (len + rule) in
-    let t_plain = ref infinity and t_traced = ref infinity in
-    for _ = 1 to 15 do
-      let _, dt = Bench_common.time_once (fun () -> ignore (plain sink)) in
-      if dt < !t_plain then t_plain := dt;
-      let _, dt = Bench_common.time_once (fun () -> ignore (traced sink)) in
-      if dt < !t_traced then t_traced := dt
-    done;
-    let overhead = (!t_traced -. !t_plain) /. !t_plain *. 100.0 in
+    let time run () =
+      snd (Bench_common.time_once (fun () -> ignore (run sink)))
+    in
+    let p = paired_overhead ~rounds:15 (time plain) (time traced) in
+    let overhead = p.overhead in
     Printf.printf
       "  %-10s %-16s plain %7.1f MB/s  traced-off %7.1f MB/s  overhead \
-       %+5.2f%%  (target <=2%%)\n"
+       %+5.2f%%  (A/A %+.2f..%+.2f%%, target <=2%%)\n"
       g.Grammar.name call
-      (Bench_common.throughput n !t_plain)
-      (Bench_common.throughput n !t_traced)
-      overhead;
+      (Bench_common.throughput n p.t_a)
+      (Bench_common.throughput n p.t_b)
+      overhead p.aa_lo p.aa_hi;
     Bench_common.record_result ~experiment:"smoke"
       ~name:"disabled_tracer_overhead_pct"
       ~labels:(("grammar", g.Grammar.name) :: labels)
@@ -520,14 +558,13 @@ and alloc_check () =
 (* The tracer recording. (1) A 4 MB words document fed through
    Stream_tokenizer in 1 KiB chunks — one st.feed + engine.run span pair
    per chunk, so per-span cost has every chance to show — with the tracer
-   off vs on, interleaved best of 7: token counts must match and the
-   enabled tracer may cost at most 15%. (2) A traced 2 MB loopback json
-   serve run, driven like production (coalesced FEED bursts in, replies
-   read in place with [Wire.read_replies]), folded into the span-tree
-   report: at least 90% of its
-   wall time must be attributed, and its token count must equal a direct
-   run's. Returns with the tracer disabled and its
-   rings reset. *)
+   off vs on, median of 7 interleaved paired ratios: token counts must
+   match and the enabled tracer may cost at most 15%. (2) A traced 2 MB
+   loopback json serve run, driven like production (coalesced FEED bursts
+   in, replies read in place with [Wire.read_replies]), folded into the
+   span-tree report: at least 90% of its wall time must be attributed, and
+   its token count must equal a direct run's. Returns with the tracer
+   disabled and its rings reset. *)
 and trace_check () =
   let module Tr = Streamtok.Trace in
   let module W = Serve.Wire in
@@ -574,32 +611,39 @@ and trace_check () =
   in
   (* interleaved so drift hits both sides; the ring is reset per traced
      round so the drop counter stays meaningful *)
-  let t_off = ref infinity and t_on = ref infinity and tokens = ref 0 in
-  for _ = 1 to 7 do
-    Tr.set_enabled false;
-    let dt, off = feed_all () in
-    t_off := Float.min !t_off dt;
-    Tr.reset ();
-    Tr.set_enabled true;
-    let dt, on = feed_all () in
-    Tr.set_enabled false;
-    t_on := Float.min !t_on dt;
-    if off <> on then begin
-      Printf.eprintf "smoke: token counts differ (tracer off %d, on %d)\n" off
-        on;
+  let tokens = ref (-1) in
+  let counted on =
+    let dt, count = feed_all () in
+    if !tokens >= 0 && count <> !tokens then begin
+      Printf.eprintf "smoke: token counts differ (tracer %s: %d, before: %d)\n"
+        (if on then "on" else "off")
+        count !tokens;
       exit 1
     end;
-    tokens := off
-  done;
-  let overhead = (!t_on /. !t_off -. 1.) *. 100. in
+    tokens := count;
+    dt
+  in
+  let p =
+    paired_overhead ~rounds:7
+      (fun () ->
+        Tr.set_enabled false;
+        counted false)
+      (fun () ->
+        Tr.reset ();
+        Tr.set_enabled true;
+        let dt = counted true in
+        Tr.set_enabled false;
+        dt)
+  in
+  let overhead = p.overhead in
   Printf.printf
     "  words      off %7.1f MB/s  on %7.1f MB/s  (%d tokens, %d events)  \
-     enabled overhead %+5.2f%%  (gate 15%%)\n"
-    (Bench_common.throughput n !t_off)
-    (Bench_common.throughput n !t_on)
+     enabled overhead %+5.2f%%  (A/A %+.2f..%+.2f%%, gate 15%%)\n"
+    (Bench_common.throughput n p.t_a)
+    (Bench_common.throughput n p.t_b)
     !tokens
     (List.length (Tr.events ()))
-    overhead;
+    overhead p.aa_lo p.aa_hi;
   let record name workload v =
     Bench_common.record_result ~experiment:"smoke" ~name
       ~labels:[ ("workload", workload) ]

@@ -134,7 +134,7 @@ for f in "$tmpd"/*.repro; do
 done
 rm -rf "$tmpd"
 
-echo "== serve smoke (daemon parity, zero-copy decode, slow reader, engine cache, client abort, over-cap OPEN, SIGTERM drain)"
+echo "== serve smoke (daemon parity, zero-copy decode, slow reader, engine cache, client abort, over-cap OPEN, unbounded-max-TND OPEN, SIGTERM drain)"
 # Use the installed binary directly: the daemon and clients run
 # concurrently, and parallel `dune exec` invocations would fight over the
 # build lock.
@@ -252,6 +252,31 @@ fi
 "$BIN" client --socket "$sock" json "$tmpd/in.json" > "$tmpd/out.cap"
 if ! cmp -s "$tmpd/ref.out" "$tmpd/out.cap"; then
   fail "serve smoke FAILED: client after an over-cap OPEN differs from tokenize"
+fi
+
+# unbounded grammar just under the cap: [xy]*x[xy]{14} has a 32769-state
+# DFA, and the max-TND search proves it unbounded in one linear pass, so
+# the OPEN is a bad-grammar refusal within 10 s (the Fig. 3 loop took
+# about 23 s, holding the pool-wide engine cache the whole time), the
+# daemon stays up, and the next client is still byte-identical to tokenize
+status=0
+timeout 10 "$BIN" client --socket "$sock" '@[xy]*x[xy]{14}' \
+  "$tmpd/small.json" > /dev/null 2> "$tmpd/tnd.err" || status=$?
+if [ "$status" -eq 0 ]; then
+  fail "serve smoke FAILED: unbounded-max-TND grammar OPEN was accepted"
+fi
+if [ "$status" -eq 124 ]; then
+  fail "serve smoke FAILED: unbounded-max-TND OPEN took over 10 s"
+fi
+if ! grep -q "has unbounded max-TND" "$tmpd/tnd.err"; then
+  fail "serve smoke FAILED: OPEN was not refused for unbounded max-TND" "$tmpd/tnd.err"
+fi
+if ! kill -0 "$srv" 2> /dev/null; then
+  fail "serve smoke FAILED: daemon died after an unbounded-max-TND OPEN"
+fi
+"$BIN" client --socket "$sock" json "$tmpd/in.json" > "$tmpd/out.tnd"
+if ! cmp -s "$tmpd/ref.out" "$tmpd/out.tnd"; then
+  fail "serve smoke FAILED: client after an unbounded-max-TND OPEN differs from tokenize"
 fi
 
 # SIGTERM: drain and exit 0, unlinking the socket

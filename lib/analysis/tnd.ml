@@ -10,6 +10,106 @@ let pp_result fmt = function
 let result_to_string r = Format.asprintf "%a" pp_result r
 let equal_result (a : result) b = a = b
 
+(* ---- the linear analysis ----
+
+   Round d of Fig. 3 fails its test iff some path of d + 1 steps from a
+   token state (a final state reached by a nonempty string), through
+   non-final states, ends in a co-accessible state. Every
+   predecessor of a co-accessible state is co-accessible, so all but the
+   path's first state are co-accessible, and all but its first and last are
+   non-final too: they are the "inner" states. So the max-TND is the
+   longest such path, and it is infinite iff a cycle of inner states can be
+   reached from a token state. One depth-first search over the inner
+   states reachable from the token states finds both, each state expanded
+   once with its longest path memoized: O(|A|·classes), against Fig. 3's
+   O(|A|²·classes) before it can answer ∞. A finite answer is at most
+   |A|, the paper's dichotomy bound. The search keeps its own stack, so
+   its depth is not bounded by the caller's. *)
+
+type search =
+  | Longest of int
+  | Cycle of { root : int; x : int list; entry : int; y : int list }
+      (** a back edge: from token state [root], the classes [x] reach
+          inner state [entry], and the classes [y] lead around a cycle of
+          inner states back to it *)
+
+let search d coacc =
+  let n = Dfa.size d and nc = Dfa.num_classes d in
+  let reached = Dfa.reachable_nonempty d in
+  (* [height.(q)] of an inner state: -1 unvisited, -2 on the stack, else the
+     longest path from [q] to a co-accessible state through inner states *)
+  let height = Array.make n (-1) in
+  (* the stack: its states, the next class to try at each, and the longest
+     path found from each so far *)
+  let stk = Array.make (n + 1) 0 in
+  let next = Array.make (n + 1) 0 in
+  let best = Array.make (n + 1) 0 in
+  let sp = ref (-1) in
+  let push q =
+    incr sp;
+    stk.(!sp) <- q;
+    next.(!sp) <- 0;
+    best.(!sp) <- 0
+  in
+  let longest = ref 0 and back = ref (-1) in
+  let root = ref 0 in
+  while !back < 0 && !root < n do
+    let r = !root in
+    incr root;
+    if Dfa.is_final d r && Bits.mem reached r then push r;
+    while !back < 0 && !sp >= 0 do
+      let top = !sp in
+      let q = stk.(top) in
+      let c = next.(top) in
+      if c < nc then begin
+        next.(top) <- c + 1;
+        let q' = Dfa.step_class d q c in
+        if Bits.mem coacc q' then
+          if Dfa.is_final d q' then best.(top) <- max best.(top) 1
+          else
+            match height.(q') with
+            | -1 ->
+                height.(q') <- -2;
+                push q'
+            | -2 -> back := q'
+            | h -> best.(top) <- max best.(top) (h + 1)
+      end
+      else begin
+        decr sp;
+        if top = 0 then longest := max !longest best.(0)
+        else begin
+          height.(q) <- best.(top);
+          best.(top - 1) <- max best.(top - 1) (best.(top) + 1)
+        end
+      end
+    done
+  done;
+  if !back < 0 then Longest !longest
+  else
+    (* the class taken out of stack slot [i] is [next.(i) - 1]; the back
+       edge leaves the top slot for [entry], which sits at slot [e] *)
+    let entry = !back in
+    let e = ref 1 in
+    while stk.(!e) <> entry do
+      incr e
+    done;
+    let classes lo hi = List.init (hi - lo) (fun i -> next.(lo + i) - 1) in
+    Cycle
+      {
+        root = stk.(0);
+        x = classes 0 !e;
+        entry;
+        y = classes !e (!sp + 1);
+      }
+
+let max_tnd ?coacc d =
+  let coacc =
+    match coacc with Some c -> c | None -> Dfa.co_accessible d
+  in
+  match search d coacc with Longest k -> Finite k | Cycle _ -> Infinite
+
+(* ---- the Fig. 3 loop, kept for its trace ---- *)
+
 (* The frontier set S of Fig. 3: final states reachable by a nonempty
    string. *)
 let initial_frontier d =
@@ -33,7 +133,7 @@ let successors d s =
 
 type trace_row = { dist : int; s : int list; t : int list; test : bool }
 
-let run_analysis ~record d =
+let max_tnd_trace d =
   let coacc = Dfa.co_accessible d in
   let trace = ref [] in
   let s = ref (initial_frontier d) in
@@ -42,10 +142,9 @@ let run_analysis ~record d =
   while !result = None && !dist < Dfa.size d + 2 do
     let t = successors d !s in
     let test = Bits.inter_empty t coacc in
-    if record then
-      trace :=
-        { dist = !dist; s = Bits.elements !s; t = Bits.elements t; test }
-        :: !trace;
+    trace :=
+      { dist = !dist; s = Bits.elements !s; t = Bits.elements t; test }
+      :: !trace;
     if test then result := Some (Finite !dist)
     else begin
       let s' = Bits.create d.Dfa.num_states in
@@ -56,9 +155,6 @@ let run_analysis ~record d =
   done;
   let result = match !result with Some r -> r | None -> Infinite in
   (result, List.rev !trace)
-
-let max_tnd d = fst (run_analysis ~record:false d)
-let max_tnd_trace d = run_analysis ~record:true d
 
 (* ---- witnesses ----
 
@@ -204,51 +300,17 @@ let witness d k =
 
 type pump = { u : string; x : string; y : string; z : string }
 
-(* A cycle through [inside] states reachable from [roots], by
-   depth-first search: a transition back to a state on the current path
-   closes it. Returns that state and the cycle's string. *)
-let find_cycle d reps ~inside roots =
-  let mark = Array.make (Dfa.size d) 0 (* 1: on the path, 2: done *) in
-  let from = Array.make (Dfa.size d) (-2) in
-  let exception Cycle of int * string in
-  let rec visit q =
-    mark.(q) <- 1;
-    Array.iter
-      (fun b ->
-        let q' = Dfa.step_class d q (Dfa.class_of_byte d b) in
-        if inside q' && mark.(q') = 1 then begin
-          (* the path from [q'] down to [q], then [b] back to [q'] *)
-          from.(q') <- -2;
-          raise (Cycle (q', snd (path_to from q) ^ String.make 1 (Char.chr b)))
-        end
-        else if inside q' && mark.(q') = 0 then begin
-          from.(q') <- ((q + 1) * 256) + b;
-          visit q'
-        end)
-      reps;
-    mark.(q) <- 2
-  in
-  match List.iter (fun r -> if mark.(r) = 0 then visit r) roots with
-  | () -> None
-  | exception Cycle (c, y) -> Some (c, y)
-
 let pumped_witness d =
-  let reps = reps d in
-  let to_state = shortest_nonempty_to d reps in
-  let coacc = Dfa.co_accessible d in
-  (* the states a neighbor's extension may pass through: non-final, and
-     still able to end in a token *)
-  let between q = (not (Dfa.is_final d q)) && Bits.mem coacc q in
-  let seeds = List.map (fun q -> (q, -2)) (token_states d to_state) in
-  let parent, _ = bfs d reps ~seeds ~enter:between ~stop:(fun _ -> false) in
-  let reached =
-    List.filter (fun q -> parent.(q) >= 0) (List.init (Dfa.size d) Fun.id)
-  in
-  match find_cycle d reps ~inside:(fun q -> parent.(q) >= 0) reached with
-  | None -> None
-  | Some (c, y) -> (
-      match shortest_to_final d reps c with
+  match search d (Dfa.co_accessible d) with
+  | Longest _ -> None
+  | Cycle { root; x; entry; y } -> (
+      let reps = reps d in
+      let bytes cls =
+        String.of_seq (List.to_seq (List.map (fun c -> Char.chr reps.(c)) cls))
+      in
+      (* [entry] is co-accessible, so a final state is reachable *)
+      match shortest_to_final d reps entry with
       | None -> None
       | Some z ->
-          let p, x = path_to parent c in
-          Some { u = word to_state p; x; y; z })
+          let u = word (shortest_nonempty_to d reps) root in
+          Some { u; x = bytes x; y = bytes y; z })

@@ -63,32 +63,31 @@ let attach (level : Accel.level) d =
    respects: two bytes land in the same class iff every labeled edge either
    contains both or neither, so they are indistinguishable to the subset
    construction (and hence to the DFA). Classic flex [yy_ec] refinement:
-   start from one block and split by membership, one charset at a time.
-   Classes are numbered by first byte occurrence, so the result is
-   deterministic for a given NFA. *)
+   start from one block and split by membership, one distinct charset at a
+   time. Every split renumbers the classes by first byte occurrence, so the
+   numbering depends only on the partition: the result is deterministic for
+   a given NFA, whatever the order of its charsets. *)
 let equiv_classes (nfa : Nfa.t) =
   let cls = Array.make 256 0 in
   let num = ref 1 in
+  (* [fresh.((2 * old) + member)]: the new id of that half of class [old] *)
+  let fresh = Array.make 512 (-1) in
   let split cs =
-    (* map (old class, membership) -> new class id *)
-    let seen = Hashtbl.create 16 in
+    Array.fill fresh 0 (2 * !num) (-1);
     let next = ref 0 in
-    let nc = Array.make 256 0 in
     for b = 0 to 255 do
-      let key = (cls.(b), Charset.mem cs (Char.chr b)) in
-      match Hashtbl.find_opt seen key with
-      | Some id -> nc.(b) <- id
-      | None ->
-          Hashtbl.add seen key !next;
-          nc.(b) <- !next;
-          incr next
+      let key = (2 * cls.(b)) + Bool.to_int (Charset.mem cs (Char.chr b)) in
+      if fresh.(key) < 0 then begin
+        fresh.(key) <- !next;
+        incr next
+      end;
+      cls.(b) <- fresh.(key)
     done;
-    if !next <> !num then begin
-      num := !next;
-      Array.blit nc 0 cls 0 256
-    end
+    num := !next
   in
-  Array.iter (fun edges -> List.iter (fun (cs, _) -> split cs) edges) nfa.Nfa.trans;
+  Array.fold_left (fun acc l -> List.rev_map fst l @ acc) [] nfa.Nfa.trans
+  |> List.sort_uniq Charset.compare
+  |> List.iter split;
   (String.init 256 (fun b -> Char.chr cls.(b)), !num)
 
 (* One representative byte per class, in class order. *)
@@ -111,54 +110,89 @@ module Set_tbl = Hashtbl.Make (struct
   let hash = Bits.hash
 end)
 
+(* Subset construction by scatter: each labeled NFA edge is resolved once
+   to the class ids its charset covers, so a DFA state costs one walk over
+   its NFA set, dropping each edge's target into the bucket of every class
+   it covers. Only the classes that got a target are closed and interned;
+   every other class goes to the dead (empty) set, interned at its first
+   use. Rows are filled in ascending class order and states are numbered
+   in discovery order, as a step per class would number them. *)
 let subset ~classes ?max_states (nfa : Nfa.t) =
   let classmap, nc =
     if classes then equiv_classes nfa else (identity_classmap, 256)
   in
   let reps = class_reps classmap nc in
+  let covered cs =
+    Array.of_list
+      (List.filter
+         (fun c -> Charset.mem cs (Char.chr reps.(c)))
+         (List.init nc Fun.id))
+  in
+  let edges =
+    Array.map (List.map (fun (cs, q) -> (q, covered cs))) nfa.Nfa.trans
+  in
+  let tbl = Set_tbl.create 64 in
+  let accept = St_util.Int_vec.create () in
+  let trans = St_util.Int_vec.create () in
+  let worklist = Queue.create () in
+  let add set =
+    let id = Set_tbl.length tbl in
+    (match max_states with
+    | Some cap when id >= cap ->
+        failwith
+          (Printf.sprintf
+             "Dfa.of_nfa: subset construction exceeded %d states (max_states \
+              cap)"
+             cap)
+    | _ -> ());
+    Set_tbl.add tbl set id;
+    St_util.Int_vec.push accept (Nfa.accept_of_set nfa set);
+    Queue.add set worklist;
+    id
+  in
   let init = Bits.create nfa.num_states in
   Bits.add init nfa.start;
   Nfa.eps_closure nfa init;
-  let tbl = Set_tbl.create 64 in
-  let accept = St_util.Int_vec.create () in
-  let trans_rows = ref [] (* reversed list of int arrays *) in
-  let count = ref 0 in
-  let worklist = Queue.create () in
-  let intern set =
-    match Set_tbl.find_opt tbl set with
-    | Some id -> id
-    | None ->
-        (match max_states with
-        | Some cap when !count >= cap ->
-            failwith
-              (Printf.sprintf
-                 "Dfa.of_nfa: subset construction exceeded %d states \
-                  (max_states cap)"
-                 cap)
-        | _ -> ());
-        let id = !count in
-        incr count;
-        Set_tbl.add tbl set id;
-        St_util.Int_vec.push accept (Nfa.accept_of_set nfa set);
-        Queue.add (set, id) worklist;
-        id
-  in
-  let start_id = intern init in
-  let scratch = Bits.create nfa.num_states in
+  let start_id = add init in
+  let dead = ref (-1) in
+  let buckets = Array.init nc (fun _ -> Bits.create nfa.num_states) in
+  let touched = Array.make nc false in
   while not (Queue.is_empty worklist) do
-    let set, _id = Queue.pop worklist in
-    let row = Array.make nc 0 in
+    Bits.iter
+      (fun s ->
+        List.iter
+          (fun (q, cls) ->
+            Array.iter
+              (fun c ->
+                touched.(c) <- true;
+                Bits.add buckets.(c) q)
+              cls)
+          edges.(s))
+      (Queue.pop worklist);
     for c = 0 to nc - 1 do
-      Nfa.step nfa set (Char.chr reps.(c)) scratch;
-      row.(c) <- intern (Bits.copy scratch)
-    done;
-    trans_rows := row :: !trans_rows
+      let id =
+        if touched.(c) then begin
+          let b = buckets.(c) in
+          Nfa.eps_closure nfa b;
+          let id =
+            match Set_tbl.find_opt tbl b with
+            | Some id -> id
+            | None -> add (Bits.copy b)
+          in
+          Bits.clear b;
+          touched.(c) <- false;
+          id
+        end
+        else begin
+          if !dead < 0 then dead := add (Bits.create nfa.num_states);
+          !dead
+        end
+      in
+      St_util.Int_vec.push trans id
+    done
   done;
-  let rows = Array.of_list (List.rev !trans_rows) in
-  let n = !count in
-  let trans = Array.make (n * nc) 0 in
-  Array.iteri (fun q row -> Array.blit row 0 trans (q * nc) nc) rows;
-  bare ~start:start_id ~num_classes:nc ~classmap ~trans
+  bare ~start:start_id ~num_classes:nc ~classmap
+    ~trans:(St_util.Int_vec.to_array trans)
     ~accept:(St_util.Int_vec.to_array accept)
 
 let of_nfa ?(classes = true) ?(accel = Accel.Swar) ?max_states nfa =
@@ -234,34 +268,39 @@ let of_grammar ?minimize ?classes ?accel ?max_states src =
 let co_accessible d =
   let n = d.num_states in
   let nc = d.num_classes in
-  (* reverse adjacency *)
-  let preds = Array.make n [] in
-  for q = 0 to n - 1 do
-    for c = 0 to nc - 1 do
-      let q' = d.trans.((q * nc) + c) in
-      preds.(q') <- q :: preds.(q')
-    done
+  (* reverse edges by counting sort: the predecessors of [q] are
+     [src.(first.(q)) .. src.(first.(q + 1) - 1)] *)
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun q' -> first.(q' + 1) <- first.(q' + 1) + 1) d.trans;
+  for q = 1 to n do
+    first.(q) <- first.(q) + first.(q - 1)
   done;
+  let fill = Array.sub first 0 n in
+  let src = Array.make (n * nc) 0 in
+  Array.iteri
+    (fun i q' ->
+      src.(fill.(q')) <- i / nc;
+      fill.(q') <- fill.(q') + 1)
+    d.trans;
   let coacc = Bits.create n in
-  let stack = ref [] in
-  for q = 0 to n - 1 do
-    if d.accept.(q) >= 0 then begin
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
+  let mark q =
+    if not (Bits.mem coacc q) then begin
       Bits.add coacc q;
-      stack := q :: !stack
+      stack.(!sp) <- q;
+      incr sp
     end
+  in
+  for q = 0 to n - 1 do
+    if d.accept.(q) >= 0 then mark q
   done;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter
-          (fun p ->
-            if not (Bits.mem coacc p) then begin
-              Bits.add coacc p;
-              stack := p :: !stack
-            end)
-          preds.(q)
+  while !sp > 0 do
+    decr sp;
+    let q = stack.(!sp) in
+    for i = first.(q) to first.(q + 1) - 1 do
+      mark src.(i)
+    done
   done;
   coacc
 

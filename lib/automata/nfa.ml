@@ -84,16 +84,6 @@ let eps_closure nfa set =
           nfa.eps.(s)
   done
 
-let step nfa set c into =
-  Bits.clear into;
-  Bits.iter
-    (fun s ->
-      List.iter
-        (fun (cs, q) -> if Charset.mem cs c then Bits.add into q)
-        nfa.trans.(s))
-    set;
-  eps_closure nfa into
-
 let accept_of_set nfa set =
   Bits.fold
     (fun s best ->

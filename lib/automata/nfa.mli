@@ -21,9 +21,5 @@ val of_rules : Regex.t list -> t
 (** [eps_closure nfa states] adds everything epsilon-reachable. *)
 val eps_closure : t -> St_util.Bits.t -> unit
 
-(** [step nfa states c into] writes the epsilon-closed set of [c]-successors
-    of [states] into [into] (which is cleared first). *)
-val step : t -> St_util.Bits.t -> char -> St_util.Bits.t -> unit
-
 (** Least rule index accepted by any state in the set, or -1. *)
 val accept_of_set : t -> St_util.Bits.t -> int

@@ -69,25 +69,27 @@ type compile_stats = {
 
 (* The engine tables for a DFA whose max-TND is [k]. The token-extension
    DFA is correct for any lookahead ≥ max-TND, so forcing it on a K ≤ 1
-   grammar (ablation) uses K = 1. *)
-let build d ~k ~force_te =
-  let coacc = Dfa.co_accessible d in
+   grammar (ablation) uses K = 1. [coacc] is the analysis's
+   co-accessible set. *)
+let build d ~coacc ~k ~force_te =
   let reject = Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q)) in
   let mode =
     if k <= 1 && not force_te then Table_k1 (build_k1_table d)
-    else Te (Te_dfa.build d ~k:(max k 1))
+    else Te (Te_dfa.build ~coacc d ~k:(max k 1))
   in
   { dfa = d; k; reject; mode }
 
 let compile_timed ?(force_te = false) d =
-  let result, analysis_seconds =
-    St_util.Timer.time_it (fun () -> Tnd.max_tnd d)
+  let (coacc, result), analysis_seconds =
+    St_util.Timer.time_it (fun () ->
+        let coacc = Dfa.co_accessible d in
+        (coacc, Tnd.max_tnd ~coacc d))
   in
   match result with
   | Tnd.Infinite -> Error Unbounded_tnd
   | Tnd.Finite k ->
       let e, build_seconds =
-        St_util.Timer.time_it (fun () -> build d ~k ~force_te)
+        St_util.Timer.time_it (fun () -> build d ~coacc ~k ~force_te)
       in
       Ok
         ( e,

@@ -29,7 +29,9 @@ val compile : ?force_te:bool -> Dfa.t -> (t, error) result
 type compile_stats = {
   dfa_states : int;
   max_tnd : St_analysis.Tnd.result;
-  analysis_seconds : float;  (** max-TND frontier analysis (paper Fig. 3) *)
+  analysis_seconds : float;
+      (** max-TND analysis (the linear form of paper Fig. 3), including the
+          co-accessibility pass the engine tables reuse *)
   build_seconds : float;  (** engine table construction after the analysis *)
   te_states : int;
   k1_table_bytes : int;  (** Fig. 5 table size; 0 when the TE DFA is used *)

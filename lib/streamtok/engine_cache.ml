@@ -57,7 +57,10 @@ let p_compile = St_trace.Trace.probe ~cat:"engine" "cache.compile"
    simultaneously: the losers of the race block on the lock and then hit.
    The cost is that an expensive compile stalls other domains' cache
    lookups for its duration; compiles are per-distinct-grammar rare (and
-   capped by [max_states]), while lookups are per-session rare, so the
+   capped by [max_states]: the worst measured under the 65 536-state cap,
+   [[xy]*x[xy]{14}] at 32 769 states, compiles to its unbounded-max-TND
+   error in 0.26–0.35 s on a 2-vCPU x86-64 host, and a build that hits the
+   cap fails in 0.14–0.28 s), while lookups are per-session rare, so the
    simple global lock beats per-key in-progress tracking in both code
    size and measured storm behavior (see DESIGN.md, Sharding). The hit
    flag is read under the same lock, so it is exact under any number of

@@ -223,7 +223,7 @@ let intern t (key : Key.t) =
     key.mem;
   id
 
-let build dfa ~k =
+let build ~coacc dfa ~k =
   assert (k >= 1);
   let m = Dfa.size dfa in
   let width = Dfa.num_classes dfa + 1 in
@@ -272,7 +272,7 @@ let build dfa ~k =
       m;
       active_count = f * m * k;
       final_state;
-      coacc = Dfa.co_accessible dfa;
+      coacc;
       lock = Mutex.create ();
     }
   in

@@ -57,9 +57,9 @@ val width : t -> int
 (** The class-space EOF column: [width - 1]. *)
 val eof_class : t -> int
 
-(** [build dfa ~k] prepares the automaton (only the start state is
-    materialized). Requires [k ≥ 1]. *)
-val build : Dfa.t -> k:int -> t
+(** [build ~coacc dfa ~k] prepares the automaton (only the start state is
+    materialized). Requires [k ≥ 1]. [coacc] is [Dfa.co_accessible dfa]. *)
+val build : coacc:St_util.Bits.t -> Dfa.t -> k:int -> t
 
 (** The start powerstate (the restart injection set). *)
 val start : t -> int

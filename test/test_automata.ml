@@ -130,6 +130,111 @@ let prop_minimize_preserves_tokens =
       let traw, _ = Backtracking.tokens (Dfa.of_rules ~minimize:false rules) s in
       Gen.same_tokens tmin traw)
 
+(* Pinned tables: a digest of (start, classmap, trans, accept) of the
+   unminimized and the minimized DFA of every registry grammar and of the
+   mini and tiny vocabularies, in both table layouts. The digests were
+   taken from the step-per-class subset construction, so any change to how
+   the tables are built must leave them byte-identical. *)
+let table_text (d : Dfa.t) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d;%s;" d.Dfa.start d.Dfa.classmap;
+  Array.iter (Printf.bprintf b "%d,") d.Dfa.trans;
+  Buffer.add_char b ';';
+  Array.iter (Printf.bprintf b "%d,") d.Dfa.accept;
+  Buffer.contents b
+
+let tables_digest ~classes rules =
+  let raw = Dfa.of_rules ~minimize:false ~classes rules in
+  let min = Dfa.of_rules ~classes rules in
+  Digest.to_hex (Digest.string (table_text raw ^ "|" ^ table_text min))
+
+let pinned_tables =
+  [
+    ("json", true, "40772ad8cb9337bc42a83c7d4bc38dda");
+    ("json", false, "7b0e03463ce18e4fc537a5d509b5cc92");
+    ("csv", true, "1b9e1db8221f9d3d74bcbd6bcf7bd504");
+    ("csv", false, "3f74f7c55dd663aef9865a94d3ce501f");
+    ("csv-rfc4180", true, "9aa32f664e0c43feee6108b2e676052b");
+    ("csv-rfc4180", false, "0e791b0b4a9d2e295b8d245adb2b88d2");
+    ("tsv", true, "6714dd2307fbafa6879dcac910ca21be");
+    ("tsv", false, "ed6a16fe2aec0382ac18796cb0f4c3c1");
+    ("xml", true, "f4901a1b55ba0956f82db86ba8816b80");
+    ("xml", false, "1a44a481a1f56964f8bcef308cc5bd32");
+    ("yaml", true, "f85f6fcedb8e6c88b6eda35598d4b5b3");
+    ("yaml", false, "575cf8cfc766829aeeed4cd7564438c4");
+    ("fasta", true, "29126f27ebb240f73f15ae2f0da8cdb6");
+    ("fasta", false, "ae7e313676c7c94a687baaf43925bcd6");
+    ("dns-zone", true, "bc4c90bdf4a038ecd8c00f1ec64d9e00");
+    ("dns-zone", false, "c6c2bb7dab2c29292084863776fd7f1c");
+    ("log", true, "f52988f1f755ea217d2eff5ae21df828");
+    ("log", false, "6bb2b3cc784b81595a7e8c98c47b10de");
+    ("android", true, "32b8cf3f52987027496421bbe8755cb2");
+    ("android", false, "a885994e5397659d1a2bf8922362e6d6");
+    ("apache", true, "ba6d669681be84d8aa316c477beb0a7c");
+    ("apache", false, "ab5f9d733db5aa72c1c0439cbed140d4");
+    ("bgl", true, "4b31a006356053df9c9824d0391018c2");
+    ("bgl", false, "b714348f6bf4acd3fdea22d903d411e2");
+    ("hadoop", true, "32b8cf3f52987027496421bbe8755cb2");
+    ("hadoop", false, "a885994e5397659d1a2bf8922362e6d6");
+    ("hdfs", true, "2e7be0e464f7587d647840b5a1b169f1");
+    ("hdfs", false, "bc97493cce4d26267b4eb8b07e772011");
+    ("linux", true, "ba6d669681be84d8aa316c477beb0a7c");
+    ("linux", false, "ab5f9d733db5aa72c1c0439cbed140d4");
+    ("mac", true, "a6eff59824d751634d5f263532e4ee8a");
+    ("mac", false, "0c5359a8d38cf81a15193d5eb7695e19");
+    ("nginx", true, "814ced56916bd39e766efb024b9edb0a");
+    ("nginx", false, "b722a04567430eae743421eef752d939");
+    ("openssh", true, "ba6d669681be84d8aa316c477beb0a7c");
+    ("openssh", false, "ab5f9d733db5aa72c1c0439cbed140d4");
+    ("proxifier", true, "d5f038ee9acaca2e5382ac44374214ee");
+    ("proxifier", false, "486ca47c10b83284e8eae2468827336e");
+    ("spark", true, "a6eff59824d751634d5f263532e4ee8a");
+    ("spark", false, "0c5359a8d38cf81a15193d5eb7695e19");
+    ("windows", true, "a3dcafe870479486fa3db817cc83e525");
+    ("windows", false, "b85359a836cdc364f606d8a24324b023");
+    ("c", true, "b9f2e52036cb66947fcf454a7405eb69");
+    ("c", false, "f335f27c4a44d14768569860efeb4ff3");
+    ("r", true, "fcaaa887d0153fc925640cf827a63efa");
+    ("r", false, "f1120e976f18596fb70540c6a2e8b3b6");
+    ("sql", true, "6f9a3c221a8ba108be31d94e17c6332e");
+    ("sql", false, "edc2b83d683ac3d57c0d5393b6ded2e2");
+    ("sql-insert", true, "d428cb95f5447d66020f0cb04a4910c1");
+    ("sql-insert", false, "242dd4fc7e84065d11f6dd77c569b45b");
+    ("ini", true, "b220afddb5a964cbde9cef12a03982bc");
+    ("ini", false, "882556e6b7152e2676022f28e7bec1dd");
+    ("toml", true, "9906d843f0a0862998659b58b1119d54");
+    ("toml", false, "f03ede191a7902e684191139de35ea59");
+    ("http-headers", true, "11a67ba2e350911f2e8a2598bee8a5eb");
+    ("http-headers", false, "c9d3829251d0bf3ce6d094c72526505d");
+    ("bpe:mini", true, "2269933b5d03ecc3cc58b2876b48ded4");
+    ("bpe:mini", false, "2269933b5d03ecc3cc58b2876b48ded4");
+    ("bpe:tiny", true, "b69e741625d7675ebbe4c36f51e864f1");
+    ("bpe:tiny", false, "b69e741625d7675ebbe4c36f51e864f1");
+  ]
+
+let test_tables_pinned () =
+  let mini =
+    match Bpe.Vocab.load_file "vocab/mini.tiktoken" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "vocab/mini.tiktoken: %s" e
+  in
+  let subjects =
+    List.map (fun g -> (g.Grammar.name, Grammar.rules g)) Registry.all
+    @ [
+        ("bpe:mini", Bpe.Compiler.rules_of_vocab mini);
+        ("bpe:tiny", Bpe.Compiler.rules_of_vocab (Bpe.Trainer.tiny ~seed:11L));
+      ]
+  in
+  check_int "every subject pinned in both layouts"
+    (2 * List.length subjects) (List.length pinned_tables);
+  List.iter
+    (fun (name, classes, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s classes:%b" name classes)
+        expected
+        (tables_digest ~classes (List.assoc name subjects)))
+    pinned_tables
+
 let suite =
   [
     Alcotest.test_case "NFA structure" `Quick test_nfa_structure;
@@ -143,6 +248,7 @@ let suite =
     Alcotest.test_case "reachable-nonempty" `Quick test_reachable_nonempty;
     Alcotest.test_case "reachable-nonempty loop" `Quick
       test_reachable_nonempty_loop;
+    Alcotest.test_case "tables pinned" `Quick test_tables_pinned;
     QCheck_alcotest.to_alcotest prop_dfa_matches_naive;
     QCheck_alcotest.to_alcotest prop_minimize_preserves_tokens;
   ]

@@ -5,7 +5,7 @@ let check_int = Alcotest.(check int)
 
 let build src k =
   let d = Dfa.of_grammar src in
-  (d, Te_dfa.build d ~k)
+  (d, Te_dfa.build ~coacc:(Dfa.co_accessible d) d ~k)
 
 let test_structure () =
   let d, te = build "[0-9]+(\\.[0-9]+)?\n[.]" 2 in
@@ -125,7 +125,7 @@ let test_classed_step_parity_seeded () =
     let d = Dfa.of_rules rules in
     (match Tnd.max_tnd d with
     | Tnd.Finite k when k >= 1 && k <= 4 ->
-        let te = Te_dfa.build d ~k in
+        let te = Te_dfa.build ~coacc:(Dfa.co_accessible d) d ~k in
         let input =
           Fuzz.Gen.uniform rng ~alphabet:Fuzz.Gen.byte_alphabet ~max_len:64
         in
@@ -207,7 +207,7 @@ let test_extendable_oracle_seeded () =
     let d = Dfa.of_rules rules in
     match Tnd.max_tnd d with
     | Tnd.Finite k when k >= 1 && k <= 4 ->
-        let te = Te_dfa.build d ~k in
+        let te = Te_dfa.build ~coacc:(Dfa.co_accessible d) d ~k in
         check_stream case d k te
           (if Prng.bool rng then Fuzz.Gen.token_dense rng d ~target_len:40
            else

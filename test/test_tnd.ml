@@ -151,6 +151,58 @@ let test_pumped_witness () =
   check "none when bounded" true
     (Tnd.pumped_witness (Dfa.of_grammar "[0-9]+\n[ ]+") = None)
 
+(* The linear search against the literal Fig. 3 loop of [max_tnd_trace]:
+   the same result, and a pumped witness exactly when that result is ∞.
+   Returns whether the grammar was unbounded. *)
+let agrees_with_fig3 name d =
+  let fig3, _ = Tnd.max_tnd_trace d in
+  let search = Tnd.max_tnd d in
+  if not (Tnd.equal_result search fig3) then
+    Alcotest.failf "%s: search says %s, Fig. 3 says %s" name
+      (Tnd.result_to_string search)
+      (Tnd.result_to_string fig3);
+  let unbounded = search = Tnd.Infinite in
+  if (Tnd.pumped_witness d <> None) <> unbounded then
+    Alcotest.failf "%s: pumped witness disagrees with %s" name
+      (Tnd.result_to_string search);
+  unbounded
+
+let test_search_vs_fig3_registry () =
+  List.iter
+    (fun g -> ignore (agrees_with_fig3 g.Grammar.name (Grammar.dfa g)))
+    Registry.all;
+  List.iter
+    (fun k ->
+      ignore
+        (agrees_with_fig3
+           (Printf.sprintf "worst case k=%d" k)
+           (Grammar.dfa (Worst_case.grammar k))))
+    (List.sort_uniq compare ([ 0; 1; 3; 5; 17; 33 ] @ Worst_case.sweep_k))
+
+let test_search_vs_fig3_corpus () =
+  let corpus = Grammar_corpus.generate ~seed:26L ~count:1000 () in
+  let unbounded = ref 0 in
+  Array.iteri
+    (fun i rules ->
+      if agrees_with_fig3 (Printf.sprintf "corpus #%d" i) (Dfa.of_rules rules)
+      then incr unbounded)
+    corpus;
+  (* both verdicts are exercised *)
+  check "some unbounded" true (!unbounded > 0);
+  check "some bounded" true (!unbounded < Array.length corpus)
+
+(* 32 769 states, under the serving cap: Fig. 3 needs |A| + 2 rounds to
+   call it ∞, the search one pass. *)
+let test_search_large_unbounded () =
+  let src = "[xy]*x[xy]{14}" in
+  let rules = Parser.parse_grammar src in
+  let d = Dfa.of_rules rules in
+  check_int "states" 32769 (Dfa.size d);
+  check "infinite" true (Tnd.max_tnd d = Tnd.Infinite);
+  match Tnd.pumped_witness d with
+  | None -> Alcotest.failf "no pumped witness for %s" src
+  | Some p -> check "pump verifies" true (pump_verifies rules p)
+
 (* Brute-force differential on random small grammars: if the analysis says
    Finite k, the brute enumeration (bounded depth) must never exceed k, and
    the witness extractor must produce a verified pair of distance ≥ k. *)
@@ -219,6 +271,12 @@ let suite =
     Alcotest.test_case "witness on unbounded" `Quick
       test_witness_infinite_grammar;
     Alcotest.test_case "pumped witness verified" `Quick test_pumped_witness;
+    Alcotest.test_case "search = Fig. 3 on registry" `Quick
+      test_search_vs_fig3_registry;
+    Alcotest.test_case "search = Fig. 3 on corpus" `Quick
+      test_search_vs_fig3_corpus;
+    Alcotest.test_case "search on 32769 states" `Quick
+      test_search_large_unbounded;
     QCheck_alcotest.to_alcotest prop_analysis_vs_brute;
     QCheck_alcotest.to_alcotest prop_witness_is_sound;
     QCheck_alcotest.to_alcotest prop_witness_is_tight;
