@@ -449,7 +449,7 @@ and alloc_check () =
       in
       let session = S.create deps in
       ignore (S.handle session (W.Open g.Grammar.name));
-      (* the daemon's FEED path: a one-segment gathered run *)
+      (* the daemon's FEED path: one segment per FEED *)
       let segs = [| ("", 0, 0) |] in
       let drain () =
         match S.batch session with
@@ -560,7 +560,7 @@ and alloc_check () =
    per chunk, so per-span cost has every chance to show — with the tracer
    off vs on, median of 7 interleaved paired ratios: token counts must
    match and the enabled tracer may cost at most 15%. (2) A traced 2 MB
-   loopback json serve run, driven like production (coalesced FEED bursts
+   loopback json serve run, driven like production (FEED bursts
    in, replies read in place with [Wire.read_replies]), folded into the
    span-tree report: at least 90% of its wall time must be attributed, and
    its token count must equal a direct run's. Returns with the tracer

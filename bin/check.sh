@@ -134,7 +134,7 @@ for f in "$tmpd"/*.repro; do
 done
 rm -rf "$tmpd"
 
-echo "== serve smoke (daemon parity, zero-copy decode, slow reader, engine cache, client abort, over-cap OPEN, unbounded-max-TND OPEN, SIGTERM drain)"
+echo "== serve smoke (daemon parity, zero-copy decode, small writes, slow reader, engine cache, client abort, over-cap OPEN, unbounded-max-TND OPEN, SIGTERM drain)"
 # Use the installed binary directly: the daemon and clients run
 # concurrently, and parallel `dune exec` invocations would fight over the
 # build lock.
@@ -181,6 +181,17 @@ for n in 1 2 3; do
     fail "serve smoke FAILED: client $n output differs from tokenize"
   fi
 done
+
+# small writes: awk hands the client its stdin a line at a time, so it
+# frames many small FEEDs and the daemon decodes many of them per read,
+# feeding each one as it is decoded; the output must still equal tokenize
+awk '{print}' "$tmpd/in.json" > "$tmpd/lines.json"
+"$BIN" tokenize json "$tmpd/lines.json" > "$tmpd/lines.ref"
+awk '{print; fflush()}' "$tmpd/lines.json" \
+  | "$BIN" client --socket "$sock" json > "$tmpd/lines.out"
+if ! cmp -s "$tmpd/lines.ref" "$tmpd/lines.out"; then
+  fail "serve smoke FAILED: line-at-a-time client output differs from tokenize"
+fi
 
 # slow reader: nobody reads the client's stdout for a second, so the
 # client stops draining its socket, the replies to 2 MB of json overflow

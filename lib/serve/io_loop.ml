@@ -121,6 +121,8 @@ module Core = struct
         (try Unix.close fd with Unix.Unix_error _ -> ());
         if eof then Server.on_eof t.srv id else Server.on_closed t.srv id
 
+  (* Like [write_conn], any read errno but a retry drops just this
+     connection: one bad fd must not end the worker and its sessions. *)
   let read_conn t fd id =
     St_trace.Trace.begin_span p_read;
     (match Unix.read fd t.rbuf 0 (Bytes.length t.rbuf) with
@@ -130,8 +132,7 @@ module Core = struct
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        drop_conn t ~eof:true id);
+    | exception Unix.Unix_error _ -> drop_conn t ~eof:true id);
     St_trace.Trace.end_span p_read
 
   (* The flush: one write of the out queue's live bytes; a short write

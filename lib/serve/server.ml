@@ -5,7 +5,6 @@ type config = {
   max_sessions : int;
   idle_timeout : float;
   max_out_bytes : int;
-  out_frame_bytes : int;
   cache_entries : int;
   clock : unit -> float;
 }
@@ -15,7 +14,6 @@ let default_config =
     max_sessions = 64;
     idle_timeout = 300.0;
     max_out_bytes = 1 lsl 20;
-    out_frame_bytes = 1 lsl 20;
     cache_entries = 64;
     clock = Unix.gettimeofday;
   }
@@ -33,15 +31,12 @@ type conn = {
 
 type conn_id = int
 
-(* most segments one gathered FEED run hands the tokenizer *)
-let max_gather = 64
-
 type t = {
   cfg : config;
   cache : Engine_cache.t;
   conns : (int, conn) Hashtbl.t;
   scratch : Buffer.t;
-  segs : (string * int * int) array;  (* gathered-FEED scratch *)
+  seg : (string * int * int) array;  (* one-slot FEED view scratch *)
   started : float;
   mutable next_id : int;
   mutable is_draining : bool;
@@ -112,7 +107,7 @@ let create ?cache ?(config = default_config) () =
       | None -> Engine_cache.create ~max_entries:config.cache_entries ());
     conns = Hashtbl.create 32;
     scratch = Buffer.create 4096;
-    segs = Array.make max_gather ("", 0, 0);
+    seg = [| ("", 0, 0) |];
     started = config.clock ();
     next_id = 0;
     is_draining = false;
@@ -278,7 +273,7 @@ let refusal t ~message =
     (Wire.Error { code = Wire.Capacity; retryable = true; message });
   Buffer.contents t.scratch
 
-(* Non-FEED requests (FEED has its own coalesced path in [on_data]). *)
+(* Non-FEED requests (FEED has its own view path in [on_data]). *)
 let dispatch t c (req : Wire.request) =
   match req with
   | Wire.Stats fmt ->
@@ -310,15 +305,14 @@ let protocol_failure t c msg =
     (Wire.Error { code = Wire.Protocol; retryable = false; message = msg });
   c.phase <- Draining
 
-(* The coalescing decode loop. Consecutive FEED frames form one batch:
-   their payload views are gathered (decoder views stay valid across
-   [next_view]) and handed to the tokenizer as one [Session.feed_views]
-   call — zero-copy, one call's overhead for the whole run. Accumulated
-   TOKENS records are framed into the out queue when the batch ends — at
-   a non-FEED frame, a session error, or when buffered input runs out —
-   and early whenever the pending frame would exceed [out_frame_bytes].
-   The batch is also the latency unit: two clock reads per batch, not per
-   frame.
+(* The decode loop. Each FEED frame's payload view is fed to the
+   tokenizer as soon as it is decoded — zero-copy, one feed per frame.
+   Consecutive FEEDs form one batch: their tokens accumulate in the
+   session encoder and are framed into the out queue as one TOKENS frame
+   when the batch ends — at a non-FEED frame, a session error, or when
+   buffered input runs out — and early whenever the pending frame reaches
+   [max_out_bytes]. The batch is also the latency unit: two clock reads
+   per batch, not per frame.
 
    The [serve.on_data] span is the root of the server-side data plane:
    everything from raw input bytes to enqueued reply bytes happens inside
@@ -344,93 +338,49 @@ let on_data t id b ~pos ~len =
           (t.cfg.clock () -. !batch_t0)
       end
     in
-    let stash = ref None in
     let continue = ref true in
     while !continue && c.phase = Active do
-      let next =
-        match !stash with
-        | Some v ->
-            stash := None;
-            Wire.Decoder.View v
-        | None -> Wire.Decoder.next_view c.dec
-      in
-      match next with
+      match Wire.Decoder.next_view c.dec with
       | Wire.Decoder.View_need_more -> continue := false
       | Wire.Decoder.View_corrupt msg ->
           end_batch ();
           protocol_failure t c msg
-      | Wire.Decoder.View v ->
-          if v.Wire.Decoder.vtag = Wire.tag_feed then begin
-            if not !in_batch then begin
-              in_batch := true;
-              batch_t0 := t.cfg.clock ()
-            end;
-            (* Gather the run of buffered FEED frames, bounded so one
-               run's token output lands near [out_frame_bytes]. The
-               decoder never moves bytes between feeds, so every view
-               of the run stays valid until the tokenizer has consumed
-               it. *)
-            let nsegs = ref 0 in
-            let acc = ref 0 in
-            let push (v : Wire.Decoder.view) =
-              Metrics.Counter.incr t.feeds;
-              Metrics.Counter.add t.bytes_in v.Wire.Decoder.vlen;
-              t.segs.(!nsegs) <-
-                ( (* the tokenizer copies what it keeps, so handing it
-                     the decoder's buffer as an immutable string is
-                     safe *)
-                  Bytes.unsafe_to_string v.Wire.Decoder.vbuf,
-                  v.Wire.Decoder.voff,
-                  v.Wire.Decoder.vlen );
-              incr nsegs;
-              acc := !acc + v.Wire.Decoder.vlen
-            in
-            push v;
-            let gathering = ref true in
-            while
-              !gathering && !nsegs < max_gather
-              && !acc < t.cfg.out_frame_bytes
-            do
-              match Wire.Decoder.next_view c.dec with
-              | Wire.Decoder.View v2
-                when v2.Wire.Decoder.vtag = Wire.tag_feed ->
-                  push v2
-              | Wire.Decoder.View v2 ->
-                  stash := Some v2;
-                  gathering := false
-              | Wire.Decoder.View_need_more -> gathering := false
-              | Wire.Decoder.View_corrupt _ ->
-                  (* poisoned decoders repeat the error; the outer loop
-                     reports it after this run is fed *)
-                  gathering := false
-            done;
-            let replies = Session.feed_views c.session t.segs !nsegs in
-            match replies with
-            | [] -> (
-                match Session.batch c.session with
-                | Some (enc, _)
-                  when Outbuf.length enc >= t.cfg.out_frame_bytes ->
-                    (* cap the frame size; the latency batch stays open *)
-                    flush_tokens t c
-                | _ -> ())
-            | replies ->
-                end_batch ();
-                count_replies t replies;
-                List.iter (enqueue t c) replies;
-                if List.exists fatal_reply replies then c.phase <- Draining
-          end
-          else begin
-            end_batch ();
-            let f =
-              {
-                Wire.tag = v.Wire.Decoder.vtag;
-                payload = Wire.Decoder.view_string v;
-              }
-            in
-            match Wire.request_of_frame f with
-            | Error msg -> protocol_failure t c msg
-            | Ok req -> dispatch t c req
-          end
+      | Wire.Decoder.View v when v.Wire.Decoder.vtag = Wire.tag_feed -> (
+          if not !in_batch then begin
+            in_batch := true;
+            batch_t0 := t.cfg.clock ()
+          end;
+          Metrics.Counter.incr t.feeds;
+          Metrics.Counter.add t.bytes_in v.Wire.Decoder.vlen;
+          (* the tokenizer copies what it keeps, so handing it the
+             decoder's buffer as an immutable string is safe *)
+          t.seg.(0) <-
+            ( Bytes.unsafe_to_string v.Wire.Decoder.vbuf,
+              v.Wire.Decoder.voff,
+              v.Wire.Decoder.vlen );
+          match Session.feed_views c.session t.seg 1 with
+          | [] -> (
+              match Session.batch c.session with
+              | Some (enc, _) when Outbuf.length enc >= t.cfg.max_out_bytes ->
+                  (* cap the frame size; the latency batch stays open *)
+                  flush_tokens t c
+              | _ -> ())
+          | replies ->
+              end_batch ();
+              count_replies t replies;
+              List.iter (enqueue t c) replies;
+              if List.exists fatal_reply replies then c.phase <- Draining)
+      | Wire.Decoder.View v -> (
+          end_batch ();
+          let f =
+            {
+              Wire.tag = v.Wire.Decoder.vtag;
+              payload = Wire.Decoder.view_string v;
+            }
+          in
+          match Wire.request_of_frame f with
+          | Error msg -> protocol_failure t c msg
+          | Ok req -> dispatch t c req)
     done;
     end_batch ()
   end

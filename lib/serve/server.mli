@@ -35,12 +35,11 @@ type config = {
                            [Capacity] error *)
   idle_timeout : float;  (** seconds; [0.] disables idle eviction *)
   max_out_bytes : int;
-      (** per-connection output-queue budget; above it the server stops
-          reading that connection until the client drains replies *)
-  out_frame_bytes : int;
-      (** flush a coalesced TOKENS batch once its encoded records reach
-          this size, so one batch never produces a frame anywhere near
-          {!Wire.max_payload}; also bounds one gathered-FEED run *)
+      (** the per-connection output budget. Above it in the out queue,
+          the server stops reading that connection until the client
+          drains replies (backpressure). A TOKENS batch is also framed
+          once its encoded records reach it, so one batch never produces
+          a frame anywhere near {!Wire.max_payload}. *)
   cache_entries : int;  (** engine-cache capacity (ignored when a shared
                             cache is passed to {!create}) *)
   clock : unit -> float;
@@ -69,11 +68,11 @@ val on_connect : t -> conn_id
 
 (** Bytes read from the connection's socket. The slice is copied into the
     connection's frame decoder before returning, so the transport may
-    reuse [buf] for the next read. Consecutive buffered FEED frames are
-    gathered and coalesced into one tokenizer batch
-    ({!Session.feed_views}) and answered with one TOKENS frame (split
-    only at [config.out_frame_bytes]), framed into the out queue before
-    this call returns. *)
+    reuse [buf] for the next read. Each decoded FEED frame's payload view
+    is fed to the tokenizer at once ({!Session.feed_views}, one segment);
+    a run of consecutive buffered FEEDs is answered with one TOKENS frame
+    (split only at [config.max_out_bytes]), framed into the out queue
+    before this call returns. *)
 val on_data : t -> conn_id -> Bytes.t -> pos:int -> len:int -> unit
 
 (** The peer hung up (EOF, reset): the session is discarded immediately. *)

@@ -153,7 +153,14 @@ let feed_views t segs n =
       match os.outcome with
       | Some _ -> []  (* stream already failed; drop by contract *)
       | None ->
-          Stream_tokenizer.feed_batch os.tok segs n;
+          (* one feed per segment; the segment that fails the stream is
+             the last one consumed *)
+          let j = ref 0 in
+          while !j < n && not (Stream_tokenizer.failed os.tok) do
+            let s, pos, len = segs.(!j) in
+            Stream_tokenizer.feed os.tok s pos len;
+            incr j
+          done;
           check_failed os)
 
 let handle_flush t =

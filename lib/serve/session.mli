@@ -16,8 +16,8 @@
 
     Token output never goes through reply values: the emit closure encodes
     each token straight into a scratch {!Outbuf} (the wire TOKENS record
-    format) that is reused across frames, so a coalesced run of FEEDs
-    accumulates one batch with zero per-frame allocation. The caller
+    format) that is reused across frames, so a run of FEEDs accumulates
+    one batch with no allocation per token. The caller
     drains it with {!batch}/{!batch_clear} — and must do so {e before}
     enqueueing the replies a call returned, so TOKENS precede any
     [Lexical] error or [Pending] outcome for the same bytes.
@@ -42,15 +42,14 @@ val create : deps -> t
 (** Has a valid OPEN been processed? *)
 val opened : t -> bool
 
-(** [feed_views t segs n] feeds the first [n] [(s, pos, len)] segments —
-    a gathered run of decoded FEED payload views — through one
-    {!St_streamtok.Stream_tokenizer.feed_batch} call: identical output to
-    [n] separate feeds, one call's overhead. The segments are not
-    retained (safe to pass views into a transport buffer). Tokens land
-    in the batch encoder; the returned replies are only the exceptional
-    ones ([Lexical] on stream failure, [Protocol] before OPEN). Segments
-    after a stream failure are not consumed (the failure offset stays
-    exact) and are dropped, as is every later FEED until the FLUSH. *)
+(** [feed_views t segs n] feeds the first [n] [(s, pos, len)] segments
+    in order, one {!St_streamtok.Stream_tokenizer.feed} each: the output
+    of [n] FEED requests. The segments are not retained (safe to pass
+    views into a transport buffer). Tokens land in the batch encoder; the
+    returned replies are only the exceptional ones ([Lexical] on stream
+    failure, [Protocol] before OPEN). Segments after the one that fails
+    the stream are not consumed (the failure offset stays exact) and are
+    dropped, as is every later FEED until the FLUSH. *)
 val feed_views : t -> (string * int * int) array -> int -> Wire.reply list
 
 (** The pending token batch: the encoder holding ready-to-send TOKENS (or

@@ -604,9 +604,7 @@ module Kernel = struct
   let feed = kernel_feed
   let finish = kernel_finish
   let failed c = match c.state with Failed_stream _ -> true | _ -> false
-  let running c = match c.state with Running -> true | _ -> false
   let fed c = c.fed
-  let carried c = c.clen
   let skipped c = c.skipped
   let swar_skipped c = c.swar_skipped
 end

@@ -163,11 +163,7 @@ module Kernel : sig
 
   val finish : cursor -> outcome
   val failed : cursor -> bool
-  val running : cursor -> bool
   val fed : cursor -> int
-
-  (** Bytes carried across the last chunk boundary. *)
-  val carried : cursor -> int
 
   val skipped : cursor -> int
   val swar_skipped : cursor -> int

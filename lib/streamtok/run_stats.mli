@@ -1,9 +1,9 @@
 (** Run-time observability for one tokenization run (the instrumented-runner
     pattern).
 
-    The instrumented variants ({!Engine.run_string_instrumented},
-    [Stream_tokenizer.create ~stats]) run the same kernel as the plain
-    runners ({!Engine.run_string}, {!Stream_tokenizer}). Everything here
+    The one instrumented runner, {!Engine.run_string_instrumented}, runs
+    the same kernel as the plain runners ({!Engine.run_string},
+    {!Stream_tokenizer}). Everything here
     is updated per chunk or per run except the per-rule token tally, which
     is a single unchecked array increment per token — measured ≤2%
     overhead on the [bench/micro.ml] hot loops (the `smoke` subcommand

@@ -21,26 +21,23 @@
     - Between chunks the carry holds only the open token's prefix, whose
       tail is the ≤ max(K, 1) lookahead bytes already read past the
       tokenizer's position; no other byte is buffered.
-    The tokenizer keeps no reference to a chunk after {!feed} returns. *)
+    The tokenizer keeps no reference to a chunk after {!feed} returns.
+
+    The module is a bare shell over {!Engine.Kernel}: each call is a bounds
+    check, a trace span and one kernel call. It keeps no statistics; the
+    one instrumented runner is {!Engine.run_string_instrumented}. *)
 
 type t
 
 (** [create_slices engine ~emit] starts a run; [emit buf pos len rule] is
     called for every maximal token in stream order, per the slice contract
-    above.
-
-    [stats] (optional) turns on the instrumented variant: tokens are
-    tallied per rule as they are emitted, and each {!feed} additionally
-    records the chunk size and the carried-bytes high-water mark (the
-    bytes the tokenizer actually retains between chunks). All extra work is
-    per token or per chunk; the per-byte loops are unchanged. *)
+    above. *)
 val create_slices :
-  ?stats:Run_stats.t -> Engine.t -> emit:(string -> int -> int -> int -> unit) -> t
+  Engine.t -> emit:(string -> int -> int -> int -> unit) -> t
 
 (** [create engine ~emit] is {!create_slices} with each slice copied into
     a fresh lexeme: [emit lexeme rule]. *)
-val create :
-  ?stats:Run_stats.t -> Engine.t -> emit:(string -> int -> unit) -> t
+val create : Engine.t -> emit:(string -> int -> unit) -> t
 
 (** Start a new stream on the same engine and callback, reusing the
     tokenizer's buffers — as if freshly created. *)
@@ -57,18 +54,6 @@ val feed : t -> string -> int -> int -> unit
 (** [feed_string t s] = [feed t s 0 (String.length s)]. *)
 val feed_string : t -> string -> unit
 
-(** [feed_batch t segs n] pushes the first [n] [(s, pos, len)] segments of
-    [segs] as consecutive chunks in one call — the serving layer's
-    coalesced-FEED path. Token output, carried state and failure offsets
-    are bit-identical to [n] separate {!feed} calls; the per-call overhead
-    (bounds validation, stats sampling, the trace span) is paid once for
-    the whole batch. Segments after the one that fails the stream are not
-    consumed (they do not advance {!bytes_fed}), matching the serving
-    layer's contract of dropping FEEDs after a failure. Raises
-    [Invalid_argument] if [n] exceeds the array or any segment is out of
-    bounds. *)
-val feed_batch : t -> (string * int * int) array -> int -> unit
-
 (** Signal end-of-stream: drains the lookahead window, emits any final
     maximal token, and reports the outcome. Idempotent. On failure,
     [pending] runs from the failed token's start up to and including the
@@ -80,11 +65,9 @@ val finish : t -> Engine.outcome
 val bytes_fed : t -> int
 
 (** Bytes consumed by self-loop skip loops so far (0 when the engine was
-    built [~accel:Off]). With [stats], each feed also adds its delta to
-    the [accel_skipped_bytes] counter. *)
+    built [~accel:Off]). *)
 val accel_skipped_bytes : t -> int
 
 (** Subset of {!accel_skipped_bytes} consumed by SWAR-classified skip
-    loops (0 when the engine was built [~accel:Bitmap]). With [stats], each
-    feed also adds its delta to the [swar_skipped_bytes] counter. *)
+    loops (0 when the engine was built [~accel:Bitmap]). *)
 val swar_skipped_bytes : t -> int

@@ -401,29 +401,8 @@ let test_rule_tallies () =
   check_int "rule 2 (words)" 2 (Run_stats.rule_count st 2);
   check_int "total" 7 (Run_stats.tokens_out st)
 
-let test_stream_tokenizer_stats () =
-  let e =
-    match Engine.compile_grammar "[0-9]+\n[ ]+" with
-    | Ok e -> e
-    | Error _ -> assert false
-  in
-  let plain = ref [] and inst = ref [] in
-  let feed_all acc stats =
-    let t = Stream_tokenizer.create ?stats e ~emit:(fun lex r -> acc := (lex, r) :: !acc) in
-    List.iter (Stream_tokenizer.feed_string t) [ "12 3"; "45"; " 6 " ];
-    Stream_tokenizer.finish t
-  in
-  let o1 = feed_all plain None in
-  let st = Run_stats.create () in
-  let o2 = feed_all inst (Some st) in
-  check "same outcome" true (o1 = o2);
-  check "same tokens" true (!plain = !inst);
-  check_int "bytes_in" 9 (Run_stats.bytes_in st);
-  check_int "chunks" 3 (Run_stats.chunks st);
-  check_int "tokens" (List.length !plain) (Run_stats.tokens_out st)
-
-(* A one-shot run carries what one chunk of the same bytes carries: an
-   input ending inside a long token keeps that token's prefix. *)
+(* A one-shot run's high-water mark is the carry left at end of input:
+   an input ending inside a long token keeps that token's prefix. *)
 let test_one_shot_buffer_high_water () =
   let e =
     match Engine.compile (Grammar.dfa Formats.json) with
@@ -438,13 +417,8 @@ let test_one_shot_buffer_high_water () =
   ignore
     (Engine.run_string_instrumented e input ~stats:one_shot
        ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
-  let chunked = Run_stats.create () in
-  let t = Stream_tokenizer.create ~stats:chunked e ~emit:(fun _ _ -> ()) in
-  Stream_tokenizer.feed_string t input;
-  ignore (Stream_tokenizer.finish t);
-  check_int "one chunk carries the open string token" 5_003
-    (high_water chunked);
-  check_int "one-shot = one chunk" (high_water chunked) (high_water one_shot)
+  check_int "one-shot run carries the open string token" 5_003
+    (high_water one_shot)
 
 (* ---- memory footprint under alphabet compression ---- *)
 
@@ -542,7 +516,6 @@ let suite =
     Alcotest.test_case "Prometheus text format" `Quick test_prometheus;
     Alcotest.test_case "instrumented ≡ plain" `Quick test_instrumented_identical;
     Alcotest.test_case "per-rule tallies" `Quick test_rule_tallies;
-    Alcotest.test_case "stream tokenizer stats" `Quick test_stream_tokenizer_stats;
     Alcotest.test_case "one-shot buffer high water" `Quick
       test_one_shot_buffer_high_water;
     Alcotest.test_case "footprint accounts classmap" `Quick

@@ -308,15 +308,8 @@ let fake_clock start =
   ((fun () -> !now), fun t -> now := t)
 
 let config ?(max_sessions = 8) ?(idle_timeout = 0.) ?(max_out_bytes = 1 lsl 20)
-    ?(out_frame_bytes = 1 lsl 20) clock =
-  {
-    SV.default_config with
-    max_sessions;
-    idle_timeout;
-    max_out_bytes;
-    out_frame_bytes;
-    clock;
-  }
+    clock =
+  { SV.default_config with max_sessions; idle_timeout; max_out_bytes; clock }
 
 let json_engine =
   lazy
@@ -533,12 +526,17 @@ let test_lexical_failure () =
   LB.send c W.Close;
   LB.run lb;
   let replies = LB.replies c in
-  check "lexical error reported, not fatal" true
-    (List.exists
-       (function
-         | W.Error { code = W.Lexical; retryable = false; _ } -> true
-         | _ -> false)
-       replies);
+  (match
+     List.filter
+       (function W.Error { code = W.Lexical; _ } -> true | _ -> false)
+       replies
+   with
+  | [ W.Error { retryable; _ } ] ->
+      check "one lexical error, not retryable" false retryable
+  | errors ->
+      Alcotest.fail
+        (Printf.sprintf "expected exactly one Lexical ERROR, got %d"
+           (List.length errors)));
   (match
      List.find_opt (function W.Pending _ -> true | _ -> false) replies
    with
@@ -758,13 +756,10 @@ let test_coalescing_parity () =
 let test_backpressure_mid_batch () =
   (* Backpressure must engage mid-coalesced-batch: a burst of FEEDs whose
      token output blows the out-queue budget turns wants_read off while
-     client bytes are still queued — and a tiny out_frame_bytes splits the
+     client bytes are still queued — and the same tiny budget splits the
      batch into several TOKENS frames without changing the stream. *)
   let clock, _ = fake_clock 0. in
-  let lb =
-    LB.create
-      ~config:(config ~max_out_bytes:256 ~out_frame_bytes:128 clock) ()
-  in
+  let lb = LB.create ~config:(config ~max_out_bytes:128 clock) () in
   let srv = LB.server lb in
   let c = LB.connect lb in
   LB.send c (W.Open "@[0-9];[ ]+");
@@ -909,51 +904,90 @@ let test_short_write_parity () =
         (LB.tokens c = reference))
     [ 1; 3; 7; 4096 ]
 
-(* ---- gathered feeds ---- *)
+(* ---- multi-segment feeds ---- *)
 
-let test_feed_batch_parity () =
-  let engine = grammar_engine "json" in
+(* A fresh session OPENed on [spec], fed [segs] of [input] by one
+   [Session.feed_views] call, then FLUSHed: the tokens its batch encoder
+   held after each, the feed's replies and the FLUSH's replies. *)
+let session_feed_views spec input segs =
+  let s =
+    Serve.Session.create
+      {
+        Serve.Session.cache = Engine_cache.create ();
+        resolve = Registry.resolve;
+      }
+  in
+  (match Serve.Session.handle s (W.Open spec) with
+  | [ W.Opened _ ] -> ()
+  | _ -> Alcotest.fail ("OPEN " ^ spec));
+  let arr =
+    Array.of_list (List.map (fun (pos, len) -> (input, pos, len)) segs)
+  in
+  let toks = ref [] in
+  let take () =
+    (match Serve.Session.batch s with
+    | None -> ()
+    | Some (enc, _) -> (
+        let vbuf, voff, vlen = Serve.Outbuf.view enc in
+        match
+          W.iter_tokens_view
+            { W.Decoder.vtag = W.tag_tokens; vbuf; voff; vlen }
+            (fun ~rule ~buf ~pos ~len ->
+              toks := (Bytes.sub_string buf pos len, rule) :: !toks)
+        with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.fail msg));
+    Serve.Session.batch_clear s
+  in
+  let fed = Serve.Session.feed_views s arr (Array.length arr) in
+  take ();
+  let flushed = Serve.Session.handle s W.Flush in
+  take ();
+  (List.rev !toks, fed, flushed)
+
+let test_feed_views_segments () =
   let input = Gen_data.json ~seed:0xBA7C4L ~target_bytes:4096 () in
   let n = String.length input in
-  let run_batch segments =
-    let toks = ref [] in
-    let tok =
-      Stream_tokenizer.create engine ~emit:(fun lex rule ->
-          toks := (lex, rule) :: !toks)
-    in
-    let arr =
-      Array.of_list (List.map (fun (pos, len) -> (input, pos, len)) segments)
-    in
-    Stream_tokenizer.feed_batch tok arr (Array.length arr);
-    (match Stream_tokenizer.finish tok with
-    | Engine.Finished -> ()
-    | Engine.Failed _ -> Alcotest.fail "batch workload must tokenize");
-    List.rev !toks
+  let reference, outcome = Engine.tokens (grammar_engine "json") input in
+  check "batch engine finished" true (outcome = Engine.Finished);
+  let parity name segs =
+    let toks, fed, flushed = session_feed_views "json" input segs in
+    check (name ^ ": no feed replies") true (fed = []);
+    check (name ^ ": clean flush") true
+      (flushed = [ W.Pending { ok = true; offset = n; pending = "" } ]);
+    check (name ^ ": tokens ≡ batch engine") true (toks = reference)
   in
-  let whole = run_batch [ (0, n) ] in
-  check "tokens produced" true (whole <> []);
   let segs_of sizes =
     let rec go pos = function
       | [] -> if pos < n then [ (pos, n - pos) ] else []
       | s :: rest ->
-          if pos >= n then []
-          else
-            let len = min s (n - pos) in
-            (pos, len) :: go (pos + len) rest
+          let len = min s (n - pos) in
+          (pos, len) :: go (pos + len) rest
     in
     go 0 sizes
   in
-  check "tiny leading segments" true
-    (run_batch (segs_of [ 1; 1; 1; 5; 64 ]) = whole);
-  let rec splits pos acc =
-    if pos >= n then List.rev acc
-    else
-      let len = min 97 (n - pos) in
-      splits (pos + len) ((pos, len) :: acc)
+  parity "one segment" [ (0, n) ];
+  parity "tiny leading segments" (segs_of [ 1; 1; 1; 5; 64 ]);
+  parity "97-byte segments" (segs_of (List.init ((n + 96) / 97) (fun _ -> 97)));
+  parity "empty segments"
+    [ (0, 0); (0, 100); (100, 0); (100, 0); (100, n - 100); (n, 0) ];
+  (* segment 1 fails the stream; segment 2 is not consumed *)
+  let input = "ab cde 1fg hi" in
+  let segs = [ (0, 5); (5, 5); (10, 3) ] in
+  let reference, outcome =
+    Engine.tokens (grammar_engine "@[a-z]+;[ ]+") input
   in
-  check "97-byte segmentation" true (run_batch (splits 0 []) = whole);
-  check "empty segments are no-ops" true
-    (run_batch [ (0, 0); (0, n); (n, 0) ] = whole)
+  let toks, fed, flushed = session_feed_views "@[a-z]+;[ ]+" input segs in
+  (match outcome with
+  | Engine.Failed { offset; _ } ->
+      check_int "batch engine fails at the digit" 7 offset;
+      check "PENDING carries the failure offset" true
+        (flushed = [ W.Pending { ok = false; offset; pending = "1" } ])
+  | Engine.Finished -> Alcotest.fail "the digit must fail the stream");
+  (match fed with
+  | [ W.Error { code = W.Lexical; retryable = false; _ } ] -> ()
+  | _ -> Alcotest.fail "expected exactly one Lexical ERROR");
+  check "tokens up to the failure ≡ batch engine" true (toks = reference)
 
 (* ---- client escaping ---- *)
 
@@ -1003,7 +1037,7 @@ let suite =
     Alcotest.test_case "decoder copies stat" `Quick test_decoder_copies_stat;
     Alcotest.test_case "short-write parity" `Quick
       test_short_write_parity;
-    Alcotest.test_case "feed_batch parity" `Quick test_feed_batch_parity;
+    Alcotest.test_case "feed_views segments" `Quick test_feed_views_segments;
     QCheck_alcotest.to_alcotest prop_escape_parity;
     Alcotest.test_case "client padding parity" `Quick test_padded_parity;
   ]

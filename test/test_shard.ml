@@ -457,6 +457,52 @@ let test_fd_over_setsize () =
       check "no error reply" false (has_error_frame s);
       check "token parity after the refusal" true (tokens_of_stream s = expect))
 
+(* A read errno other than a retry drops that one connection, as a write
+   errno does: a directory fd is selected as readable and its read fails
+   with EISDIR. The select round must return, and a live session on the
+   same loop must keep tokenizing. *)
+let test_bad_read_drops_conn () =
+  let input = Gen_data.json ~seed:0x5EEDL ~target_bytes:2048 () in
+  let expect =
+    let lb = Serve.Loopback.create () in
+    let c = Serve.Loopback.connect lb in
+    List.iter (Serve.Loopback.send c) [ W.Open "json"; W.Feed input; W.Flush ];
+    Serve.Loopback.run lb;
+    Serve.Loopback.tokens c
+  in
+  let srv = Serve.Server.create () in
+  let core = Serve.Io_loop.Core.create srv in
+  let cl, sv = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let dir =
+    Unix.openfile Filename.current_dir_name [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+  in
+  Serve.Io_loop.Core.register core sv;
+  Serve.Io_loop.Core.register core dir;
+  let iterate () =
+    match Serve.Io_loop.Core.iterate core ~extra:[] ~max_timeout:0.05 with
+    | _ -> ()
+    | exception Unix.Unix_error (e, fn, _) ->
+        Alcotest.fail
+          (Printf.sprintf "select round raised %s in %s" (Unix.error_message e)
+             fn)
+  in
+  iterate ();
+  check_int "the unreadable connection is dropped" 1
+    (Serve.Server.live_conns srv);
+  write_all cl
+    (encode_reqs [ W.Open "json"; W.Feed input; W.Flush; W.Close ]);
+  let rounds = ref 0 in
+  while Serve.Server.live_conns srv > 0 && !rounds < 200 do
+    iterate ();
+    incr rounds
+  done;
+  check_int "the live session drained and closed" 0
+    (Serve.Server.live_conns srv);
+  let s = read_all cl in
+  Unix.close cl;
+  check "no error reply" false (has_error_frame s);
+  check "the live session still tokenizes" true (tokens_of_stream s = expect)
+
 (* An unwritable [--stats=FILE] path is reported as [tokenize] reports
    it: an error line and exit code 1, never an uncaught [Sys_error]. *)
 let test_client_stats_unwritable () =
@@ -507,6 +553,8 @@ let suite =
       test_pool_counters_sum;
     Alcotest.test_case "fd over FD_SETSIZE refused" `Quick
       test_fd_over_setsize;
+    Alcotest.test_case "bad read drops one connection" `Quick
+      test_bad_read_drops_conn;
     Alcotest.test_case "fd budget checked at start" `Quick
       test_serve_rejects_fd_budget;
     Alcotest.test_case "client stats to an unwritable file" `Quick
