@@ -134,7 +134,7 @@ for f in "$tmpd"/*.repro; do
 done
 rm -rf "$tmpd"
 
-echo "== serve smoke (daemon parity, zero-copy decode, small writes, slow reader, engine cache, client abort, over-cap OPEN, unbounded-max-TND OPEN, SIGTERM drain)"
+echo "== serve smoke (daemon parity, zero-copy decode, small writes, streaming client, slow reader, engine cache, client abort, over-cap OPEN, unbounded-max-TND OPEN, SIGTERM drain)"
 # Use the installed binary directly: the daemon and clients run
 # concurrently, and parallel `dune exec` invocations would fight over the
 # build lock.
@@ -191,6 +191,22 @@ awk '{print; fflush()}' "$tmpd/lines.json" \
   | "$BIN" client --socket "$sock" json > "$tmpd/lines.out"
 if ! cmp -s "$tmpd/lines.ref" "$tmpd/lines.out"; then
   fail "serve smoke FAILED: line-at-a-time client output differs from tokenize"
+fi
+
+# streaming client: the second line arrives 2 s after the first, and the
+# first line's tokens must be on stdout before it does; the whole output
+# must still equal tokenize
+(printf '[1, 2]\n'; sleep 2; printf '[3]\n') \
+  | "$BIN" client --socket "$sock" json > "$tmpd/stream.out" &
+cpid=$!
+sleep 1
+if ! grep -q '^lbracket' "$tmpd/stream.out"; then
+  fail "serve smoke FAILED: client printed nothing before its input paused"
+fi
+wait "$cpid" || fail "serve smoke FAILED: streaming client exited non-zero"
+printf '[1, 2]\n[3]\n' | "$BIN" tokenize json > "$tmpd/stream.ref"
+if ! cmp -s "$tmpd/stream.ref" "$tmpd/stream.out"; then
+  fail "serve smoke FAILED: streaming client output differs from tokenize"
 fi
 
 # slow reader: nobody reads the client's stdout for a second, so the

@@ -20,21 +20,23 @@
                           an allocator); bit [b land 31] of word [b/32] is
                           set iff byte [b] leaves the state
      kinds.[r]            the row's scanner:
-                            '\000'  bitmap scan (>= 4 stop bytes, or level
-                                    [Bitmap]): the 8-way byte loop
+                            '\000'  bitmap scan (level [Bitmap]): the
+                                    8-way byte loop through the bitmap
                             '\001'..'\003'  SWAR with that many stop bytes:
                                     8 bytes per 64-bit load, broadcast-XOR
                                     zero-byte detectors
                             '\004'  free-running: no stop byte at all, a run
                                     never ends before the range limit
+                            '\005'  table scan (> 3 stop bytes at level
+                                    [Swar]): the 8-way byte loop through
+                                    the gather table
      masks.[r*24 ..]      3 native 64-bit broadcast masks
                           (0x0101010101010101 * stop_byte); rows with fewer
                           than 3 stop bytes repeat the last real mask, so a
                           scanner never reads an uninitialized lane
      gather.[r*256 + b]   '\001' iff byte [b] stops the row: the bitmap
-                          re-expanded for the dual-cursor mixed scan, whose
-                          merged word loop tests the SWAR side with
-                          detectors and the bitmap side with eight gathers
+                          re-expanded to one byte per entry, so the kind-5
+                          loop tests a byte with a single load
 
    The level decides which arrays exist: [Off] keeps only the (all-zero)
    flags, so hot loops may probe them unconditionally; [Bitmap] adds the
@@ -43,7 +45,10 @@
    interiors on '"' and '\\', comments on '\n', whitespace runs on
    everything but ' '), so the SWAR tier covers the states where the bytes
    actually are. A row with <= 3 stop bytes self-loops on >= 253 bytes, so
-   every SWAR row is also flagged. *)
+   every SWAR row is also flagged.
+
+   Each scanner exists once, for one cursor. The token-extension loop's
+   two cursors are served by {!skip2}, which composes two {!skip} calls. *)
 
 type level = Off | Bitmap | Swar
 
@@ -116,7 +121,8 @@ let add_row t ~classmap ~loops =
     if 256 - !n >= min_loop_bytes then Bytes.set t.flags r '\001';
     if swar then
       if !n = 0 then Bytes.set t.kinds r '\004'
-      else if !n <= 3 then begin
+      else if !n > 3 then Bytes.set t.kinds r '\005'
+      else begin
         Bytes.set t.kinds r (Char.chr !n);
         let m2 = if !n >= 2 then !s2 else !s1 in
         let m3 = if !n >= 3 then !s3 else m2 in
@@ -171,7 +177,9 @@ let equal a b =
 let[@inline] enters t r b =
   Bytes.unsafe_get t.flags r <> '\000' && stop_bit t.stops (r * 8) b = 0
 
-let is_swar t r = Bytes.unsafe_get t.kinds r <> '\000'
+let is_swar t r =
+  match Bytes.unsafe_get t.kinds r with '\001' .. '\004' -> true | _ -> false
+
 let kind t r = if t.level = Off then 0 else Char.code (Bytes.get t.kinds r)
 let mask t r i = Bytes.get_int64_ne t.masks ((r * 24) + (i * 8))
 
@@ -180,7 +188,7 @@ let mask t r i = Bytes.get_int64_ne t.masks ((r * 24) + (i * 8))
    bytes per iteration on the fast path: the eight bitmap tests are
    OR-folded so the loop carries a single branch, and every operation is
    on immediate ints — the loop allocates nothing. This is the kind-'\000'
-   scanner and the reference the SWAR tier is tested against. *)
+   scanner and the reference the [Swar] level is tested against. *)
 let skip_bitmap t r s pos limit =
   let stops = t.stops in
   let base = r * 8 in
@@ -204,6 +212,36 @@ let skip_bitmap t r s pos limit =
     !i < limit
     && stop_bit stops base (Char.code (String.unsafe_get s !i)) = 0
   do
+    incr i
+  done;
+  !i
+
+let[@inline] gather_at tbl tb s p =
+  Char.code (Bytes.unsafe_get tbl (tb + Char.code (String.unsafe_get s p)))
+
+(* [skip_gather t r s pos limit]: the kind-'\005' scanner, for rows with
+   more than 3 stop bytes at level [Swar]. The loop of {!skip_bitmap}, but
+   each byte test is one load from the row's gather table instead of the
+   bitmap's word load, shift and mask. *)
+let skip_gather t r s pos limit =
+  let tbl = t.gather and tb = r * 256 in
+  let i = ref pos in
+  let scanning = ref true in
+  while !scanning && !i + 8 <= limit do
+    let p = !i in
+    let acc =
+      gather_at tbl tb s p
+      lor gather_at tbl tb s (p + 1)
+      lor gather_at tbl tb s (p + 2)
+      lor gather_at tbl tb s (p + 3)
+      lor gather_at tbl tb s (p + 4)
+      lor gather_at tbl tb s (p + 5)
+      lor gather_at tbl tb s (p + 6)
+      lor gather_at tbl tb s (p + 7)
+    in
+    if acc = 0 then i := p + 8 else scanning := false
+  done;
+  while !i < limit && gather_at tbl tb s !i = 0 do
     incr i
   done;
   !i
@@ -242,8 +280,8 @@ external load_mask : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
    of row [r], or [limit] when the whole range self-loops. Dispatches once
    per call on the row's kind: free-running rows return [limit] outright,
    SWAR rows scan 8 bytes per 64-bit load (specialized per stop-set size
-   so a 1-stop comment state pays one detector, not three), everything
-   else takes the bitmap scanner. The scalar bitmap loop after the word
+   so a 1-stop comment state pays one detector, not three), many-stop rows
+   take the gather-table scanner and bitmap-level rows the bitmap one. The scalar bitmap loop after the word
    loop handles the <8-byte tail, ranges shorter than one word, and
    pinpointing the stop inside a hit word — so the word loop never reads
    past [limit]. *)
@@ -251,6 +289,7 @@ let skip t r s pos limit =
   match Bytes.unsafe_get t.kinds r with
   | '\004' -> limit
   | '\000' -> skip_bitmap t r s pos limit
+  | '\005' -> skip_gather t r s pos limit
   | k ->
       let masks = t.masks and mb = r * 24 in
       let m1 = load_mask masks mb in
@@ -320,252 +359,19 @@ let skip t r s pos limit =
       done;
       !i
 
-(* The scalar dual-cursor tail shared by every two-sided loop: advance
-   while neither cursor sits on a stop byte. *)
-let tail2 a ra b rb ~off s i limit =
-  let sa = a.stops and ba = ra * 8 and sb = b.stops and bb = rb * 8 in
-  let i = ref i in
-  while
-    !i < limit
-    && stop_bit sa ba (Char.code (String.unsafe_get s !i)) = 0
-    && stop_bit sb bb (Char.code (String.unsafe_get s (!i + off))) = 0
-  do
-    incr i
-  done;
-  !i
-
-(* Dual-cursor bitmap scanner: the doubly-bitmap pair, and the reference
-   the two-sided SWAR loops are tested against. *)
-let skip2_bitmap a ra b rb ~off s pos limit =
-  let sa = a.stops and ba = ra * 8 and sb = b.stops and bb = rb * 8 in
-  let i = ref pos in
-  let scanning = ref true in
-  while !scanning && !i + 4 <= limit do
-    let p = !i and po = !i + off in
-    let acc =
-      stop_bit sa ba (Char.code (String.unsafe_get s p))
-      lor stop_bit sb bb (Char.code (String.unsafe_get s po))
-      lor stop_bit sa ba (Char.code (String.unsafe_get s (p + 1)))
-      lor stop_bit sb bb (Char.code (String.unsafe_get s (po + 1)))
-      lor stop_bit sa ba (Char.code (String.unsafe_get s (p + 2)))
-      lor stop_bit sb bb (Char.code (String.unsafe_get s (po + 2)))
-      lor stop_bit sa ba (Char.code (String.unsafe_get s (p + 3)))
-      lor stop_bit sb bb (Char.code (String.unsafe_get s (po + 3)))
-    in
-    if acc = 0 then i := p + 4 else scanning := false
-  done;
-  tail2 a ra b rb ~off s !i limit
-
-(* Mixed pair: [x] SWAR at [i], [y] bitmap at [i + off] through its gather
-   table. One merged word loop — SWAR detectors for the fast side plus
-   eight 0/1 gathers for the slow side — keeps the pair at one pass and
-   one branch per 8 bytes. *)
-let mixed x rx y ry ~off s pos limit =
-  let masks = x.masks and mb = rx * 24 in
-  let m1 = load_mask masks mb in
-  let m2 = load_mask masks (mb + 8) in
-  let m3 = load_mask masks (mb + 16) in
-  let tbl = y.gather and tb = ry * 256 in
-  let i = ref pos in
-  let scanning = ref true in
-  (if Bytes.unsafe_get x.kinds rx <= '\002' then
-     while !scanning && !i + 8 <= limit do
-       let w = get64u s !i in
-       let po = !i + off in
-       let g =
-         Char.code
-           (Bytes.unsafe_get tbl (tb + Char.code (String.unsafe_get s po)))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 1))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 2))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 3))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 4))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 5))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 6))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 7))))
-       in
-       let x1 = Int64.logxor w m1 and x2 = Int64.logxor w m2 in
-       let h =
-         Int64.logor
-           (Int64.logand
-              (Int64.logand (Int64.sub x1 0x0101010101010101L)
-                 (Int64.lognot x1))
-              0x8080808080808080L)
-           (Int64.logand
-              (Int64.logand (Int64.sub x2 0x0101010101010101L)
-                 (Int64.lognot x2))
-              0x8080808080808080L)
-       in
-       if g = 0 && h = 0L then i := !i + 8 else scanning := false
-     done
-   else
-     while !scanning && !i + 8 <= limit do
-       let w = get64u s !i in
-       let po = !i + off in
-       let g =
-         Char.code
-           (Bytes.unsafe_get tbl (tb + Char.code (String.unsafe_get s po)))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 1))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 2))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 3))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 4))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 5))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 6))))
-         lor Char.code
-               (Bytes.unsafe_get tbl
-                  (tb + Char.code (String.unsafe_get s (po + 7))))
-       in
-       let x1 = Int64.logxor w m1
-       and x2 = Int64.logxor w m2
-       and x3 = Int64.logxor w m3 in
-       let h =
-         Int64.logor
-           (Int64.logor
-              (Int64.logand
-                 (Int64.logand (Int64.sub x1 0x0101010101010101L)
-                    (Int64.lognot x1))
-                 0x8080808080808080L)
-              (Int64.logand
-                 (Int64.logand (Int64.sub x2 0x0101010101010101L)
-                    (Int64.lognot x2))
-                 0x8080808080808080L))
-           (Int64.logand
-              (Int64.logand (Int64.sub x3 0x0101010101010101L)
-                 (Int64.lognot x3))
-              0x8080808080808080L)
-       in
-       if g = 0 && h = 0L then i := !i + 8 else scanning := false
-     done);
-  tail2 x rx y ry ~off s !i limit
-
-(* Both sides SWAR: one fused word loop, 4 detectors when both stop sets
-   have <= 2 members (the common string-interior case; the padding repeats
-   the last real mask, so lanes 1-2 are exactly the set), 6 otherwise. *)
-let dual a ra b rb ~off s pos limit =
-  let ma = a.masks and mba = ra * 24 and mb = b.masks and mbb = rb * 24 in
-  let a1 = load_mask ma mba in
-  let a2 = load_mask ma (mba + 8) in
-  let a3 = load_mask ma (mba + 16) in
-  let b1 = load_mask mb mbb in
-  let b2 = load_mask mb (mbb + 8) in
-  let b3 = load_mask mb (mbb + 16) in
-  let i = ref pos in
-  let scanning = ref true in
-  (if
-     Bytes.unsafe_get a.kinds ra <= '\002'
-     && Bytes.unsafe_get b.kinds rb <= '\002'
-   then
-     while !scanning && !i + 8 <= limit do
-       let w = get64u s !i and wo = get64u s (!i + off) in
-       let x1 = Int64.logxor w a1
-       and x2 = Int64.logxor w a2
-       and y1 = Int64.logxor wo b1
-       and y2 = Int64.logxor wo b2 in
-       let h =
-         Int64.logor
-           (Int64.logor
-              (Int64.logand
-                 (Int64.logand (Int64.sub x1 0x0101010101010101L)
-                    (Int64.lognot x1))
-                 0x8080808080808080L)
-              (Int64.logand
-                 (Int64.logand (Int64.sub x2 0x0101010101010101L)
-                    (Int64.lognot x2))
-                 0x8080808080808080L))
-           (Int64.logor
-              (Int64.logand
-                 (Int64.logand (Int64.sub y1 0x0101010101010101L)
-                    (Int64.lognot y1))
-                 0x8080808080808080L)
-              (Int64.logand
-                 (Int64.logand (Int64.sub y2 0x0101010101010101L)
-                    (Int64.lognot y2))
-                 0x8080808080808080L))
-       in
-       if h = 0L then i := !i + 8 else scanning := false
-     done
-   else
-     while !scanning && !i + 8 <= limit do
-       let w = get64u s !i and wo = get64u s (!i + off) in
-       let x1 = Int64.logxor w a1
-       and x2 = Int64.logxor w a2
-       and x3 = Int64.logxor w a3
-       and y1 = Int64.logxor wo b1
-       and y2 = Int64.logxor wo b2
-       and y3 = Int64.logxor wo b3 in
-       let h =
-         Int64.logor
-           (Int64.logor
-              (Int64.logor
-                 (Int64.logand
-                    (Int64.logand (Int64.sub x1 0x0101010101010101L)
-                       (Int64.lognot x1))
-                    0x8080808080808080L)
-                 (Int64.logand
-                    (Int64.logand (Int64.sub x2 0x0101010101010101L)
-                       (Int64.lognot x2))
-                    0x8080808080808080L))
-              (Int64.logor
-                 (Int64.logand
-                    (Int64.logand (Int64.sub x3 0x0101010101010101L)
-                       (Int64.lognot x3))
-                    0x8080808080808080L)
-                 (Int64.logand
-                    (Int64.logand (Int64.sub y1 0x0101010101010101L)
-                       (Int64.lognot y1))
-                    0x8080808080808080L)))
-           (Int64.logor
-              (Int64.logand
-                 (Int64.logand (Int64.sub y2 0x0101010101010101L)
-                    (Int64.lognot y2))
-                 0x8080808080808080L)
-              (Int64.logand
-                 (Int64.logand (Int64.sub y3 0x0101010101010101L)
-                    (Int64.lognot y3))
-                 0x8080808080808080L))
-       in
-       if h = 0L then i := !i + 8 else scanning := false
-     done);
-  tail2 a ra b rb ~off s !i limit
-
-(* [skip2 a ra b rb ~off s pos limit]: dual-cursor variant for the TE
+(* [skip2 a ra b rb ~off s pos limit]: the two-cursor scan for the TE
    paths, where row [rb] of [b] reads [off] bytes away from row [ra] of
-   [a]. A free-running side drops out of the scan; a (bitmap, SWAR) pair
-   is the (SWAR, bitmap) loop seen from the other cursor — sides swapped,
-   [off] negated, the range shifted by [off] — so one mixed loop serves
-   both orders. *)
+   [a]. The first index where either cursor stops is the smaller of the two
+   sides' first stops, so each side runs its own {!skip}: A over the
+   window, then B only up to A's stop. A side that stops late would scan
+   far past the other's early stop, so the window starts at 32 bytes and
+   doubles while both sides run clean: each side scans at most 32 bytes
+   plus twice the run beyond the first stop. *)
 let skip2 a ra b rb ~off s pos limit =
-  let ka = Bytes.unsafe_get a.kinds ra and kb = Bytes.unsafe_get b.kinds rb in
-  if ka = '\004' then
-    if kb = '\004' then limit else skip b rb s (pos + off) (limit + off) - off
-  else if kb = '\004' then skip a ra s pos limit
-  else if ka = '\000' then
-    if kb = '\000' then skip2_bitmap a ra b rb ~off s pos limit
-    else mixed b rb a ra ~off:(-off) s (pos + off) (limit + off) - off
-  else if kb = '\000' then mixed a ra b rb ~off s pos limit
-  else dual a ra b rb ~off s pos limit
+  let p = ref pos and w = ref 32 and r = ref (-1) in
+  while !r < 0 do
+    let e = if limit - !p < !w then limit else !p + !w in
+    let i = skip b rb s (!p + off) (skip a ra s !p e + off) - off in
+    if i < e || e = limit then r := i else (p := e; w := 2 * !w)
+  done;
+  !r

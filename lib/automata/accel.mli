@@ -5,7 +5,7 @@
     profitability flag (it self-loops on at least 4 bytes), a 256-bit
     stop-byte bitmap (bit set iff the byte leaves the state), and — at
     level {!Swar} — a scanner kind with up to 3 broadcast masks and a
-    256-byte gather table. Rows live in one growable table {!t}; [Dfa]
+    256-byte gather table. Each scanner is written once, for one cursor. Rows live in one growable table {!t}; [Dfa]
     fills one row per state once at build time, [Te_dfa] appends a row the
     first time a skip loop enters a powerstate. Hot loops test {!enters}
     after observing two self-loop steps, then let {!skip} (one cursor) or
@@ -16,7 +16,8 @@
 (** How much of the accelerator a build carries: [Off] never skips (the
     unaccelerated reference build); [Bitmap] skips with the byte-at-a-time
     bitmap scanners only (the SWAR reference build); [Swar] (the default)
-    adds the word-at-a-time scanners for rows with at most 3 stop bytes. *)
+    adds the word-at-a-time scanners for rows with at most 3 stop bytes
+    and a gather-table scanner for the rest. *)
 type level = Off | Bitmap | Swar
 
 type t
@@ -64,13 +65,15 @@ val equal : t -> t -> bool
     does not stop it, so a run continues through [b]. *)
 val enters : t -> int -> int -> bool
 
-(** Row [r] is scanned by a SWAR or free-running loop (its skips count as
-    [swar_skipped_bytes]). Only meaningful at [Bitmap] and [Swar]. *)
+(** Row [r] is scanned by a SWAR or free-running loop, kinds 1–4 (its
+    skips count as [swar_skipped_bytes]). Only meaningful at [Bitmap] and
+    [Swar]. *)
 val is_swar : t -> int -> bool
 
 (** Row [r]'s scanner: 0 bitmap, 1–3 SWAR with that many stop bytes, 4
-    free-running (no stop byte). Always 0 below level [Swar]. Test and
-    tool access. *)
+    free-running (no stop byte), 5 gather table (more than 3 stop bytes).
+    Always 0 below level [Swar], never 0 at [Swar]. Test and tool
+    access. *)
 val kind : t -> int -> int
 
 (** [mask t r i]: row [r]'s broadcast mask in lane [i] (0–2) — the stop
@@ -82,27 +85,22 @@ val mask : t -> int -> int -> int64
 (** [skip t r s pos limit]: the first index in [[pos, limit)] holding a
     stop byte of row [r], or [limit] when the whole range self-loops.
     Dispatches on the row's kind: SWAR rows scan 8 bytes per 64-bit load,
-    free-running rows return [limit] at once, bitmap rows take
+    free-running rows return [limit] at once, many-stop rows test 8 bytes
+    per iteration through the gather table, bitmap rows take
     {!skip_bitmap}. Callers reach it only after {!enters} held. *)
 val skip : t -> int -> string -> int -> int -> int
 
 (** The byte-at-a-time bitmap scanner of {!skip}, callable directly: the
-    reference the SWAR tier is tested and benched against. *)
+    reference the [Swar] level is tested and benched against. *)
 val skip_bitmap : t -> int -> string -> int -> int -> int
 
-(** [skip2 a ra b rb ~off s pos limit]: the dual-cursor scan for the
+(** [skip2 a ra b rb ~off s pos limit]: the two-cursor scan for the
     token-extension paths — the first index [i] in [[pos, limit)] where
     [s.[i]] stops row [ra] of [a] or [s.[i + off]] stops row [rb] of [b],
-    or [limit]. A free-running side drops out; both sides SWAR run one
-    fused detector loop; a mixed pair runs one merged loop (detectors for
-    the SWAR side, gathers for the bitmap side); a doubly-bitmap pair runs
-    {!skip2_bitmap}. The caller guarantees that [a] and [b] have the same
-    level and that both cursors stay in bounds: [pos + off >= 0] and
-    [limit + off <= String.length s]. *)
+    or [limit]. Two {!skip} calls per window: A scans the window, B scans
+    up to A's stop. Windows start at 32 bytes and double while both sides
+    run clean, so neither side scans more than 32 bytes plus twice the
+    run past the first stop. The caller guarantees that both cursors stay
+    in bounds: [pos + off >= 0] and [limit + off <= String.length s]. *)
 val skip2 :
-  t -> int -> t -> int -> off:int -> string -> int -> int -> int
-
-(** The dual bitmap scanner of {!skip2}, callable directly as the SWAR
-    reference. *)
-val skip2_bitmap :
   t -> int -> t -> int -> off:int -> string -> int -> int -> int

@@ -198,6 +198,17 @@ let subset ~classes ?max_states (nfa : Nfa.t) =
 let of_nfa ?(classes = true) ?(accel = Accel.Swar) ?max_states nfa =
   attach accel (subset ~classes ?max_states nfa)
 
+(* Signature table of [minimize_dfa]. A signature is [| hash; block;
+   successor blocks ... |], the hash folded over the whole row while the
+   row is filled: polymorphic [Hashtbl.hash] reads only the first 10 ints
+   of an array, so rows that differ only further on shared a bucket. *)
+module Sig_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash a = Array.unsafe_get a 0
+end)
+
 (* Moore minimization, in class space. The initial partition separates
    states by Λ (so distinct token ids are never merged); refinement splits
    blocks whose members disagree on the block of some successor. The
@@ -221,20 +232,24 @@ let minimize_dfa d =
   let changed = ref true in
   while !changed do
     changed := false;
-    (* signature of a state: (block, successor blocks) *)
-    let sig_tbl = Hashtbl.create n in
+    (* signature of a state: (hash, block, successor blocks) *)
+    let sig_tbl = Sig_tbl.create n in
     let new_block = Array.make n 0 in
     let count = ref 0 in
     for q = 0 to n - 1 do
-      let key = Array.make (nc + 1) 0 in
-      key.(0) <- block.(q);
+      let key = Array.make (nc + 2) 0 in
+      let h = ref block.(q) in
+      key.(1) <- block.(q);
       for c = 0 to nc - 1 do
-        key.(c + 1) <- block.(d.trans.((q * nc) + c))
+        let b = block.(d.trans.((q * nc) + c)) in
+        key.(c + 2) <- b;
+        h := (!h * 31) + b
       done;
-      match Hashtbl.find_opt sig_tbl key with
+      key.(0) <- !h lxor (!h lsr 29);
+      match Sig_tbl.find_opt sig_tbl key with
       | Some b -> new_block.(q) <- b
       | None ->
-          Hashtbl.add sig_tbl key !count;
+          Sig_tbl.add sig_tbl key !count;
           new_block.(q) <- !count;
           incr count
     done;

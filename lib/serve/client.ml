@@ -36,7 +36,8 @@ let append_padded b name =
 let chunk_size = 65536
 
 (* Keep roughly this much encoded output in flight; more input is pulled
-   only when the queue drops below it, so `Fd input streams in O(1). *)
+   only when the queue drops below it, so `Fd input streams in O(1)
+   memory. *)
 let out_budget = 2 * chunk_size
 
 let rec select_eintr r w e timeout =
@@ -98,17 +99,18 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
         (match open_request with
         | Some req -> req
         | None -> Wire.Open grammar);
-      let refill () =
-        while (not !input_done) && Outbuf.length pend < out_budget do
-          if not (next_feed ()) then begin
-            input_done := true;
-            enqueue Wire.Flush;
-            (match stats with
-            | Some fmt -> enqueue (Wire.Stats fmt)
-            | None -> ());
-            enqueue Wire.Close
-          end
-        done
+      let wants_input () =
+        (not !input_done) && Outbuf.length pend < out_budget
+      in
+      let pull () =
+        if not (next_feed ()) then begin
+          input_done := true;
+          enqueue Wire.Flush;
+          (match stats with
+          | Some fmt -> enqueue (Wire.Stats fmt)
+          | None -> ());
+          enqueue Wire.Close
+        end
       in
       let dec = Wire.Decoder.create () in
       let rbuf = Bytes.create chunk_size in
@@ -191,6 +193,7 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
               handle_reply r)
         in
         flush_pbuf ();
+        flush out;
         match r with
         | Ok () -> ()
         | Error msg ->
@@ -198,13 +201,27 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
             fail 2;
             finished := true
       in
+      (* An input fd joins the select read set while the out queue has
+         room and is read once per wakeup, so a pipe that delivers a line
+         now and the rest later has that line tokenized and printed now. *)
       while not !finished do
-        refill ();
+        let input_fds =
+          match input with
+          | `Fd ifd when wants_input () -> [ ifd ]
+          | `Fd _ -> []
+          | `String _ ->
+              while wants_input () do
+                pull ()
+              done;
+              []
+        in
         let want_write = Outbuf.length pend > 0 in
         let readable, writable, _ =
-          select_eintr [ fd ] (if want_write then [ fd ] else []) [] 1.0
+          select_eintr (fd :: input_fds)
+            (if want_write then [ fd ] else [])
+            [] 1.0
         in
-        if readable <> [] then begin
+        if List.mem fd readable then begin
           match Unix.read fd rbuf 0 (Bytes.length rbuf) with
           | 0 ->
               read_replies ();
@@ -220,6 +237,10 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
               fail 2;
               finished := true
         end;
+        if
+          (not !finished)
+          && List.exists (fun i -> List.mem i readable) input_fds
+        then pull ();
         if (not !finished) && writable <> [] then begin
           let buf, pos, len = Outbuf.view pend in
           match Writev.write fd buf pos len with

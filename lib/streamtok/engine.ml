@@ -355,8 +355,8 @@ let te_step_carried c te a =
    Acceleration must preserve the K-symbol lead: a skipped byte advances
    BOTH cursors, so an iteration can only be skipped when the consumed byte
    self-loops A's state [q] AND the byte K ahead self-loops B's powerstate
-   [st] — [Accel.skip2] scans both rows in lockstep, B reading [+k]
-   bytes ahead. The emit bit is a function of the (st, q) pair, which is
+   [st] — [Accel.skip2] finds the first byte that stops either row, B
+   reading [+k] bytes ahead. The emit bit is a function of the (st, q) pair, which is
    constant across the run and known 0 at entry, so no probe can be
    missed. *)
 let te_chunk c te s pos len =

@@ -135,8 +135,8 @@ let test_noaccel_reference_build () =
 
 (* toy tables: row 0 stops on 'x' only, row 1 on 'y' only; rows 2 and 3
    add three control bytes the inputs never hold, so they scan exactly like
-   rows 0 and 1 but take the bitmap kind. In the SWAR table rows 0-1 are
-   SWAR, rows 2-3 bitmap; the bitmap-level table exercises the bitmap
+   rows 0 and 1 but take the many-stop kind. In the SWAR table rows 0-1 are
+   SWAR, rows 2-3 gather table; the bitmap-level table exercises the bitmap
    dispatch on the very same assertions *)
 let toy_sets =
   [ [ Char.code 'x' ]; [ Char.code 'y' ]; [ Char.code 'x'; 0; 1; 2 ];
@@ -147,28 +147,26 @@ let toy_bitmap = table Accel.Bitmap toy_sets
 
 let skip q s pos limit =
   let v = Accel.skip toy q s pos limit in
-  check_int "bitmap kind agrees" v (Accel.skip toy (q + 2) s pos limit);
+  check_int "gather kind agrees" v (Accel.skip toy (q + 2) s pos limit);
   check_int "bitmap level agrees" v (Accel.skip toy_bitmap q s pos limit);
   check_int "skip_bitmap agrees" v (Accel.skip_bitmap toy q s pos limit);
   v
 
 let skip2 qa qb ~off s pos limit =
   let v = Accel.skip2 toy qa toy qb ~off s pos limit in
-  (* a bitmap-kind side routes the same pair through the mixed loop, once
-     from each cursor; both must agree with the dual-SWAR path *)
-  check_int "mixed dispatch agrees (A bitmap)" v
+  (* a gather-table side on either cursor, and the bitmap level, must
+     agree with the two-SWAR pair *)
+  check_int "gather kind agrees (A)" v
     (Accel.skip2 toy (qa + 2) toy qb ~off s pos limit);
-  check_int "mixed dispatch agrees (B bitmap)" v
+  check_int "gather kind agrees (B)" v
     (Accel.skip2 toy qa toy (qb + 2) ~off s pos limit);
   check_int "bitmap level agrees" v
     (Accel.skip2 toy_bitmap qa toy_bitmap qb ~off s pos limit);
-  check_int "skip2_bitmap agrees" v
-    (Accel.skip2_bitmap toy qa toy qb ~off s pos limit);
   v
 
 let test_skip_run_unit () =
   check "toy rows classified" true
-    (List.init 4 (Accel.kind toy) = [ 1; 1; 0; 0 ]);
+    (List.init 4 (Accel.kind toy) = [ 1; 1; 5; 5 ]);
   (* stop at every distance 0..20 from pos: covers the scalar tail and the
      word-at-a-time body on both sides of its boundaries *)
   for r = 0 to 20 do
@@ -188,7 +186,7 @@ let test_skip_run_unit () =
   check_int "stop at pos" 2 (skip 0 "aax" 2 3)
 
 let test_skip_run2_unit () =
-  (* dual-cursor: cursor a reads s.[i] against row 0 ('x' stops), cursor b
+  (* two cursors: cursor a reads s.[i] against row 0 ('x' stops), cursor b
      reads s.[i+off] against row 1 ('y' stops); first stop wins *)
   let n = 24 in
   (* b-cursor stops first: 'y' at index 9, off 2 -> stop at i = 7 *)
@@ -207,13 +205,13 @@ let test_skip_run2_unit () =
   (* clean to the limit at every length (unroll boundaries) *)
   for len = 0 to 12 do
     let s = String.make (len + 4) 'a' in
-    check_int (Printf.sprintf "clean dual run %d" len) len
+    check_int (Printf.sprintf "clean two-cursor run %d" len) len
       (skip2 0 1 ~off:4 s 0 len)
   done;
-  (* mixed dispatch: one bitmap cursor against one SWAR cursor *)
+  (* one gather-table cursor against one SWAR cursor *)
   let s = Bytes.make n 'a' in
   Bytes.set s 9 'y';
-  check_int "mixed swar/bitmap dual" 7
+  check_int "gather/swar pair" 7
     (Accel.skip2 toy 2 toy 1 ~off:2 (Bytes.to_string s) 0 (n - 2))
 
 (* ---- golden corpus parity: accel vs noaccel, batch + chunked ---- *)

@@ -195,7 +195,7 @@ let prop_random_chunk_plans =
 
 (* Chunked accel ≡ chunked noaccel (1k seeded cases): the kernel's skip
    loops — the K ≤ 1 skip held short of the chunk's last byte and the TE
-   dual-cursor skip with the K-symbol lead — against the [~accel:Off] reference tokenizer under
+   two-cursor skip with the K-symbol lead — against the [~accel:Off] reference tokenizer under
    random chunk plans, so skip entry and exit land on chunk boundaries in
    every alignment. *)
 let test_accel_chunked_parity () =

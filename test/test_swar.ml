@@ -41,7 +41,11 @@ let test_classify () =
   check_int "1 stop -> kind 1" 1 (kind [ 0x22 ]);
   check_int "2 stops -> kind 2" 2 (kind [ 0x22; 0x5c ]);
   check_int "3 stops -> kind 3" 3 (kind [ 0x0a; 0x22; 0x5c ]);
-  check_int "4 stops -> bitmap" 0 (kind [ 0x0a; 0x0d; 0x22; 0x5c ]);
+  check_int "4 stops -> gather table" 5 (kind [ 0x0a; 0x0d; 0x22; 0x5c ]);
+  check_int "4 stops at Bitmap -> bitmap" 0
+    (Accel.kind
+       (Test_accel.table Accel.Bitmap [ [ 0x0a; 0x0d; 0x22; 0x5c ] ])
+       0);
   (* mask padding repeats the last real stop byte *)
   let mask t i = Accel.mask t 0 i in
   let t = tables_of [ 0x22; 0x5c ] in
@@ -166,7 +170,7 @@ let test_lane_endianness () =
   Bytes.set b 12 '\x00';
   check_int "0x80 before 0x00" 3 (agree ~what:"both" set t (Bytes.to_string b) 0 16)
 
-(* ---- dual-cursor scanner against a two-sided reference ---- *)
+(* ---- two-cursor scanner against a two-sided reference ---- *)
 
 let linear_scan2 set_a set_b ~off s pos limit =
   let i = ref pos in
@@ -179,11 +183,13 @@ let linear_scan2 set_a set_b ~off s pos limit =
   done;
   !i
 
-let test_dual_oracle () =
+(* [skip2] scans 32-byte windows that double while both cursors run clean,
+   so the stops are planted just before, on and just after the window
+   edges (32, 32+64, 32+64+128, ...) on either cursor's side, in ranges up
+   to 1100 bytes. The 4- and 5-member sets are gather-table rows at [Swar]
+   and bitmap rows at [Bitmap]; both levels must match the reference. *)
+let test_two_cursor_oracle () =
   let rng = Prng.create 0xD0A1L in
-  (* the 4- and 5-member sets classify as bitmap (kind 0), so random pairs
-     also cover the merged mixed loops (SWAR x gather-table) both ways and
-     the doubly-bitmap fallback *)
   let sets =
     [|
       [ 0x78 ];
@@ -194,41 +200,56 @@ let test_dual_oracle () =
       [ 0x7a; 0x7e; 0x62; 0x41; 0x25 ];
     |]
   in
+  let edges = [| 0; 32; 96; 224; 480; 992 |] in
   for _ = 1 to 500 do
     let set_a = Prng.choose rng sets and set_b = Prng.choose rng sets in
-    let a = tables_of set_a and b_ = tables_of set_b in
     let off = Prng.in_range rng (-6) 6 in
-    let n = Prng.in_range rng 0 64 in
+    let n = Prng.in_range rng 0 1100 in
     let b = Bytes.make (n + 16) 'a' in
-    for _ = 0 to Prng.int rng 6 do
-      Bytes.set b
-        (Prng.int rng (n + 16))
-        (Prng.choose rng [| 'x'; 'z'; '~'; 'b'; 'A'; '%' |])
+    let pos = max 0 (-off) in
+    for _ = 0 to Prng.int rng 3 do
+      let at =
+        if Prng.bool rng then Prng.int rng (n + 16)
+        else
+          (* just around a window edge, seen from either cursor *)
+          pos + Prng.choose rng edges + Prng.in_range rng (-2) 2
+          + if Prng.bool rng then off else 0
+      in
+      if at >= 0 && at < n + 16 then
+        Bytes.set b at (Prng.choose rng [| 'x'; 'z'; '~'; 'b'; 'A'; '%' |])
     done;
     let s = Bytes.to_string b in
-    let pos = max 0 (-off) in
-    let limit = min (pos + n) (String.length s - max 0 off) in
-    let limit = max pos limit in
+    let limit = max pos (min (pos + n) (String.length s - max 0 off)) in
     let expected = linear_scan2 set_a set_b ~off s pos limit in
-    check_int "dual swar vs reference" expected
-      (Accel.skip2 a 0 b_ 0 ~off s pos limit);
-    check_int "dual bitmap vs reference" expected
-      (Accel.skip2_bitmap a 0 b_ 0 ~off s pos limit)
+    List.iter
+      (fun level ->
+        let a = Test_accel.table level [ set_a ]
+        and b_ = Test_accel.table level [ set_b ] in
+        check_int "two-cursor scan vs reference" expected
+          (Accel.skip2 a 0 b_ 0 ~off s pos limit))
+      [ Accel.Swar; Accel.Bitmap ]
   done
 
 (* ---- every kind pair: mirror collapse, no allocation ---- *)
 
-(* one table holding a row of every kind: bitmap (5 stops), SWAR with 1,
-   2 and 3 stops, free-running *)
+(* one (table, row) per kind, indexed by kind: bitmap (a [Bitmap]-level
+   row), SWAR with 1, 2 and 3 stops, free-running, gather table (5
+   stops) *)
 let kinds_table =
-  Test_accel.table Accel.Swar
-    [
-      [ 0x78; 0x7a; 0x7e; 0x62; 0x41 ];
-      [ 0x78 ];
-      [ 0x78; 0x7a ];
-      [ 0x7a; 0x7e; 0x62 ];
-      [];
-    ]
+  let swar =
+    Test_accel.table Accel.Swar
+      [
+        [ 0x78 ];
+        [ 0x78; 0x7a ];
+        [ 0x7a; 0x7e; 0x62 ];
+        [];
+        [ 0x78; 0x7a; 0x7e; 0x62; 0x41 ];
+      ]
+  in
+  let bitmap =
+    Test_accel.table Accel.Bitmap [ [ 0x78; 0x7a; 0x7e; 0x62; 0x41 ] ]
+  in
+  [| (bitmap, 0); (swar, 0); (swar, 1); (swar, 2); (swar, 3); (swar, 4) |]
 
 let random_run rng n =
   let b = Bytes.make n 'a' in
@@ -239,49 +260,55 @@ let random_run rng n =
   done;
   Bytes.to_string b
 
-(* A (bitmap, SWAR) pair is scanned as the (SWAR, bitmap) pair seen from
-   the other cursor; the identity must hold for every kind pair:
+(* Swapping the cursors — sides exchanged, [off] negated, the range
+   shifted by [off] — must give the same stop for every kind pair:
    skip2 a qa b qb ~off s pos limit
    = skip2 b qb a qa ~off:(-off) s (pos+off) (limit+off) - off *)
 let test_mirror_collapse () =
-  let t = kinds_table in
   check "one row per kind" true
-    (List.init 5 (Accel.kind t) = [ 0; 1; 2; 3; 4 ]);
+    (Array.for_all Fun.id
+       (Array.mapi (fun k (t, r) -> Accel.kind t r = k) kinds_table));
   let rng = Prng.create 0x3199L in
-  for qa = 0 to 4 do
-    for qb = 0 to 4 do
-      for _ = 1 to 100 do
-        let off = Prng.in_range rng (-9) 9 in
-        let n = Prng.in_range rng 0 48 in
-        let s = random_run rng (n + 20) in
-        let pos = max 0 (-off) + Prng.int rng 4 in
-        let limit = max pos (min (pos + n) (String.length s - max 0 off)) in
-        let fwd = Accel.skip2 t qa t qb ~off s pos limit in
-        let back =
-          Accel.skip2 t qb t qa ~off:(-off) s (pos + off) (limit + off) - off
-        in
-        if fwd <> back then
-          Alcotest.failf "kinds (%d,%d) off %d [%d,%d): %d vs mirrored %d" qa qb
-            off pos limit fwd back
-      done
-    done
-  done
+  Array.iteri
+    (fun ka (a, qa) ->
+      Array.iteri
+        (fun kb (b, qb) ->
+          for _ = 1 to 100 do
+            let off = Prng.in_range rng (-9) 9 in
+            let n = Prng.in_range rng 0 48 in
+            let s = random_run rng (n + 20) in
+            let pos = max 0 (-off) + Prng.int rng 4 in
+            let limit =
+              max pos (min (pos + n) (String.length s - max 0 off))
+            in
+            let fwd = Accel.skip2 a qa b qb ~off s pos limit in
+            let back =
+              Accel.skip2 b qb a qa ~off:(-off) s (pos + off) (limit + off)
+              - off
+            in
+            if fwd <> back then
+              Alcotest.failf "kinds (%d,%d) off %d [%d,%d): %d vs mirrored %d"
+                ka kb off pos limit fwd back
+          done)
+        kinds_table)
+    kinds_table
 
-(* The skip path allocates nothing: every scanner, every kind pair. *)
+(* The skip path allocates nothing: every scanner, every kind pair, over
+   ranges long enough to double the two-cursor window. *)
 let test_no_allocation () =
-  let t = kinds_table in
   let s = String.make 200 'a' in
   let sink = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 200 do
-    for qa = 0 to 4 do
-      sink := !sink + Accel.skip t qa s 0 190 + Accel.skip_bitmap t qa s 0 190;
-      for qb = 0 to 4 do
+    for ka = 0 to 5 do
+      let a, qa = kinds_table.(ka) in
+      sink := !sink + Accel.skip a qa s 0 190 + Accel.skip_bitmap a qa s 0 190;
+      for kb = 0 to 5 do
+        let b, qb = kinds_table.(kb) in
         sink :=
           !sink
-          + Accel.skip2 t qa t qb ~off:7 s 0 190
-          + Accel.skip2 t qa t qb ~off:(-7) s 7 197
-          + Accel.skip2_bitmap t qa t qb ~off:7 s 0 190
+          + Accel.skip2 a qa b qb ~off:7 s 0 190
+          + Accel.skip2 a qa b qb ~off:(-7) s 7 197
       done
     done
   done;
@@ -350,7 +377,7 @@ let suite =
     Alcotest.test_case "word-level oracle" `Quick test_word_oracle;
     Alcotest.test_case "scalar tails" `Quick test_tails;
     Alcotest.test_case "lane endianness" `Quick test_lane_endianness;
-    Alcotest.test_case "dual-cursor oracle" `Quick test_dual_oracle;
+    Alcotest.test_case "two-cursor oracle" `Quick test_two_cursor_oracle;
     Alcotest.test_case "mirror collapse" `Quick test_mirror_collapse;
     Alcotest.test_case "skip path allocates nothing" `Quick test_no_allocation;
     Alcotest.test_case "golden random battery" `Quick test_random_battery;
