@@ -77,6 +77,12 @@ val class_reps : string -> int -> int array
 val of_nfa :
   ?classes:bool -> ?accel:Accel.level -> ?max_states:int -> Nfa.t -> t
 
+(** [attach level d]: [d] with the skip accelerator derived at [level],
+    one row per state. Subset construction and minimization build bare
+    tables ([Off]); the constructors below attach once, to the final
+    one. *)
+val attach : Accel.level -> t -> t
+
 (** [of_rules rules] = subset construction ∘ Thompson, with Moore
     minimization applied when [minimize] (default true). Construction and
     minimization work on bare tables; the accelerator is derived once, from

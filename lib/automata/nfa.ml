@@ -1,5 +1,4 @@
 open St_regex
-module Bits = St_util.Bits
 
 type t = {
   num_states : int;
@@ -67,26 +66,3 @@ let of_rules rules =
     (fun (s, rule) -> if accept_rule.(s) < 0 then accept_rule.(s) <- rule)
     accepts;
   { num_states = n; start; eps; trans; accept_rule }
-
-let eps_closure nfa set =
-  let stack = ref (Bits.elements set) in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-        stack := rest;
-        List.iter
-          (fun q ->
-            if not (Bits.mem set q) then begin
-              Bits.add set q;
-              stack := q :: !stack
-            end)
-          nfa.eps.(s)
-  done
-
-let accept_of_set nfa set =
-  Bits.fold
-    (fun s best ->
-      let r = nfa.accept_rule.(s) in
-      if r >= 0 && (best < 0 || r < best) then r else best)
-    set (-1)

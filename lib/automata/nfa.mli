@@ -17,9 +17,3 @@ type t = {
 
 (** Build the NFA for a grammar [r₀; r₁; …]; requires a nonempty list. *)
 val of_rules : Regex.t list -> t
-
-(** [eps_closure nfa states] adds everything epsilon-reachable. *)
-val eps_closure : t -> St_util.Bits.t -> unit
-
-(** Least rule index accepted by any state in the set, or -1. *)
-val accept_of_set : t -> St_util.Bits.t -> int

@@ -72,10 +72,21 @@ let popcount64 x =
 let cardinal t =
   popcount64 t.w0 + popcount64 t.w1 + popcount64 t.w2 + popcount64 t.w3
 
+(* Members of a 32-bit half as native ints: shifting a boxed int64 per bit
+   would cost an allocation per step. *)
+let iter_half f half base =
+  let x = ref half and b = ref base in
+  while !x <> 0 do
+    if !x land 1 <> 0 then f (Char.unsafe_chr !b);
+    x := !x lsr 1;
+    incr b
+  done
+
 let iter f t =
-  for i = 0 to 255 do
-    let c = Char.chr i in
-    if mem t c then f c
+  for i = 0 to 3 do
+    let w = get_word t i in
+    iter_half f (Int64.to_int w land 0xFFFF_FFFF) (64 * i);
+    iter_half f (Int64.to_int (Int64.shift_right_logical w 32)) ((64 * i) + 32)
   done
 
 let fold f t init =

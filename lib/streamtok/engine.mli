@@ -43,7 +43,10 @@ val compile_timed : ?force_te:bool -> Dfa.t -> (t * compile_stats, error) result
 
 (** Convenience wrappers: build the default (classed, accelerated)
     minimized tokenization DFA first. [max_states] caps the subset
-    construction (raising [Failure]), as in {!Dfa.of_rules}. Reference
+    construction (raising [Failure]), as in {!Dfa.of_rules}. The analysis
+    runs on the bare tables and the skip accelerator is attached only to an
+    admitted grammar, so the result equals
+    [compile (Dfa.of_rules ?max_states rules)]. Reference
     builds ([~classes:false], [~accel:Off], [~accel:Bitmap]) go through
     {!Dfa.of_rules} and {!compile} directly. *)
 val compile_rules : ?max_states:int -> Regex.t list -> (t, error) result
@@ -58,6 +61,10 @@ val accel_states : t -> int
     tier; 0 on [~accel:Off] or [~accel:Bitmap] builds. Reported as the
     [accel_swar_states] gauge. *)
 val accel_swar_states : t -> int
+
+(** Same DFA ({!Dfa.equal}, accelerator included), K, reject table and
+    Fig. 5 table or token-extension DFA ({!Te_dfa.equal}). For tests. *)
+val equal : t -> t -> bool
 
 (** The grammar's max-TND; the engine's lookahead window. *)
 val k : t -> int

@@ -69,6 +69,10 @@ val k : t -> int
 (** Powerstates materialized so far. *)
 val num_states : t -> int
 
+(** Same DFA, K and co-accessible set, and the same powerstates
+    materialized so far, with the same rows. For tests. *)
+val equal : t -> t -> bool
+
 val num_finals : t -> int
 
 (** Dense index of a final DFA state, -1 for non-final. *)

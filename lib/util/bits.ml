@@ -38,14 +38,20 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let equal a b =
   a.n = b.n
   &&
-  let rec go i =
-    i >= Array.length a.words || (a.words.(i) = b.words.(i) && go (i + 1))
-  in
-  go 0
+  let i = ref 0 and nw = Array.length a.words in
+  while !i < nw && Array.unsafe_get a.words !i = Array.unsafe_get b.words !i do
+    incr i
+  done;
+  !i = nw
 
+(* Each word is multiplied into the state and xor-shifted down, so every
+   member bit reaches the low bits a hashtable picks its bucket from. *)
 let hash t =
-  let h = ref (t.n * 0x9e3779b9) in
-  Array.iter (fun w -> h := (!h * 31) lxor w lxor (w lsr 32)) t.words;
+  let h = ref t.n in
+  for i = 0 to Array.length t.words - 1 do
+    let x = (!h lxor Array.unsafe_get t.words i) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
   !h land max_int
 
 let inter_empty a b =

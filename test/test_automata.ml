@@ -212,12 +212,13 @@ let pinned_tables =
     ("bpe:tiny", false, "b69e741625d7675ebbe4c36f51e864f1");
   ]
 
+let mini_vocab () =
+  match Bpe.Vocab.load_file "vocab/mini.tiktoken" with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "vocab/mini.tiktoken: %s" e
+
 let test_tables_pinned () =
-  let mini =
-    match Bpe.Vocab.load_file "vocab/mini.tiktoken" with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "vocab/mini.tiktoken: %s" e
-  in
+  let mini = mini_vocab () in
   let subjects =
     List.map (fun g -> (g.Grammar.name, Grammar.rules g)) Registry.all
     @ [
@@ -235,6 +236,42 @@ let test_tables_pinned () =
         (tables_digest ~classes (List.assoc name subjects)))
     pinned_tables
 
+(* The reference refinement: every distinct charset splits every class by
+   one membership test per byte, renumbering the classes by first byte
+   occurrence at each split. *)
+let reference_classes (nfa : Nfa.t) =
+  let cls = Array.make 256 0 in
+  let num = ref 1 in
+  let fresh = Array.make 512 (-1) in
+  let split cs =
+    Array.fill fresh 0 (2 * !num) (-1);
+    let next = ref 0 in
+    for b = 0 to 255 do
+      let key = (2 * cls.(b)) + Bool.to_int (Charset.mem cs (Char.chr b)) in
+      if fresh.(key) < 0 then begin
+        fresh.(key) <- !next;
+        incr next
+      end;
+      cls.(b) <- fresh.(key)
+    done;
+    num := !next
+  in
+  Array.iter (List.iter (fun (cs, _) -> split cs)) nfa.Nfa.trans;
+  (String.init 256 (fun b -> Char.chr cls.(b)), !num)
+
+let test_equiv_classes_reference () =
+  let rng = Prng.create 0xc1a55L in
+  let vocab v = Bpe.Compiler.rules_of_vocab v in
+  List.iter
+    (fun rules ->
+      let nfa = Nfa.of_rules rules in
+      let classmap, nc = Dfa.equiv_classes nfa in
+      let ref_map, ref_nc = reference_classes nfa in
+      check_int "class count" ref_nc nc;
+      Alcotest.(check string) "classmap" ref_map classmap)
+    ([ vocab (mini_vocab ()); vocab (Bpe.Trainer.tiny ~seed:11L) ]
+    @ List.init 500 (fun _ -> Grammar_corpus.sample rng))
+
 let suite =
   [
     Alcotest.test_case "NFA structure" `Quick test_nfa_structure;
@@ -249,6 +286,8 @@ let suite =
     Alcotest.test_case "reachable-nonempty loop" `Quick
       test_reachable_nonempty_loop;
     Alcotest.test_case "tables pinned" `Quick test_tables_pinned;
+    Alcotest.test_case "equiv classes = reference split" `Quick
+      test_equiv_classes_reference;
     QCheck_alcotest.to_alcotest prop_dfa_matches_naive;
     QCheck_alcotest.to_alcotest prop_minimize_preserves_tokens;
   ]

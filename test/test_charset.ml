@@ -103,6 +103,26 @@ let test_hash_equal_consistent () =
   check "equal" true (Charset.equal a b);
   check_int "hash equal" (Charset.hash a) (Charset.hash b)
 
+(* [iter] yields exactly the members [mem] reports, in ascending order. *)
+let iter_matches_mem cs =
+  let got = ref [] in
+  Charset.iter (fun c -> got := Char.code c :: !got) cs;
+  List.rev !got
+  = List.filter (fun b -> Charset.mem cs (Char.chr b)) (List.init 256 Fun.id)
+
+let test_iter_edges () =
+  let edges = [ 0; 31; 32; 63; 64; 127; 128; 191; 192; 255 ] in
+  List.iter
+    (fun cs -> check (Charset.to_string cs) true (iter_matches_mem cs))
+    ([ Charset.empty; Charset.full ]
+    @ List.map (fun b -> Charset.singleton (Char.chr b)) edges
+    @ [ Charset.of_list (List.map Char.chr edges) ])
+
+let prop_iter_matches_mem =
+  QCheck.Test.make ~count:500 ~name:"iter = ascending mem"
+    QCheck.(list_of_size Gen.(0 -- 300) (int_bound 255))
+    (fun bytes -> iter_matches_mem (Charset.of_list (List.map Char.chr bytes)))
+
 let suite =
   [
     Alcotest.test_case "empty/full" `Quick test_empty_full;
@@ -115,6 +135,8 @@ let suite =
     Alcotest.test_case "named classes" `Quick test_named_classes;
     Alcotest.test_case "choose" `Quick test_choose;
     Alcotest.test_case "iter/fold" `Quick test_iter_fold;
+    Alcotest.test_case "iter edge bytes" `Quick test_iter_edges;
+    QCheck_alcotest.to_alcotest prop_iter_matches_mem;
     Alcotest.test_case "print/parse roundtrip" `Quick test_roundtrip_print_parse;
     Alcotest.test_case "hash/equal" `Quick test_hash_equal_consistent;
   ]

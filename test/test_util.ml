@@ -51,6 +51,23 @@ let test_bits_copy_equal_hash () =
   Bits.add b 4;
   check "copy independent" false (Bits.equal a b)
 
+(* Sets that differ only in their high members must not share a
+   hashtable chain: the table picks a bucket from the hash's low bits. *)
+module Bits_tbl = Hashtbl.Make (Bits)
+
+let test_bits_hash_spread () =
+  let tbl = Bits_tbl.create 1024 in
+  for high = 0 to 31 do
+    let b = Bits.of_list 15 [ 0; 3; 7 ] in
+    for i = 0 to 4 do
+      if high land (1 lsl i) <> 0 then Bits.add b (10 + i)
+    done;
+    Bits_tbl.replace tbl b high
+  done;
+  check_int "32 distinct sets" 32 (Bits_tbl.length tbl);
+  let { Hashtbl.max_bucket_length; _ } = Bits_tbl.stats tbl in
+  check "longest chain <= 4" true (max_bucket_length <= 4)
+
 let test_bits_fold_iter () =
   let a = Bits.of_list 128 [ 2; 64; 127 ] in
   check_int "fold sum" (2 + 64 + 127) (Bits.fold ( + ) a 0);
@@ -127,6 +144,7 @@ let suite =
     Alcotest.test_case "bits word boundaries" `Quick test_bits_word_boundaries;
     Alcotest.test_case "bits set ops" `Quick test_bits_set_ops;
     Alcotest.test_case "bits copy/equal/hash" `Quick test_bits_copy_equal_hash;
+    Alcotest.test_case "bits hash spread" `Quick test_bits_hash_spread;
     Alcotest.test_case "bits fold/iter" `Quick test_bits_fold_iter;
     Alcotest.test_case "int_vec" `Quick test_int_vec;
     Alcotest.test_case "prng split" `Quick test_prng_split_independence;
