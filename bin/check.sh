@@ -43,13 +43,15 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== bench smoke (instrumented/tracer parity + overhead, stream/batch floor, minor words/byte, serve-span attribution >=90% + loopback token parity)"
+echo "== bench smoke (instrumented/tracer parity + overhead, stream/batch floor, minor words/byte, compile words/transition, serve-span attribution >=90% + loopback token parity)"
 # Hard checks live inside the bench: instrumented and disabled-tracer
 # token-stream parity with their overhead gates, the slice-API streaming
 # floor against batch, at most 0.1 minor-heap words per input byte on the
 # batch engine, the 1 KiB slice stream, a 1 KiB-FEED serve session and
 # 1 KiB FEED frames served through the loopback transport with replies
-# read by Wire.read_replies (json and csv), token-count parity with the
+# read by Wire.read_replies (json and csv), at most 60% of the earlier
+# build's words allocated per DFA transition by Engine.compile_rules on
+# [xy]*x[xy]{10} and two BPE vocabularies, token-count parity with the
 # tracer recording, the
 # enabled-tracer overhead gate on the chunked words workload, and >=90%
 # of a traced loopback serve run's wall time attributed by the span-tree

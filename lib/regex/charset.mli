@@ -30,7 +30,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 val cardinal : t -> int
+
+(** Members in ascending order; the walk allocates nothing. *)
 val iter : (char -> unit) -> t -> unit
+
 val fold : (char -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** Least member, if any. *)
