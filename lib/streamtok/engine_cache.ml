@@ -59,10 +59,11 @@ let p_compile = St_trace.Trace.probe ~cat:"engine" "cache.compile"
    lookups for its duration; compiles are per-distinct-grammar rare (and
    capped by [max_states]: the worst measured under the 65 536-state cap,
    [[xy]*x[xy]{14}] at 32 769 states, compiles to its unbounded-max-TND
-   error in 0.26–0.35 s on a 2-vCPU x86-64 host, and a build that hits the
-   cap fails in 0.14–0.28 s), while lookups are per-session rare, so the
-   simple global lock beats per-key in-progress tracking in both code
-   size and measured storm behavior (see DESIGN.md, Sharding). The hit
+   error in 0.06–0.11 s in a fresh process on a 2-vCPU x86-64 host, and
+   a build that hits the cap fails in 0.035–0.08 s), while lookups are
+   per-session rare, so the simple global lock beats per-key in-progress
+   tracking in both code size and measured storm behavior (see DESIGN.md,
+   Sharding). The hit
    flag is read under the same lock, so it is exact under any number of
    domains. *)
 let lookup t ?max_states rules =
