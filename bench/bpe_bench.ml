@@ -6,7 +6,8 @@
    finite max-TND, and the DFA engine's token ids must be byte-identical
    to the reference encoder on every input — batch AND chunked through
    Stream_tokenizer, and a cold 4 KiB run must hold the TE DFA under
-   8 KiB per materialized powerstate. Throughput mode then reports MB/s
+   3 KiB per materialized powerstate and allocate under 60 % of the words
+   per powerstate that the boxed layout did. Throughput mode then reports MB/s
    of both sides and the table footprint. Scalars go via
    STREAMTOK_BENCH_STATS into BENCH_bpe.json. *)
 
@@ -65,10 +66,19 @@ let check_parity v e input =
     [ 1; 7; 4096 ];
   List.length expected
 
-(* A powerstate costs its transition and emit rows plus a few dozen
-   member ids, about 4 KB on the mini vocabulary; storing the powerset
-   densely would cost 85 KB on its own. *)
-let te_bytes_per_state_cap = 8192
+(* A powerstate costs its transition row (257 int32 cells on the mini
+   vocabulary), its emit row and a few dozen member ids, about 2.2 KB at
+   the doubled capacity; storing the powerset densely would cost 85 KB on
+   its own. *)
+let te_bytes_per_state_cap = 3072
+
+(* Words allocated (minor plus direct major) per materialized powerstate
+   by the cold 4 KiB run, at the layout this gate came in with: int
+   transition cells and boxed emit words in OCaml arrays, each doubling
+   rebuilt by [Array.make] + [Array.blit]. Nearly all of it is growth, so
+   the figure tracks the bytes every doubling copies. The gate fails above
+   60 % of it; a word count does not depend on the host's speed. *)
+let te_words_per_state_before = 1043.5
 
 let record name v =
   Bench_common.record_result ~experiment:"bpe" ~name
@@ -159,20 +169,40 @@ let run ?(throughput = true) () =
     ignore (Engine.run_string cold text ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
     Unix.gettimeofday () -. t0
   in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
   let t_cold = timed_run () in
+  let cold_words = words () -. w0 in
   let t_warm = timed_run () in
   let te = Option.get (Engine.Internal.te_dfa cold) in
   let te_states = Te_dfa.num_states te in
   let per_state = Te_dfa.bytes te / te_states in
+  let words_per_state = cold_words /. float_of_int te_states in
   Printf.printf
     "  te dfa: cold 4 KiB run -> %d powerstates, %d bytes each, warm-up %.3fs\n"
     te_states per_state (t_cold -. t_warm);
+  Printf.printf
+    "  te dfa: %.1f words allocated per powerstate  (before %.1f, bound %.1f)\n"
+    words_per_state te_words_per_state_before
+    (0.6 *. te_words_per_state_before);
   record "te_states" (float_of_int te_states);
   record "te_warmup_s" (t_cold -. t_warm);
   record "te_bytes_per_state" (float_of_int per_state);
+  record "te_words_per_state" words_per_state;
   if per_state > te_bytes_per_state_cap then begin
     Printf.eprintf "bpe bench: %d TE bytes per powerstate, above the %d cap\n"
       per_state te_bytes_per_state_cap;
+    exit 1
+  end;
+  if words_per_state > 0.6 *. te_words_per_state_before then begin
+    Printf.eprintf
+      "bpe bench: %.1f words allocated per TE powerstate, above the %.1f \
+       bound\n"
+      words_per_state
+      (0.6 *. te_words_per_state_before);
     exit 1
   end;
 

@@ -93,13 +93,14 @@ if [ -z "$swar_states" ] || [ "$swar_states" -lt 1 ]; then
   exit 1
 fi
 
-echo "== bpe gate (vendored-vocab drift, audit, parity vs merge loop, bounded K, TE bytes)"
+echo "== bpe gate (vendored-vocab drift, audit, parity vs merge loop, bounded K, TE bytes and words per powerstate)"
 # Hard checks live inside the bench: the vendored vocabulary must equal
 # Trainer.mini (), pass the munch-consistency audit, and the DFA engine's
 # token ids must equal the reference merge-loop encoder on every parity
 # input, batch and chunked. A cold 4 KiB corpus run must hold the TE DFA
-# to at most 8 KiB of allocated bytes per materialized powerstate (a
-# count, not a timing). Throughput timing is skipped here.
+# to at most 3 KiB of allocated bytes per materialized powerstate, and
+# allocate at most 60 % of the words per powerstate of the boxed layout
+# (counts, not timings). Throughput timing is skipped here.
 dune exec bench/main.exe -- bpe-check
 
 echo "== perfbench selftest (the frozen benchmark still builds and runs)"

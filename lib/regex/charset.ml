@@ -56,6 +56,13 @@ let diff a b = lift2 (fun x y -> Int64.logand x (Int64.lognot y)) a b
 let negate t = diff full t
 let is_empty t = t.w0 = 0L && t.w1 = 0L && t.w2 = 0L && t.w3 = 0L
 let equal (a : t) b = a = b
+
+let add_to_buffer b t =
+  Buffer.add_int64_le b t.w0;
+  Buffer.add_int64_le b t.w1;
+  Buffer.add_int64_le b t.w2;
+  Buffer.add_int64_le b t.w3
+
 let compare (a : t) b = Stdlib.compare a b
 
 let hash t =

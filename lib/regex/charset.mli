@@ -29,6 +29,10 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+(** Append the 256 membership bits as 32 bytes: equal sets, equal bytes. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val cardinal : t -> int
 
 (** Members in ascending order; the walk allocates nothing. *)

@@ -384,8 +384,10 @@ let te_chunk c te s pos len =
   let acc = d.Dfa.accel and bacc = Te_dfa.accel te in
   let start = d.Dfa.start in
   let k = Te_dfa.k te in
-  let words = Te_dfa.Raw.words te in
-  let tw = Te_dfa.Raw.width te in
+  (* bytes per emit row and per transition row: a cell's byte offset is
+     one multiply-add off the powerstate, as an array index was *)
+  let row8 = 8 * Te_dfa.Raw.words te in
+  let row4 = 4 * Te_dfa.Raw.width te in
   let finish = pos + len in
   for i = pos to min finish (pos + k) - 1 do
     c.st <- Te_dfa.step_class te c.st (cls_of d (String.unsafe_get s i));
@@ -394,10 +396,12 @@ let te_chunk c te s pos len =
   done;
   let q = ref c.q and st = ref c.st in
   let startP = ref (pos - (c.fed - c.tok)) in
-  (* Cached raw views of the lazy TeDFA; refreshed whenever a step
-     materializes a new powerstate (which may reallocate the arrays). *)
-  let te_trans = ref (Te_dfa.Raw.trans te) in
-  let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
+  (* Cached raw views of the lazy TeDFA, both from one published value;
+     refreshed together whenever a step materializes a new powerstate
+     (which may replace the tables). *)
+  let tables = Te_dfa.Raw.tables te in
+  let te_trans = ref (Te_dfa.Raw.trans tables) in
+  let emit = ref (Te_dfa.Raw.emit tables) in
   let j = ref pos in
   let last = finish - k in
   let prev2_q = ref (-1) and prev2_st = ref (-1) in
@@ -407,12 +411,15 @@ let te_chunk c te s pos len =
       Char.code
         (String.unsafe_get cmap (Char.code (String.unsafe_get s (!j + k))))
     in
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + bcls) in
+    let tgt =
+      Int32.to_int (Te_dfa.Raw.cell !te_trans ((!st * row4) + (bcls lsl 2)))
+    in
     if tgt >= 0 then st := tgt
     else begin
       st := Te_dfa.step_class te !st bcls;
-      te_trans := Te_dfa.Raw.trans te;
-      emit_rows := Te_dfa.Raw.emit_rows te
+      let tables = Te_dfa.Raw.tables te in
+      te_trans := Te_dfa.Raw.trans tables;
+      emit := Te_dfa.Raw.emit tables
     end;
     let acls =
       Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s !j)))
@@ -421,7 +428,7 @@ let te_chunk c te s pos len =
     if
       Int64.logand
         (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
+           (Te_dfa.Raw.word !emit ((!st * row8) + ((!q lsr 6) lsl 3)))
            (!q land 63))
         1L
       <> 0L

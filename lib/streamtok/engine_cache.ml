@@ -26,9 +26,35 @@ let create ?(max_entries = 64) () =
     evictions = 0;
   }
 
+(* Each rule in prefix order: a tag per node, the 32 bytes of each class,
+   and a separator after each rule. Every node has a fixed arity and every
+   class a fixed width, so the encoding is injective: equal bytes, equal
+   rule lists. *)
 let key_of_rules rules =
-  Digest.to_hex
-    (Digest.string (String.concat "\n" (List.map Regex.to_string rules)))
+  let b = Buffer.create 256 in
+  let rec node = function
+    | Regex.Eps -> Buffer.add_char b 'e'
+    | Regex.Cls cs ->
+        Buffer.add_char b 'c';
+        Charset.add_to_buffer b cs
+    | Regex.Alt (x, y) ->
+        Buffer.add_char b '|';
+        node x;
+        node y
+    | Regex.Seq (x, y) ->
+        Buffer.add_char b '.';
+        node x;
+        node y
+    | Regex.Star x ->
+        Buffer.add_char b '*';
+        node x
+  in
+  List.iter
+    (fun r ->
+      node r;
+      Buffer.add_char b ';')
+    rules;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let tick t =
   t.clock <- t.clock + 1;

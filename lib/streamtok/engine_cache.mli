@@ -6,10 +6,10 @@
     sessions by a canonical grammar hash and compiles each distinct grammar
     once — N clients of the same grammar share one engine.
 
-    Entries are keyed by the MD5 of the parsed rules' canonical printed
-    form (newline separated, in priority order), so two grammar sources
-    that parse to the same rule list (whitespace, redundant escapes,
-    inline vs. file form) share an entry. Every engine is the default
+    Entries are keyed by the MD5 of the parsed rules' structural encoding
+    ({!key_of_rules}, in priority order), so two grammar sources that
+    parse to the same rule list (whitespace, redundant escapes, inline
+    vs. file form) share an entry. Every engine is the default
     build (classed, accelerated): the reference builds the differential
     batteries compare against never go through the cache, so the key
     carries no compile flags. Compile {e failures} (unbounded max-TND)
@@ -34,6 +34,12 @@ type t
 (** [create ?max_entries ()] — [max_entries] (default 64) bounds the
     resident engines; least-recently-used entries are evicted beyond it. *)
 val create : ?max_entries:int -> unit -> t
+
+(** The cache key of a rule list: the MD5 (hex) of a prefix-order encoding
+    of the rules — a tag per node, the 32 bytes of each class, a separator
+    per rule. Keys are equal iff the rule lists are equal ({!Regex.equal}
+    rule by rule), up to MD5 collisions. *)
+val key_of_rules : Regex.t list -> string
 
 (** [lookup t rules] returns the cached engine (or cached compile error)
     for [rules], compiling on first use, and whether it was a hit — read

@@ -49,6 +49,13 @@ end
 
 module Key_tbl = Hashtbl.Make (Key)
 
+(* The materialized tables, replaced as one value when the automaton
+   grows. [trans] holds [capacity × width] int32 cells (-1 = not yet
+   built); [emit] holds [capacity × words] int64 emit-bit words;
+   [accel_row] holds one int32 cell per state, its row in [accel] or -1.
+   All three are flat bytes: copied by memcpy, never scanned by the GC. *)
+type tables = { trans : Bytes.t; emit : Bytes.t; accel_row : Bytes.t }
+
 type t = {
   dfa : Dfa.t;
   k : int;
@@ -56,17 +63,13 @@ type t = {
   fidx : int array;
   num_finals : int;
   words : int;  (* int64 words per emit-bit row: ceil(|DFA|/64) *)
-  finals_row : int64 array;  (* emit-bit row with every final state set *)
+  finals_row : Bytes.t;  (* emit-bit row with every final state set *)
   mutable side_words : int;
-      (* heap words of the keys, the restart successors and the emit-row
-         words not shared with [finals_row] (a boxed int64 each) *)
+      (* heap words of the keys and the restart successors *)
   mutable num_states : int;
-  mutable capacity : int;
-  mutable trans : int array;  (* capacity × width; -1 = not yet built *)
-  mutable emit_rows : int64 array;  (* capacity × words *)
-  mutable keys : Key.t array;  (* per state: its powerstate *)
+  tables : tables Atomic.t;  (* published whole: readers take no lock *)
+  mutable keys : Key.t array;  (* per state: its powerstate; at capacity *)
   accel : Accel.t;  (* skip rows, appended on first entry *)
-  mutable accel_row : int array;  (* per state: its row in [accel], or -1 *)
   tbl : int Key_tbl.t;
   injected : int array option array;
       (* per real class: the sorted successors of [inject], on first use *)
@@ -78,6 +81,24 @@ type t = {
   coacc : Bits.t;
   lock : Mutex.t;  (* guards materialization; reads are lock-free *)
 }
+
+module Raw = struct
+  type nonrec tables = tables
+
+  let tables t = Atomic.get t.tables
+  let trans tb = tb.trans
+  let emit tb = tb.emit
+
+  external cell : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+  let words t = t.words
+  let width t = t.width
+end
+
+(* Cell [i] of an int32 table: the unchecked read of the hot paths. *)
+let cell b i = Int32.to_int (Raw.cell b (i lsl 2))
+let set_cell b i v = Bytes.set_int32_ne b (i lsl 2) (Int32.of_int v)
 
 let eof_symbol = 256
 let width t = t.width
@@ -182,45 +203,59 @@ let step_set t (key : Key.t) cls =
   sort_prefix buf len;
   { Key.inj = not is_eof; mem = buf; len }
 
+(* [cap]-row tables holding the first [n] rows of [old]; the rest of the
+   cells read -1 and the rest of the emit words 0. *)
+let resize ~width ~words old n cap =
+  let copy b row fill =
+    let b' = Bytes.create (cap * row) in
+    Bytes.blit b 0 b' 0 (n * row);
+    Bytes.fill b' (n * row) ((cap - n) * row) fill;
+    b'
+  in
+  {
+    trans = copy old.trans (4 * width) '\255';
+    emit = copy old.emit (8 * words) '\000';
+    accel_row = copy old.accel_row 4 '\255';
+  }
+
+(* Everything is allocated before anything is assigned, so a failed
+   allocation leaves the automaton as it was; the new tables are
+   published last, in one write. *)
 let grow t =
-  let cap = 2 * t.capacity in
-  let trans = Array.make (cap * t.width) (-1) in
-  Array.blit t.trans 0 trans 0 (t.num_states * t.width);
-  t.trans <- trans;
-  let emit_rows = Array.make (cap * t.words) 0L in
-  Array.blit t.emit_rows 0 emit_rows 0 (t.num_states * t.words);
-  t.emit_rows <- emit_rows;
+  let n = t.num_states and cap = 2 * Array.length t.keys in
+  let tables =
+    resize ~width:t.width ~words:t.words (Atomic.get t.tables) n cap
+  in
   let keys = Array.make cap t.keys.(0) in
-  Array.blit t.keys 0 keys 0 t.num_states;
+  Array.blit t.keys 0 keys 0 n;
   t.keys <- keys;
-  let accel_row = Array.make cap (-1) in
-  Array.blit t.accel_row 0 accel_row 0 t.num_states;
-  t.accel_row <- accel_row;
-  t.capacity <- cap
+  Atomic.set t.tables tables
 
 (* Intern an owned key as a new powerstate, writing its emit-bit row: the
    bit of final q is set unless a completed extension path Done (f0, K)
-   starts at q = final_state f0. *)
+   starts at q = final_state f0. The row is complete before the id is
+   known to anyone: only [materialize] hands it out, by writing a cell
+   after this returns. *)
 let intern t (key : Key.t) =
-  if t.num_states = t.capacity then grow t;
+  if t.num_states = Array.length t.keys then grow t;
   let id = t.num_states in
-  t.num_states <- id + 1;
-  Key_tbl.add t.tbl key id;
-  t.keys.(id) <- key;
-  t.side_words <- t.side_words + 4 + key.len + 1;
-  Array.blit t.finals_row 0 t.emit_rows (id * t.words) t.words;
+  let emit = (Atomic.get t.tables).emit and row = 8 * id * t.words in
+  Bytes.blit t.finals_row 0 emit row (8 * t.words);
   Array.iter
     (fun m ->
       let x = m - t.active_count in
       if x >= 0 && x mod t.k = t.k - 1 then begin
         let q = t.final_state.(x / t.k) in
-        let i = (id * t.words) + (q lsr 6) in
-        let w = t.emit_rows.(i) in
-        if w == t.finals_row.(q lsr 6) then t.side_words <- t.side_words + 3;
-        t.emit_rows.(i) <-
-          Int64.logand w (Int64.lognot (Int64.shift_left 1L (q land 63)))
+        let o = row + (8 * (q lsr 6)) in
+        Bytes.set_int64_ne emit o
+          (Int64.logand (Bytes.get_int64_ne emit o)
+             (Int64.lognot (Int64.shift_left 1L (q land 63))))
       end)
     key.mem;
+  t.num_states <- id + 1;
+  Key_tbl.add t.tbl key id;
+  t.keys.(id) <- key;
+  t.side_words <- t.side_words + 4 + key.len + 1;
   id
 
 let build ~coacc dfa ~k =
@@ -241,13 +276,20 @@ let build ~coacc dfa ~k =
     if fidx.(q) >= 0 then final_state.(fidx.(q)) <- q
   done;
   let words = (m + 63) / 64 in
-  let finals_row = Array.make words 0L in
+  let finals_row = Bytes.make (8 * words) '\000' in
   for q = 0 to m - 1 do
-    if fidx.(q) >= 0 then
-      finals_row.(q lsr 6) <-
-        Int64.logor finals_row.(q lsr 6) (Int64.shift_left 1L (q land 63))
+    if fidx.(q) >= 0 then begin
+      let o = 8 * (q lsr 6) in
+      Bytes.set_int64_ne finals_row o
+        (Int64.logor
+           (Bytes.get_int64_ne finals_row o)
+           (Int64.shift_left 1L (q land 63)))
+    end
   done;
   let capacity = 16 in
+  let none =
+    { trans = Bytes.empty; emit = Bytes.empty; accel_row = Bytes.empty }
+  in
   let start_key = { Key.inj = true; mem = [||]; len = 0 } in
   let t =
     {
@@ -260,12 +302,9 @@ let build ~coacc dfa ~k =
       finals_row;
       side_words = 0;
       num_states = 0;
-      capacity;
-      trans = Array.make (capacity * width) (-1);
-      emit_rows = Array.make (capacity * words) 0L;
+      tables = Atomic.make (resize ~width ~words none 0 capacity);
       keys = Array.make capacity start_key;
       accel = Accel.create (Accel.level dfa.Dfa.accel) ~capacity:0;
-      accel_row = Array.make capacity (-1);
       tbl = Key_tbl.create 64;
       injected = Array.make (width - 1) None;
       scratch = Array.make 64 0;
@@ -280,30 +319,29 @@ let build ~coacc dfa ~k =
   assert (start = 0);
   t
 
+(* Materialization (which may grow and replace the tables) is serialized;
+   readers race benignly — a stale table holds -1 where the current one
+   may not, and the miss comes here, where the current table decides. *)
 let materialize t s cls =
-  (* Multi-domain safety: materialization (which may grow and replace the
-     arrays) is serialized; readers race benignly — a stale array read
-     yields -1 and falls back here. *)
-  Mutex.lock t.lock;
-  let id =
-    match t.trans.((s * t.width) + cls) with
-    | tgt when tgt >= 0 -> tgt
-    | _ ->
-        let probe = step_set t t.keys.(s) cls in
-        let id =
-          match Key_tbl.find_opt t.tbl probe with
-          | Some id -> id
-          | None -> intern t { probe with mem = Array.sub probe.mem 0 probe.len }
-        in
-        (* t.trans may have been reallocated by intern/grow: write after *)
-        t.trans.((s * t.width) + cls) <- id;
-        id
-  in
-  Mutex.unlock t.lock;
-  id
+  Mutex.protect t.lock (fun () ->
+      let i = (s * t.width) + cls in
+      match cell (Atomic.get t.tables).trans i with
+      | tgt when tgt >= 0 -> tgt
+      | _ ->
+          let probe = step_set t t.keys.(s) cls in
+          let id =
+            match Key_tbl.find_opt t.tbl probe with
+            | Some id -> id
+            | None ->
+                intern t { probe with mem = Array.sub probe.mem 0 probe.len }
+          in
+          (* intern may have grown the tables: write into the current ones *)
+          set_cell (Atomic.get t.tables).trans i id;
+          id)
 
 let step_class t s cls =
-  let tgt = t.trans.((s * t.width) + cls) in
+  let trans = (Atomic.get t.tables).trans in
+  let tgt = Int32.to_int (Bytes.get_int32_ne trans (((s * t.width) + cls) lsl 2)) in
   if tgt >= 0 then tgt else materialize t s cls
 
 let class_of_symbol t sym =
@@ -327,9 +365,10 @@ let extendable t s q =
   go 0 key.len
 
 let emit_bit t s q =
+  let emit = (Atomic.get t.tables).emit in
   Int64.logand
     (Int64.shift_right_logical
-       (Array.unsafe_get t.emit_rows ((s * t.words) + (q lsr 6)))
+       (Raw.word emit (((s * t.words) + (q lsr 6)) lsl 3))
        (q land 63))
     1L
   <> 0L
@@ -348,50 +387,46 @@ let derive_accel_row t s =
   for cls = 0 to ncls - 1 do
     Bytes.set loops cls (if step_class t s cls = s then '\001' else '\000')
   done;
-  Mutex.lock t.lock;
-  let r =
-    match t.accel_row.(s) with
-    | r when r >= 0 -> r
-    | _ ->
-        let r = Accel.add_row t.accel ~classmap:t.dfa.Dfa.classmap ~loops in
-        t.accel_row.(s) <- r;
-        r
-  in
-  Mutex.unlock t.lock;
-  r
+  Mutex.protect t.lock (fun () ->
+      let rows = (Atomic.get t.tables).accel_row in
+      match cell rows s with
+      | r when r >= 0 -> r
+      | _ ->
+          let r = Accel.add_row t.accel ~classmap:t.dfa.Dfa.classmap ~loops in
+          set_cell rows s r;
+          r)
 
 let accel t = t.accel
 
 let accel_row t s =
-  let r = Array.unsafe_get t.accel_row s in
+  let r = cell (Atomic.get t.tables).accel_row s in
   if r >= 0 then r else derive_accel_row t s
 
-let accel_bytes t = Accel.bytes t.accel + (8 * Array.length t.accel_row)
+(* A bytes block: its header and its words, the last padded. *)
+let block b = 8 * ((Bytes.length b / 8) + 2)
 
-(* Heap bytes as allocated: the arrays at capacity with their headers,
-   [side_words], the intern table's buckets and entries, and the fixed
-   per-DFA arrays (the finals row boxed word by word). *)
+let accel_bytes t =
+  Accel.bytes t.accel + block (Atomic.get t.tables).accel_row
+
+(* Heap bytes as allocated: the tables at capacity with their headers,
+   the record and atomic that publish them, [side_words], the intern
+   table's buckets and entries, and the fixed per-DFA arrays. *)
 let bytes t =
   let arr n = 8 * (n + 1) in
-  Mutex.lock t.lock;
-  let st = Key_tbl.stats t.tbl in
-  let b =
-    arr (Array.length t.trans)
-    + arr (Array.length t.emit_rows)
-    + arr (Array.length t.keys)
-    + arr (Array.length t.injected)
-    + arr (Array.length t.scratch)
-    + (8 * t.side_words)
-    + arr st.Hashtbl.num_buckets
-    + (32 * st.Hashtbl.num_bindings)
-    + arr t.words + (24 * t.words)
-    + arr (Array.length t.fidx)
-    + arr (Array.length t.final_state)
-    + arr ((t.m / Sys.int_size) + 1)
-    + accel_bytes t
-  in
-  Mutex.unlock t.lock;
-  b
+  Mutex.protect t.lock (fun () ->
+      let tb = Atomic.get t.tables and st = Key_tbl.stats t.tbl in
+      block tb.trans + block tb.emit + 32 + 16
+      + arr (Array.length t.keys)
+      + arr (Array.length t.injected)
+      + arr (Array.length t.scratch)
+      + (8 * t.side_words)
+      + arr st.Hashtbl.num_buckets
+      + (32 * st.Hashtbl.num_bindings)
+      + block t.finals_row
+      + arr (Array.length t.fidx)
+      + arr (Array.length t.final_state)
+      + arr ((t.m / Sys.int_size) + 1)
+      + accel_bytes t)
 
 let start _t = 0
 let k t = t.k
@@ -400,15 +435,9 @@ let equal a b =
   let n = a.num_states in
   Dfa.equal a.dfa b.dfa && a.k = b.k && Bits.equal a.coacc b.coacc
   && n = b.num_states
-  && Array.sub a.trans 0 (n * a.width) = Array.sub b.trans 0 (n * b.width)
+  && Bytes.sub (Atomic.get a.tables).trans 0 (4 * n * a.width)
+     = Bytes.sub (Atomic.get b.tables).trans 0 (4 * n * b.width)
   && Array.for_all2 Key.equal (Array.sub a.keys 0 n) (Array.sub b.keys 0 n)
 
 let num_finals t = t.num_finals
 let final_index t q = t.fidx.(q)
-
-module Raw = struct
-  let trans t = t.trans
-  let emit_rows t = t.emit_rows
-  let words t = t.words
-  let width t = t.width
-end

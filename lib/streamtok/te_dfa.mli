@@ -109,21 +109,40 @@ val accel_row : t -> int -> int
     their allocated capacity. *)
 val accel_bytes : t -> int
 
-(** Heap bytes held by the automaton as allocated: transition and
-    emit-bit rows at capacity, the interned powerstates and their table,
-    the per-class restart successors, the skip storage ({!accel_bytes})
-    and the fixed per-DFA arrays. *)
+(** Heap bytes held by the automaton as allocated: the transition, emit
+    and skip-row tables at capacity (flat bytes, counted block by block,
+    with the record and atomic that publish them), the interned
+    powerstates and their table, the per-class restart successors, the
+    skip storage ({!accel_bytes}) and the fixed per-DFA arrays. *)
 val bytes : t -> int
 
 (**/**)
 
-(** Internal raw views for the engine's hot loop. The arrays are replaced
-    wholesale when the automaton grows, so callers must re-fetch them after
-    any {!step} that materialized a state (a cached copy stays valid for
-    reads of already-materialized states). *)
+(** Internal raw views for the engine's hot loop. The materialized tables
+    are one immutable value, replaced whole when the automaton grows: a
+    reader takes {!tables} once and reads cells and emit words from that
+    one value, so a transition row and an emit row always come from the
+    same generation. A cell of any generation names a powerstate whose
+    emit row that generation holds. A cell that reads -1 is not yet built:
+    the reader calls {!step_class} and then takes {!tables} again (a
+    cached value stays valid for reads of already-materialized states).
+
+    The tables are flat bytes in native byte order: [trans tb] holds
+    [width] int32 cells per powerstate (cell [(s, cls)] at byte
+    [4 × (s × width + cls)], -1 = not yet built), and [emit tb] holds
+    [words] int64 emit-bit words per powerstate (word [w] of row [s] at
+    byte [8 × (s × words + w)]). {!cell} and {!word} are the unchecked
+    reads at a byte offset. *)
 module Raw : sig
-  val trans : t -> int array
-  val emit_rows : t -> int64 array
+  type tables
+
+  val tables : t -> tables
+  val trans : tables -> Bytes.t
+  val emit : tables -> Bytes.t
+
+  external cell : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
   val words : t -> int
   val width : t -> int
 end

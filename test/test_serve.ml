@@ -998,6 +998,76 @@ let prop_escape_parity =
       Serve.Client.append_escaped b (Bytes.of_string s) 0 (String.length s);
       Buffer.contents b = Printf.sprintf "%S" s)
 
+(* The engine-cache key is structural: equal iff the rule lists are equal
+   rule by rule. Generated pairs over {a,b,c} are mostly unequal, so each
+   grammar is also checked against a fresh deep copy of itself (equal, not
+   shared) and against its Alt/Seq flip (same shape and classes), and
+   json and csv against byte renamings of themselves (the printable bytes
+   permuted: equal only under the identity). *)
+let key = Engine_cache.key_of_rules
+
+let rec copy_regex = function
+  | Regex.Eps -> Regex.Eps
+  | Regex.Cls cs -> Regex.Cls (Charset.union cs Charset.empty)
+  | Regex.Alt (a, b) -> Regex.Alt (copy_regex a, copy_regex b)
+  | Regex.Seq (a, b) -> Regex.Seq (copy_regex a, copy_regex b)
+  | Regex.Star a -> Regex.Star (copy_regex a)
+
+let rec rename_regex perm = function
+  | Regex.Cls cs ->
+      Regex.Cls
+        (Charset.fold
+           (fun c acc -> Charset.union acc (Charset.singleton perm.(Char.code c)))
+           cs Charset.empty)
+  | Regex.Alt (a, b) -> Regex.Alt (rename_regex perm a, rename_regex perm b)
+  | Regex.Seq (a, b) -> Regex.Seq (rename_regex perm a, rename_regex perm b)
+  | Regex.Star a -> Regex.Star (rename_regex perm a)
+  | Regex.Eps -> Regex.Eps
+
+(* The same shape with every Alt and Seq swapped: equal only without
+   either node. *)
+let rec flip = function
+  | Regex.Alt (a, b) -> Regex.Seq (flip a, flip b)
+  | Regex.Seq (a, b) -> Regex.Alt (flip a, flip b)
+  | Regex.Star a -> Regex.Star (flip a)
+  | r -> r
+
+let prop_cache_key_iff_equal =
+  QCheck.Test.make ~count:500 ~name:"cache key equal iff rules equal"
+    QCheck.(pair Fuzz.Qgen.grammar_arb Fuzz.Qgen.grammar_arb)
+    (fun (a, b) ->
+      let iff x y = (key x = key y) = List.equal Regex.equal x y in
+      key (List.map copy_regex a) = key a
+      && iff a b
+      && iff a (List.map flip a))
+
+let test_cache_key_renamings () =
+  let formats = List.map Grammar.rules [ Formats.json; Formats.csv ] in
+  let variants =
+    List.concat_map
+      (fun rules ->
+        rules
+        :: List.init 100 (fun seed ->
+               let rng = Prng.create (Int64.of_int seed) in
+               let range = Array.init 94 (fun i -> Char.chr (33 + i)) in
+               Prng.shuffle rng range;
+               let perm = Array.init 256 Char.chr in
+               Array.iteri (fun i c -> perm.(33 + i) <- c) range;
+               List.map (rename_regex perm) rules))
+      formats
+  in
+  let variants = Array.of_list variants in
+  let keys = Array.map key variants in
+  let wrong = ref 0 in
+  Array.iteri
+    (fun i a ->
+      for j = i + 1 to Array.length variants - 1 do
+        if List.equal Regex.equal a variants.(j) <> (keys.(i) = keys.(j)) then
+          incr wrong
+      done)
+    variants;
+  check_int "pairs whose keys disagree with rule equality" 0 !wrong
+
 let test_padded_parity () =
   List.iter
     (fun name ->
@@ -1040,4 +1110,7 @@ let suite =
     Alcotest.test_case "feed_views segments" `Quick test_feed_views_segments;
     QCheck_alcotest.to_alcotest prop_escape_parity;
     Alcotest.test_case "client padding parity" `Quick test_padded_parity;
+    QCheck_alcotest.to_alcotest prop_cache_key_iff_equal;
+    Alcotest.test_case "cache key over renamings" `Quick
+      test_cache_key_renamings;
   ]

@@ -535,6 +535,51 @@ let test_serve_rejects_fd_budget () =
     | exception Invalid_argument _ -> true);
   check "refused before binding" false (Sys.file_exists sock)
 
+(* One cold token-extension DFA warmed by four domains at once: each
+   tokenizes its own 16 KiB corpus text through one shared mini-vocabulary
+   engine, so lazy materialization (and every doubling of the tables from
+   16 rows to 8 192) races with the other domains' lock-free reads. Each
+   domain's ids must equal a single-domain run on a fresh engine and the
+   reference merge loop. *)
+let test_cold_te_four_domains () =
+  let v =
+    match Bpe.Vocab.load_file "vocab/mini.tiktoken" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "mini vocabulary: %s" e
+  in
+  let compile () =
+    match Bpe.Compiler.dfa ~audit:false v with
+    | Error e -> Alcotest.failf "dfa: %s" e
+    | Ok d -> (
+        match Engine.compile d with
+        | Ok e -> e
+        | Error Engine.Unbounded_tnd -> Alcotest.fail "unbounded")
+  in
+  let ids e text =
+    let l = ref [] in
+    match
+      Engine.run_string e text ~emit:(fun ~pos:_ ~len:_ ~rule -> l := rule :: !l)
+    with
+    | Engine.Finished -> List.rev !l
+    | Engine.Failed { offset; _ } -> Alcotest.failf "failed at %d" offset
+  in
+  let texts =
+    Array.init 4 (fun i ->
+        Bpe.Trainer.gen_corpus (Prng.create (Int64.of_int (0x7e5 + i))) 16384)
+  in
+  let shared = compile () in
+  let got = Array.make 4 [] in
+  run_domains 4 (fun i -> got.(i) <- ids shared texts.(i));
+  check "the shared table outgrew 4 096 rows" true
+    (Engine.te_states shared > 4096);
+  Array.iteri
+    (fun i text ->
+      check (Printf.sprintf "domain %d ids = one domain, fresh engine" i) true
+        (got.(i) = ids (compile ()) text);
+      check (Printf.sprintf "domain %d ids = merge loop" i) true
+        (got.(i) = Bpe.Encoder.encode v text))
+    texts
+
 let suite =
   [
     Alcotest.test_case "cache storm: exactly one compile" `Quick
@@ -559,4 +604,6 @@ let suite =
       test_serve_rejects_fd_budget;
     Alcotest.test_case "client stats to an unwritable file" `Quick
       test_client_stats_unwritable;
+    Alcotest.test_case "cold TE shared by four domains" `Quick
+      test_cold_te_four_domains;
   ]
