@@ -133,43 +133,6 @@ let class_reps classmap num_classes =
   done;
   reps
 
-(* Multiply, then fold the high bits down, so that every input bit reaches
-   the low bits a table slot is picked from. *)
-let mix x =
-  let x = x * 0x2545F4914F6CDD1D in
-  x lxor (x lsr 29)
-
-(* A growable vector of NFA state ids below [n], each stored in the fewest
-   of 1, 2 or 4 bytes that hold [n - 1]: it keeps the members of every
-   interned subset state until the construction ends. *)
-module Ids = struct
-  type t = { width : int; mutable data : Bytes.t; mutable len : int }
-
-  let create n =
-    let width = if n <= 0x100 then 1 else if n <= 0x10000 then 2 else 4 in
-    { width; data = Bytes.create (64 * width); len = 0 }
-
-  let length t = t.len
-
-  let get t i =
-    match t.width with
-    | 1 -> Bytes.get_uint8 t.data i
-    | 2 -> Bytes.get_uint16_le t.data (2 * i)
-    | _ -> Int32.to_int (Bytes.get_int32_le t.data (4 * i))
-
-  let push t x =
-    if (t.len + 1) * t.width > Bytes.length t.data then begin
-      let data = Bytes.create (2 * Bytes.length t.data) in
-      Bytes.blit t.data 0 data 0 (t.len * t.width);
-      t.data <- data
-    end;
-    (match t.width with
-    | 1 -> Bytes.set_uint8 t.data t.len x
-    | 2 -> Bytes.set_uint16_le t.data (2 * t.len) x
-    | _ -> Bytes.set_int32_le t.data (4 * t.len) (Int32.of_int x));
-    t.len <- t.len + 1
-end
-
 (* [offsets lists]: the items of list [s] go to
    [flat.(first.(s)) .. flat.(first.(s + 1) - 1)] *)
 let offsets lists =
@@ -188,8 +151,7 @@ let offsets lists =
    them, so the worklist is just the next state id.
 
    Nothing here is allocated per DFA state or per (state, class) cell: NFA
-   sets are stored as member runs in one growable vector, keyed by an
-   open-addressed table of state ids; rows go into blocks of 64 states;
+   sets are interned in a [Powerset]; rows go into blocks of 64 states;
    and the buckets, the scratch set and the closure queue are allocated
    once, at their largest size. *)
 let subset ~classes ?max_states (nfa : Nfa.t) =
@@ -253,52 +215,22 @@ let subset ~classes ?max_states (nfa : Nfa.t) =
     done;
     !n
   in
-  (* interned sets: state [id]'s members are
-     [members.(first.(id)) .. members.(first.(id + 1) - 1)] *)
-  let members = Ids.create ns in
-  let first = St_util.Int_vec.create () in
-  St_util.Int_vec.push first 0;
-  let hashes = St_util.Int_vec.create () in
+  (* interned sets: [buf]'s closures list their members in no order, so a
+     candidate is compared through [inset]. A row starts from a copy of its
+     state's members in [buf], read before the row's first closure. *)
+  let sets = Powerset.create ns in
   let accept = St_util.Int_vec.create () in
-  let slots = ref (Array.make 64 (-1)) in
-  let count = ref 0 in
-  let place id h =
-    let mask = Array.length !slots - 1 in
-    let i = ref (h land mask) in
-    while !slots.(!i) >= 0 do
-      i := (!i + 1) land mask
-    done;
-    !slots.(!i) <- id
-  in
-  let same id n =
-    let lo = St_util.Int_vec.get first id in
-    let hi = St_util.Int_vec.get first (id + 1) in
-    hi - lo = n
-    &&
-    let j = ref lo in
-    while !j < hi && Bits.mem inset (Ids.get members !j) do
-      incr j
-    done;
-    !j = hi
-  in
+  let same _ _ x = Bits.mem inset x in
   (* the id of the set [buf.(0 .. n - 1)], interning it if new *)
   let intern n =
-    let h = ref n in
+    let id = Powerset.find sets ~same buf n in
     for i = 0 to n - 1 do
-      h := !h + mix buf.(i)
+      Bits.remove inset buf.(i)
     done;
-    let h = mix !h land max_int in
-    let mask = Array.length !slots - 1 in
-    let i = ref (h land mask) and id = ref (-1) in
-    while !id < 0 do
-      let r = !slots.(!i) in
-      if r < 0 then id := !count
-      else if St_util.Int_vec.get hashes r = h && same r n then id := r
-      else i := (!i + 1) land mask
-    done;
-    if !id = !count then begin
+    if id >= 0 then id
+    else begin
       (match max_states with
-      | Some cap when !id >= cap ->
+      | Some cap when Powerset.count sets >= cap ->
           failwith
             (Printf.sprintf
                "Dfa.of_nfa: subset construction exceeded %d states \
@@ -307,27 +239,12 @@ let subset ~classes ?max_states (nfa : Nfa.t) =
       | _ -> ());
       let rule = ref (-1) in
       for i = 0 to n - 1 do
-        let s = buf.(i) in
-        Ids.push members s;
-        let r = nfa.Nfa.accept_rule.(s) in
+        let r = nfa.Nfa.accept_rule.(buf.(i)) in
         if r >= 0 && (!rule < 0 || r < !rule) then rule := r
       done;
-      St_util.Int_vec.push first (Ids.length members);
-      St_util.Int_vec.push hashes h;
       St_util.Int_vec.push accept !rule;
-      !slots.(!i) <- !id;
-      incr count;
-      if 2 * !count > Array.length !slots then begin
-        slots := Array.make (2 * Array.length !slots) (-1);
-        for id = 0 to !count - 1 do
-          place id (St_util.Int_vec.get hashes id)
-        done
-      end
-    end;
-    for i = 0 to n - 1 do
-      Bits.remove inset buf.(i)
-    done;
-    !id
+      Powerset.add sets buf n
+    end
   in
   let start_id = intern (close (seed 0 nfa.Nfa.start)) in
   let dead = ref (-1) in
@@ -336,13 +253,12 @@ let subset ~classes ?max_states (nfa : Nfa.t) =
   let block = 64 in
   let blocks = ref [] in
   let q = ref 0 in
-  while !q < !count do
+  while !q < Powerset.count sets do
     if !q mod block = 0 then blocks := Array.make (block * nc) 0 :: !blocks;
     let rows = List.hd !blocks and row = !q mod block * nc in
     let used = ref 0 in
-    let lo = St_util.Int_vec.get first !q in
-    for j = lo to St_util.Int_vec.get first (!q + 1) - 1 do
-      let s = Ids.get members j in
+    for j = 0 to Powerset.members sets !q buf - 1 do
+      let s = buf.(j) in
       for e = edge_at.(s) to edge_at.(s + 1) - 1 do
         for k = cls_at.(e) to cls_at.(e + 1) - 1 do
           let c = cls_of.(k) in
@@ -373,7 +289,7 @@ let subset ~classes ?max_states (nfa : Nfa.t) =
     done;
     incr q
   done;
-  let trans = Array.make (!count * nc) 0 in
+  let trans = Array.make (Powerset.count sets * nc) 0 in
   List.iteri
     (fun i rows ->
       let at = i * block * nc in
@@ -442,7 +358,7 @@ let minimize_dfa d =
       for c = 0 to nc - 1 do
         h := (!h * 31) + block.(trans.(row + c))
       done;
-      let h = mix !h in
+      let h = Powerset.mix !h in
       sig_hash.(q) <- h;
       let i = ref (h land mask) and b = ref (-1) in
       while !b < 0 do

@@ -73,7 +73,10 @@ val class_reps : string -> int -> int array
     of their SWAR tier. [max_states] (default unbounded) caps the number
     of interned subset states: data-driven grammars (BPE vocabularies) can
     blow up the construction, and a prompt [Failure] naming the cap beats
-    unbounded memory growth. *)
+    unbounded memory growth. Subset states are numbered in discovery
+    order and interned in a {!Powerset} (the token-extension DFA's
+    interner too), each closure compared through a bitset of its members,
+    so the construction allocates nothing per state beyond the tables. *)
 val of_nfa :
   ?classes:bool -> ?accel:Accel.level -> ?max_states:int -> Nfa.t -> t
 

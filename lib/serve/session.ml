@@ -80,8 +80,8 @@ let grammar_of_vocab text =
    flag is the OPENED [cached] field) under one subset-construction cap,
    so a grammar whose DFA blows up — bounded max-TND is PSPACE-complete to
    decide and the DFA can be exponential in the grammar — is a
-   Bad_grammar reply, not an OOM. The rules' canonical print is the cache
-   key, so N sessions of one grammar or vocabulary share one engine. *)
+   Bad_grammar reply, not an OOM. The cache key ([Engine_cache.key_of_rules])
+   encodes the rules' structure, so sessions of one grammar share one engine. *)
 let handle_open t ~ids resolve =
   match t.state with
   | Opened_ _ -> protocol_error "session already OPENed"

@@ -21,33 +21,11 @@ module Bits = St_util.Bits
    length 0, one per final state — is all-or-nothing in every powerstate:
    the start state and every real-symbol successor contain all of it, and
    an EOF successor contains no in-progress path at all. So a powerstate
-   is stored as one flag for [inject] plus the sorted NFA ids of its other
-   members (about 15 on a BPE vocabulary, against F·M·K + F·K possible
-   ids). The key is canonical — equal powersets, equal keys — so interning
-   on it numbers powerstates exactly as the dense powerset would. *)
-
-(* A powerstate: [inj] says it holds [inject]; the first [len] entries of
-   [mem] are its other members, sorted and distinct. Interned keys own
-   their [mem] ([len = Array.length mem]); a lookup probe points into the
-   materialization scratch buffer. *)
-module Key = struct
-  type t = { inj : bool; mem : int array; len : int }
-
-  let equal a b =
-    a.inj = b.inj && a.len = b.len
-    &&
-    let rec go i = i >= a.len || (a.mem.(i) = b.mem.(i) && go (i + 1)) in
-    go 0
-
-  let hash k =
-    let h = ref (Bool.to_int k.inj) in
-    for i = 0 to k.len - 1 do
-      h := (!h * 31) + k.mem.(i)
-    done;
-    !h lxor (!h lsr 29)
-end
-
-module Key_tbl = Hashtbl.Make (Key)
+   is stored as the sorted NFA ids of its other members (about 15 on a BPE
+   vocabulary, against F·M·K + F·K NFA states), led by one reserved id
+   when it holds [inject]. The run is canonical — equal powersets, equal
+   runs — so interning it in a [Powerset] numbers powerstates exactly as
+   the dense powerset would. *)
 
 (* The materialized tables, replaced as one value when the automaton
    grows. [trans] holds [capacity × width] int32 cells (-1 = not yet
@@ -64,22 +42,20 @@ type t = {
   num_finals : int;
   words : int;  (* int64 words per emit-bit row: ceil(|DFA|/64) *)
   finals_row : Bytes.t;  (* emit-bit row with every final state set *)
-  mutable side_words : int;
-      (* heap words of the keys and the restart successors *)
-  mutable num_states : int;
   tables : tables Atomic.t;  (* published whole: readers take no lock *)
-  mutable keys : Key.t array;  (* per state: its powerstate; at capacity *)
   accel : Accel.t;  (* skip rows, appended on first entry *)
-  tbl : int Key_tbl.t;
+  sets : Powerset.t;  (* per state: its members, a sorted run *)
   injected : int array option array;
       (* per real class: the sorted successors of [inject], on first use *)
   mutable scratch : int array;  (* successor buffer for [step_set] *)
+  mutable members : int array;  (* [step_set]'s copy of the powerstate *)
   (* NFA parameters *)
   m : int;
-  active_count : int;
+  qbits : int;  (* an NFA id's q field: its low [qbits] bits *)
+  fbits : int;  (* its f0 field: the bits above [fbits] *)
   final_state : int array;  (* final index -> DFA state *)
   coacc : Bits.t;
-  lock : Mutex.t;  (* guards materialization; reads are lock-free *)
+  lock : Mutex.t;  (* guards materialization and the members *)
 }
 
 module Raw = struct
@@ -104,104 +80,95 @@ let eof_symbol = 256
 let width t = t.width
 let eof_class t = t.width - 1
 
-(* NFA state encoding, given M = DFA size, F = number of finals, K:
-   - Active (f0, q, j), j ∈ 0..K-1:  id = f0*M*K + q*K + j
-   - Done (f0, j), j ∈ 1..K:         id = F*M*K + f0*K + (j-1)
+(* NFA state ids, given M = DFA size, F = number of finals, K: an id
+   packs (f0, j) above q, each field in a power-of-two stride
+   (2^qbits > M, 2^(fbits - qbits) > K), so ids sort by (f0, j, q):
+   - Active (f0, q, j), j ∈ 0..K-1:  id = f0·2^fbits + j·2^qbits + q
+   - Done (f0, j), j ∈ 1..K:         the same with the sentinel q = M
    Accepting states are Done (f0, K); Λ(Done (f0, _)) = f0. The Active
-   states with j = 0 are exactly [inject]: (f0, final_state f0, 0). *)
+   states with j = 0 are exactly [inject]: (f0, final_state f0, 0). No
+   powerstate stores them; [restart], the id (0, 0, 0) of that otherwise
+   unused j = 0 plane, stands for all of them. *)
 
-let active t f0 q j = (f0 * t.m * t.k) + (q * t.k) + j
-let done_ t f0 j = t.active_count + (f0 * t.k) + (j - 1)
+let restart = 0
+let nfa_id t f0 q j = (f0 lsl t.fbits) lor (j lsl t.qbits) lor q
+let q_of t id = id land ((1 lsl t.qbits) - 1)
+let j_of t id = (id land ((1 lsl t.fbits) - 1)) lsr t.qbits
 
-(* EOF kills in-progress paths and advances the padding:
-   Done (f0, j) -> Done (f0, j+1), whose id is the next one. *)
-let succ_eof t id =
-  if id >= t.active_count && (id - t.active_count) mod t.k < t.k - 1 then
-    id + 1
-  else -1
-
-(* The successor of NFA state [id] on real class [cls], or -1 when the
-   path dies. In-progress paths through dead DFA states can never
-   complete, so they are pruned; padding advances as at EOF. *)
+(* The successor of NFA state [id] on class [cls], or -1 when the path
+   dies. Every symbol, EOF too, advances the padding: Done (f0, j) ->
+   Done (f0, j+1), one q-stride up. EOF kills in-progress paths, and
+   in-progress paths through dead DFA states can never complete, so they
+   are pruned. *)
 let succ t id cls =
-  if id < t.active_count then begin
-    let f0 = id / (t.m * t.k) in
-    let rem = id mod (t.m * t.k) in
-    let q' = Dfa.step_class t.dfa (rem / t.k) cls and j' = (rem mod t.k) + 1 in
-    if Dfa.is_final t.dfa q' then done_ t f0 j'
-    else if j' < t.k && Bits.mem t.coacc q' then active t f0 q' j'
+  let q = q_of t id and j = j_of t id in
+  let next = id - q + (1 lsl t.qbits) in
+  if q = t.m then if j < t.k then next + t.m else -1
+  else if cls = eof_class t then -1
+  else
+    let q' = Dfa.step_class t.dfa q cls in
+    if Dfa.is_final t.dfa q' then next + t.m
+    else if j + 1 < t.k && Bits.mem t.coacc q' then next + q'
     else -1
-  end
-  else succ_eof t id
 
 (* The successors of [inject] on real class [cls] are the same for every
-   powerstate that holds it: derived once per class (under the lock). *)
+   powerstate that holds it: derived once per class (under the lock), in
+   ascending f0 and so sorted. *)
 let injected t cls =
   match t.injected.(cls) with
   | Some a -> a
   | None ->
       let l = ref [] in
       for f0 = t.num_finals - 1 downto 0 do
-        let s = succ t (active t f0 t.final_state.(f0) 0) cls in
+        let s = succ t (nfa_id t f0 t.final_state.(f0) 0) cls in
         if s >= 0 then l := s :: !l
       done;
       let a = Array.of_list !l in
-      Array.sort Int.compare a;
       t.injected.(cls) <- Some a;
-      t.side_words <- t.side_words + 2 + Array.length a + 1;
       a
 
-(* In-place heapsort of [a.(0 .. n-1)]. *)
-let sort_prefix a n =
-  let swap i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let rec sift i n =
-    let l = (2 * i) + 1 in
-    if l < n then begin
-      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-      if a.(c) > a.(i) then begin
-        swap i c;
-        sift c n
-      end
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
-  done;
-  for e = n - 1 downto 1 do
-    swap 0 e;
-    sift 0 e
-  done
-
-(* One NFA step of the whole powerstate on a symbol class ([eof_class t]
-   for EOF), written into the scratch buffer and returned as a probe key:
-   restart injection applies to real symbols only. The successors need no
-   dedup: a member is fixed by its (f0, j) — the path injected at f0 j
-   symbols ago, walked by a deterministic DFA — and a step maps (f0, j) to
-   (f0, j+1), so distinct members have distinct successors, all with
-   j ≥ 2, apart from the injected ones (j = 1). *)
-let step_set t (key : Key.t) cls =
-  let is_eof = cls = eof_class t in
-  let inj = if key.inj && not is_eof then injected t cls else [||] in
-  let need = key.len + Array.length inj in
+(* One NFA step of powerstate [s] on a symbol class ([eof_class t] for
+   EOF), written sorted into the scratch buffer; returns its length.
+   Restart injection applies to real symbols only. A member is fixed by
+   its (f0, j) — the path injected at f0 j symbols ago, walked by a
+   deterministic DFA — and a step maps (f0, j) to (f0, j+1), so the
+   stepped members stay distinct and in order, all with j ≥ 2; the
+   injected ones (j = 1) are merged in. *)
+let step_set t s cls =
+  let m = Powerset.size t.sets s in
+  if Array.length t.members < m then
+    t.members <- Array.make (max m (2 * Array.length t.members)) 0;
+  let mem = t.members in
+  ignore (Powerset.members t.sets s mem);
+  let real = cls <> eof_class t in
+  let held = m > 0 && mem.(0) = restart in
+  let inj = if held && real then injected t cls else [||] in
+  let need = m + Array.length inj + 1 in
   if Array.length t.scratch < need then
     t.scratch <- Array.make (max need (2 * Array.length t.scratch)) 0;
   let buf = t.scratch in
-  let n = ref 0 in
-  for i = 0 to key.len - 1 do
-    let s = if is_eof then succ_eof t key.mem.(i) else succ t key.mem.(i) cls in
-    if s >= 0 then begin
-      buf.(!n) <- s;
+  buf.(0) <- restart; (* kept on a real symbol only *)
+  let n = ref (if real then 1 else 0) and i = ref 0 in
+  for p = (if held then 1 else 0) to m - 1 do
+    let x = mem.(p) in
+    let y = succ t x cls in
+    if y >= 0 then begin
+      while !i < Array.length inj && inj.(!i) < y do
+        buf.(!n) <- inj.(!i);
+        incr n;
+        incr i
+      done;
+      buf.(!n) <- y;
       incr n
     end
   done;
-  Array.blit inj 0 buf !n (Array.length inj);
-  let len = !n + Array.length inj in
-  sort_prefix buf len;
-  { Key.inj = not is_eof; mem = buf; len }
+  let rest = Array.length inj - !i in
+  Array.blit inj !i buf !n rest;
+  !n + rest
+
+(* Powerstates are sorted runs: a candidate equals the probe entry by
+   entry. *)
+let same buf i x = buf.(i) = x
 
 (* [cap]-row tables holding the first [n] rows of [old]; the rest of the
    cells read -1 and the rest of the emit words 0. *)
@@ -222,41 +189,37 @@ let resize ~width ~words old n cap =
    allocation leaves the automaton as it was; the new tables are
    published last, in one write. *)
 let grow t =
-  let n = t.num_states and cap = 2 * Array.length t.keys in
-  let tables =
-    resize ~width:t.width ~words:t.words (Atomic.get t.tables) n cap
-  in
-  let keys = Array.make cap t.keys.(0) in
-  Array.blit t.keys 0 keys 0 n;
-  t.keys <- keys;
-  Atomic.set t.tables tables
+  let n = Powerset.count t.sets in
+  Atomic.set t.tables
+    (resize ~width:t.width ~words:t.words (Atomic.get t.tables) n (2 * n))
 
-(* Intern an owned key as a new powerstate, writing its emit-bit row: the
-   bit of final q is set unless a completed extension path Done (f0, K)
-   starts at q = final_state f0. The row is complete before the id is
-   known to anyone: only [materialize] hands it out, by writing a cell
-   after this returns. *)
-let intern t (key : Key.t) =
-  if t.num_states = Array.length t.keys then grow t;
-  let id = t.num_states in
-  let emit = (Atomic.get t.tables).emit and row = 8 * id * t.words in
-  Bytes.blit t.finals_row 0 emit row (8 * t.words);
-  Array.iter
-    (fun m ->
-      let x = m - t.active_count in
-      if x >= 0 && x mod t.k = t.k - 1 then begin
-        let q = t.final_state.(x / t.k) in
+(* The id of the powerstate in the first [n] entries of the scratch
+   buffer, interning it if new. A new one gets a row, the tables growing
+   when full, and the bit of final q in its emit row is set unless a
+   completed extension path Done (f0, K) starts at q = final_state f0.
+   The row is complete before the id is known to anyone: only
+   [materialize] hands it out, by writing a cell after this returns. *)
+let intern t n =
+  let id = Powerset.find t.sets ~same t.scratch n in
+  if id >= 0 then id
+  else begin
+    let id = Powerset.count t.sets in
+    if id = Bytes.length (Atomic.get t.tables).accel_row / 4 then grow t;
+    let emit = (Atomic.get t.tables).emit and row = 8 * id * t.words in
+    Bytes.blit t.finals_row 0 emit row (8 * t.words);
+    let done_k = nfa_id t 0 t.m t.k in
+    for i = 0 to n - 1 do
+      let x = t.scratch.(i) in
+      if x land ((1 lsl t.fbits) - 1) = done_k then begin
+        let q = t.final_state.(x lsr t.fbits) in
         let o = row + (8 * (q lsr 6)) in
         Bytes.set_int64_ne emit o
           (Int64.logand (Bytes.get_int64_ne emit o)
              (Int64.lognot (Int64.shift_left 1L (q land 63))))
-      end)
-    key.mem;
-  t.num_states <- id + 1;
-  Key_tbl.add t.tbl key id;
-  t.keys.(id) <- key;
-  t.side_words <- t.side_words + 4 + key.len + 1;
-  id
+      end
+    done;
+    Powerset.add t.sets t.scratch n
+  end
 
 let build ~coacc dfa ~k =
   assert (k >= 1);
@@ -286,11 +249,13 @@ let build ~coacc dfa ~k =
            (Int64.shift_left 1L (q land 63)))
     end
   done;
-  let capacity = 16 in
   let none =
     { trans = Bytes.empty; emit = Bytes.empty; accel_row = Bytes.empty }
   in
-  let start_key = { Key.inj = true; mem = [||]; len = 0 } in
+  (* the number of bits that hold 0..x *)
+  let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1) in
+  let qbits = bits m in
+  let fbits = qbits + bits k in
   let t =
     {
       dfa;
@@ -300,22 +265,22 @@ let build ~coacc dfa ~k =
       num_finals = f;
       words;
       finals_row;
-      side_words = 0;
-      num_states = 0;
-      tables = Atomic.make (resize ~width ~words none 0 capacity);
-      keys = Array.make capacity start_key;
+      tables = Atomic.make (resize ~width ~words none 0 1);
       accel = Accel.create (Accel.level dfa.Dfa.accel) ~capacity:0;
-      tbl = Key_tbl.create 64;
+      sets = Powerset.create (max f 1 lsl fbits);
       injected = Array.make (width - 1) None;
       scratch = Array.make 64 0;
+      members = Array.make 64 0;
       m;
-      active_count = f * m * k;
+      qbits;
+      fbits;
       final_state;
       coacc;
       lock = Mutex.create ();
     }
   in
-  let start = intern t start_key in
+  t.scratch.(0) <- restart;
+  let start = intern t 1 in
   assert (start = 0);
   t
 
@@ -328,13 +293,7 @@ let materialize t s cls =
       match cell (Atomic.get t.tables).trans i with
       | tgt when tgt >= 0 -> tgt
       | _ ->
-          let probe = step_set t t.keys.(s) cls in
-          let id =
-            match Key_tbl.find_opt t.tbl probe with
-            | Some id -> id
-            | None ->
-                intern t { probe with mem = Array.sub probe.mem 0 probe.len }
-          in
+          let id = intern t (step_set t s cls) in
           (* intern may have grown the tables: write into the current ones *)
           set_cell (Atomic.get t.tables).trans i id;
           id)
@@ -349,21 +308,6 @@ let class_of_symbol t sym =
 
 let step t s sym = step_class t s (class_of_symbol t sym)
 
-(* Binary search for Done (f0, K) among the powerstate's sorted members. *)
-let extendable t s q =
-  let f0 = t.fidx.(q) in
-  f0 >= 0
-  &&
-  let key = t.keys.(s) and x = done_ t f0 t.k in
-  let rec go lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let v = key.mem.(mid) in
-    v = x || if v < x then go (mid + 1) hi else go lo mid
-  in
-  go 0 key.len
-
 let emit_bit t s q =
   let emit = (Atomic.get t.tables).emit in
   Int64.logand
@@ -373,7 +317,11 @@ let emit_bit t s q =
     1L
   <> 0L
 
-let num_states t = t.num_states
+let num_states t = Powerset.count t.sets
+
+(* Done (f0, K) is a member exactly when the emit bit of final_state f0
+   is clear. *)
+let extendable t s q = t.fidx.(q) >= 0 && not (emit_bit t s q)
 
 (* A powerstate's skip row is derived the first time a skip loop enters
    it as the lookahead state, from its real-symbol self-loop classes (EOF
@@ -409,19 +357,19 @@ let accel_bytes t =
   Accel.bytes t.accel + block (Atomic.get t.tables).accel_row
 
 (* Heap bytes as allocated: the tables at capacity with their headers,
-   the record and atomic that publish them, [side_words], the intern
-   table's buckets and entries, and the fixed per-DFA arrays. *)
+   the record and atomic that publish them, the interned powerstates, the
+   restart successors (each a [Some] box and its array), and the fixed
+   per-DFA arrays. *)
 let bytes t =
   let arr n = 8 * (n + 1) in
+  let injected acc = function Some a -> acc + 16 + arr (Array.length a) | None -> acc in
   Mutex.protect t.lock (fun () ->
-      let tb = Atomic.get t.tables and st = Key_tbl.stats t.tbl in
+      let tb = Atomic.get t.tables in
       block tb.trans + block tb.emit + 32 + 16
-      + arr (Array.length t.keys)
-      + arr (Array.length t.injected)
+      + Powerset.bytes t.sets
+      + Array.fold_left injected (arr (Array.length t.injected)) t.injected
       + arr (Array.length t.scratch)
-      + (8 * t.side_words)
-      + arr st.Hashtbl.num_buckets
-      + (32 * st.Hashtbl.num_bindings)
+      + arr (Array.length t.members)
       + block t.finals_row
       + arr (Array.length t.fidx)
       + arr (Array.length t.final_state)
@@ -432,12 +380,18 @@ let start _t = 0
 let k t = t.k
 
 let equal a b =
-  let n = a.num_states in
+  let n = num_states a in
+  let runs t =
+    List.init n (fun s ->
+        let run = Array.make (Powerset.size t.sets s) 0 in
+        ignore (Powerset.members t.sets s run);
+        run)
+  in
   Dfa.equal a.dfa b.dfa && a.k = b.k && Bits.equal a.coacc b.coacc
-  && n = b.num_states
+  && n = num_states b
   && Bytes.sub (Atomic.get a.tables).trans 0 (4 * n * a.width)
      = Bytes.sub (Atomic.get b.tables).trans 0 (4 * n * b.width)
-  && Array.for_all2 Key.equal (Array.sub a.keys 0 n) (Array.sub b.keys 0 n)
+  && runs a = runs b
 
 let num_finals t = t.num_finals
 let final_index t q = t.fidx.(q)

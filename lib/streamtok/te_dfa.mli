@@ -21,11 +21,17 @@
     Powerstates are stored sparsely. The restart set — the [F] paths of
     length 0, one per final state — is all-or-nothing in every powerstate
     (every real-symbol successor contains it, no EOF successor holds any
-    in-progress path), so a powerstate is a flag for it plus the sorted
-    ids of its other members. That key is canonical, so powerstates are
-    numbered exactly as over the dense powerset. The successors of the
-    restart set depend only on the symbol class and are derived once per
-    class.
+    in-progress path), so a powerstate is the sorted run of its other
+    members' ids, led by one reserved id when it holds the restart set.
+    An id packs [(q₀, j)] above [q] in power-of-two fields, with [q = |A|]
+    standing for "done", so a step, which maps [(q₀, j)] to [(q₀, j+1)],
+    keeps a run sorted and decodes by shifts and masks; the successors of
+    the restart set depend only on the symbol class, are derived once per
+    class and merged in. The run is canonical, so powerstates are numbered
+    exactly as over the dense powerset. They are interned in the
+    {!St_automata.Powerset} that subset construction uses too, compared
+    run against run, and their members are read only under the
+    automaton's lock.
 
     The DFA itself is {e lazy}: powerstates and their transitions
     materialize the first time {!step} takes them (eager construction is
@@ -111,9 +117,10 @@ val accel_bytes : t -> int
 
 (** Heap bytes held by the automaton as allocated: the transition, emit
     and skip-row tables at capacity (flat bytes, counted block by block,
-    with the record and atomic that publish them), the interned
-    powerstates and their table, the per-class restart successors, the
-    skip storage ({!accel_bytes}) and the fixed per-DFA arrays. *)
+    with the record and atomic that publish them), the interner's storage
+    ({!St_automata.Powerset.bytes}: the member store, per-powerstate
+    vectors and slot table), the per-class restart successors, the skip
+    storage ({!accel_bytes}) and the fixed per-DFA arrays. *)
 val bytes : t -> int
 
 (**/**)

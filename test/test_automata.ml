@@ -272,6 +272,73 @@ let test_equiv_classes_reference () =
     ([ vocab (mini_vocab ()); vocab (Bpe.Trainer.tiny ~seed:11L) ]
     @ List.init 500 (fun _ -> Grammar_corpus.sample rng))
 
+(* The interner numbers sets in order of first appearance through either
+   kind of equality: every draw is interned shuffled into one interner
+   that compares through a bitset, as subset construction does, and
+   sorted into one that compares runs, as the token-extension DFA does.
+   Both must match a reference numbering keyed on sorted lists and give
+   the members back. Members lie within 256 of the bound, so each bound
+   picks one store width (1, 2, 4, 8 bytes); 300 draws from 150 sets
+   intern enough sets to double the 64-slot table. *)
+let prop_powerset_numbering =
+  let module P = St_automata.Powerset in
+  let module Bits = St_util.Bits in
+  QCheck.Test.make ~count:40 ~name:"powerset ids = first-appearance order"
+    QCheck.(pair (oneofl [ 200; 60_000; 1 lsl 20; 1 lsl 40 ]) small_nat)
+    (fun (bound, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let span = min bound 256 in
+      let slot x = bound - 1 - x in
+      let pool =
+        Array.init 150 (fun _ ->
+            List.init (Random.State.int rng 12) (fun _ ->
+                slot (Random.State.int rng span))
+            |> List.sort_uniq Int.compare)
+      in
+      let inset = Bits.create span in
+      let members p id =
+        let buf = Array.make (P.size p id) 0 in
+        ignore (P.members p id buf);
+        Array.to_list buf
+      in
+      let same_bits _ _ x = Bits.mem inset (slot x) in
+      let same_run buf i x = buf.(i) = x in
+      let intern p ~same buf =
+        let n = Array.length buf in
+        let id = P.find p ~same buf n in
+        if id >= 0 then id else P.add p buf n
+      in
+      let unordered = P.create bound and sorted = P.create bound in
+      let reference = Hashtbl.create 64 in
+      let agree _ =
+        let set = pool.(Random.State.int rng (Array.length pool)) in
+        let expected =
+          match Hashtbl.find_opt reference set with
+          | Some id -> id
+          | None ->
+              Hashtbl.add reference set (Hashtbl.length reference);
+              Hashtbl.length reference - 1
+        in
+        let shuffled = Array.of_list set in
+        for i = Array.length shuffled - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = shuffled.(i) in
+          shuffled.(i) <- shuffled.(j);
+          shuffled.(j) <- x
+        done;
+        Array.iter (fun x -> Bits.add inset (slot x)) shuffled;
+        let a = intern unordered ~same:same_bits shuffled in
+        Array.iter (fun x -> Bits.remove inset (slot x)) shuffled;
+        let b = intern sorted ~same:same_run (Array.of_list set) in
+        a = expected && b = expected
+        && List.sort Int.compare (members unordered a) = set
+        && members sorted b = set
+      in
+      List.for_all agree (List.init 300 Fun.id)
+      && P.count unordered = Hashtbl.length reference
+      && P.count sorted = Hashtbl.length reference
+      && Hashtbl.length reference > 32)
+
 let suite =
   [
     Alcotest.test_case "NFA structure" `Quick test_nfa_structure;
@@ -290,4 +357,5 @@ let suite =
       test_equiv_classes_reference;
     QCheck_alcotest.to_alcotest prop_dfa_matches_naive;
     QCheck_alcotest.to_alcotest prop_minimize_preserves_tokens;
+    QCheck_alcotest.to_alcotest prop_powerset_numbering;
   ]

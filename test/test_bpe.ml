@@ -199,23 +199,37 @@ let test_te_skip_rows_on_demand () =
     (Accel.rows acc <= Te_dfa.num_states te
     && Accel.bytes acc <= 346 * max 16 (2 * Accel.rows acc))
 
+(* MD5 of the materialized rows of [te]: the transition cells of its
+   first [num_states] powerstates, then their emit-bit rows, as the
+   engine reads them. *)
+let te_rows_digest te =
+  let n = Te_dfa.num_states te in
+  let tb = Te_dfa.Raw.tables te in
+  Digest.to_hex
+    (Digest.string
+       (Bytes.sub_string (Te_dfa.Raw.trans tb) 0 (4 * n * Te_dfa.Raw.width te)
+       ^ Bytes.sub_string (Te_dfa.Raw.emit tb) 0 (8 * n * Te_dfa.Raw.words te)))
+
 (* Cold runs on the seed-7 corpus materialize exactly the powerstates the
    dense powerset did (a key that split or merged powerstates would move
-   these counts), and [footprint_bytes] — which counts the TE DFA as
-   allocated — stays within 2x of the live-heap growth of the run. *)
+   these counts, and one that renumbered them would move the rows'
+   digest), and [footprint_bytes] — which counts the TE DFA as allocated —
+   stays within 2x of the live-heap growth of the run. *)
 let test_te_cold_runs_pinned () =
   List.iter
-    (fun (bytes, states) ->
+    (fun (bytes, states, digest) ->
       let e = mini_engine () in
       let text = Bpe.Trainer.gen_corpus (Prng.create 7L) bytes in
       let growth = heap_growth e text in
       let fp = Engine.footprint_bytes e in
       check_int (Printf.sprintf "powerstates at %d bytes" bytes) states
         (Engine.te_states e);
+      check_str (Printf.sprintf "rows at %d bytes" bytes) digest
+        (te_rows_digest (Option.get (Engine.Internal.te_dfa e)));
       if fp > 2 * growth || growth > 2 * fp then
         Alcotest.failf "%d bytes: footprint %d vs heap growth %d" bytes fp
           growth)
-    [ (4096, 2281); (16384, 5522) ]
+    [ (4096, 2281, "8242e5bfdb56a52ae34e06a7fd275232"); (16384, 5522, "88265617fd64e1197d25b7a72d113c66") ]
 
 (* The TE memory attack: 512 KiB of JSON through one mini-vocabulary
    engine. Every powerstate it materializes stays resident for the

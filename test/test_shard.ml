@@ -538,7 +538,7 @@ let test_serve_rejects_fd_budget () =
 (* One cold token-extension DFA warmed by four domains at once: each
    tokenizes its own 16 KiB corpus text through one shared mini-vocabulary
    engine, so lazy materialization (and every doubling of the tables from
-   16 rows to 8 192) races with the other domains' lock-free reads. Each
+   one row to 8 192) races with the other domains' lock-free reads. Each
    domain's ids must equal a single-domain run on a fresh engine and the
    reference merge loop. *)
 let test_cold_te_four_domains () =
